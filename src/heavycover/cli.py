@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -56,6 +57,17 @@ class UsageError(HeavyCoverError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _threads(text) -> int:
+    """--threads value: at least 1, clamped to the machine's CPU count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return min(value, os.cpu_count() or 1)
 
 
 def _fr(x) -> str:
@@ -382,8 +394,9 @@ def build_parser() -> _Parser:
             p.add_argument("--point", required=True,
                            help="query point, e.g. 1,1 or 1/2,3/4")
         if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="parallel scan width (default 1)")
+            p.add_argument("--threads", type=_threads, default=1,
+                           help="parallel scan width, at most the CPU count "
+                                "(default 1)")
         if tangent:
             p.add_argument("--tangent", action="store_true",
                            help="generate a tangent family instead of random lines")
@@ -416,7 +429,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=50,
                    help="seeded-instance count knob (default 50 = full battery)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="parallel scan width, at most the CPU count (default 1)")
     p.add_argument("--out", help="machine-readable JSON report path")
     return parser
 

@@ -83,7 +83,12 @@ def sample_path(path: MotionPath, k: int):
 
 def heavy_region_witness(pset: LabeledPointSet, tau):
     """Lexicographically least candidate vertex of depth >= tau * C(n, 3), or
-    None when no candidate qualifies."""
+    None when no candidate qualifies.
+
+    Candidates are the line-arrangement vertices of ``candidate_vertices``. At
+    tau <= 0 every candidate qualifies, so the witness is the lexicographically
+    least line-arrangement vertex: usually far outside the data with depth 0,
+    and never a data point or segment crossing."""
     if pset.dim != 2:
         raise DimensionError("heavy_region_witness is planar only")
     violations = general_position_report(pset.points)

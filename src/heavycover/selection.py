@@ -1,10 +1,12 @@
 """Simplicial depth: exhaustive and angular-sweep counting, the selection
-bound registry, and global max-depth search over the pair-line arrangement.
+bound registry, and global max-depth search over the segment arrangement.
 
 Closed containment is used throughout, which makes depth an upper
-semicontinuous function of the query point; the global maximum is therefore
-attained at a vertex of the arrangement of lines through data-point pairs (or
-at a data point), and a finite candidate scan is complete.
+semicontinuous function of the query point; the lexicographically least
+global maximizer is therefore a data point or a proper crossing of two
+segments between data points. ``max_depth_point`` walks each segment across
+its crossings in O(n^4 log n) integer steps, with one exact count per segment.
+``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 """
 
 from __future__ import annotations
@@ -370,7 +372,9 @@ def _candidate_homogs(pts_h):
 
 
 def candidate_vertices(pset: LabeledPointSet) -> CandidateSet:
-    """Complete search space for the planar max-depth point."""
+    """Data points and every vertex of the arrangement of lines through data
+    pairs: a superset of the segment crossings ``max_depth_point`` walks, kept
+    as the independent search space that tests use as an oracle."""
     if pset.dim != 2:
         raise DimensionError("candidate_vertices is planar only")
     if pset.n < 2:
@@ -401,27 +405,104 @@ def _better(count_a, key_a, count_b, key_b):
     return _homog_lex_cmp(key_a, key_b) < 0
 
 
-def _scan_chunk(args):
-    keys, pts_h = args
+def _walk_tables(pts_h):
+    """Tables for the segment walk: the points scaled to integers over one
+    common denominator W (homogeneous, with weight 1), the orientation table
+    ``orient[a][b][c]`` (twice the signed area of p_a p_b p_c, positive iff
+    p_c is left of p_a -> p_b), ``left[a][b]``, the number of points strictly
+    left of p_a -> p_b, and an integer above the square of every
+    crossing-parameter denominator (the ``scale`` of the walk's sort key)."""
+    w = 1
+    for _, _, pw in pts_h:
+        w = w * pw // gcd(w, pw)
+    pts = [(x * (w // pw), y * (w // pw), 1) for x, y, pw in pts_h]
+    orient = [[[(bx - ax) * (cy - ay) - (by - ay) * (cx - ax) for cx, cy, _ in pts]
+               for bx, by, _ in pts] for ax, ay, _ in pts]
+    left = [[sum(1 for v in row if v > 0) for row in rows] for rows in orient]
+    widest = 2 * max(abs(v) for rows in orient for row in rows for v in row)
+    return pts, w, orient, left, widest * widest + 1
+
+
+def _segment_vertices(i, j, pts, orient, left, scale):
+    """Closed depth at each proper crossing on the open segment p_i p_j, in
+    order from p_i: yields (count, key) with key homogeneous in the scaled
+    coordinates. Needs general position.
+
+    Depth on the open segment changes only where it crosses a segment p_k p_m
+    with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
+    strictly on p_j's side of line km (B) and, past the crossing, drops those
+    with r on p_i's side (A); at the crossing itself all of them contain the
+    point. Concurrent crossings share a parameter t and their terms add up.
+
+    A crossing sits at t = a / (a + b) with a, b the distances (times a common
+    factor) of p_i and p_j from line km. Distinct such fractions differ by more
+    than 1 / scale, so floor(t * scale) is an exact integer sort and group key.
+    """
+    n = len(pts)
+    side = orient[i][j]
+    lefts = [k for k in range(n) if side[k] > 0]
+    rights = [k for k in range(n) if side[k] < 0]
+    steps = {}  # floor(t * scale) -> [sum |B|, sum (|B| - |A|), a, b]
+    for k in lefts:
+        ok, lk = orient[k], left[k]
+        for m in rights:
+            # with p_k left of p_i -> p_j and p_m right, the segments cross iff
+            # p_i is right of p_k -> p_m and p_j left; then B is the left side
+            a, b = -ok[m][i], ok[m][j]
+            if a <= 0 or b <= 0:
+                continue
+            far = lk[m]
+            t = a * scale // (a + b)
+            step = steps.get(t)
+            if step is None:
+                steps[t] = [far, 2 * far - (n - 2), a, b]
+            else:
+                step[0] += far
+                step[1] += 2 * far - (n - 2)
+    if not steps:
+        return
+    order = sorted(steps)
+    (xi, yi, _), (xj, yj, _) = pts[i], pts[j]
+    # one exact count on the open edge at half the first crossing's t, then steps
+    _, _, a, b = steps[order[0]]
+    before = _closed_depth_homog(((a + 2 * b) * xi + a * xj,
+                                  (a + 2 * b) * yi + a * yj, 2 * (a + b)), pts)
+    for t in order:
+        at_vertex, past, a, b = steps[t]
+        yield before + at_vertex, (b * xi + a * xj, b * yi + a * yj, a + b)
+        before += past
+
+
+def _walk_chunk(args):
+    segments, pts, orient, left, scale = args
     best_key = None
     best_count = -1
-    for key in keys:
-        c = _closed_depth_homog(key, pts_h)
-        if best_key is None or _better(c, key, best_count, best_key):
-            best_key, best_count = key, c
+    for i, j in segments:
+        for c, key in _segment_vertices(i, j, pts, orient, left, scale):
+            if best_key is None or _better(c, key, best_count, best_key):
+                best_key, best_count = key, c
     return best_count, best_key
 
 
-def _scan_best(keys, pts_h, threads=1):
-    if threads <= 1 or len(keys) < 64:
-        return _scan_chunk((keys, pts_h))
-    chunk = (len(keys) + threads - 1) // threads
-    payloads = [(keys[i:i + chunk], pts_h) for i in range(0, len(keys), chunk)]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        results = list(ex.map(_scan_chunk, payloads))
-    best_count, best_key = results[0]
-    for c, k in results[1:]:
-        if _better(c, k, best_count, best_key):
+def _walk_best(pts, orient, left, scale, threads=1):
+    """Best (count, key) over the data points and every segment crossing."""
+    best_key = None
+    best_count = -1
+    for key in pts:
+        c = _closed_depth_homog(key, pts)
+        if best_key is None or _better(c, key, best_count, best_key):
+            best_key, best_count = key, c
+    segments = list(itertools.combinations(range(len(pts)), 2))
+    if threads <= 1 or len(segments) < 64:
+        results = [_walk_chunk((segments, pts, orient, left, scale))]
+    else:
+        chunk = (len(segments) + threads - 1) // threads
+        payloads = [(segments[s:s + chunk], pts, orient, left, scale)
+                    for s in range(0, len(segments), chunk)]
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(_walk_chunk, payloads))
+    for c, k in results:
+        if k is not None and _better(c, k, best_count, best_key):
             best_count, best_key = c, k
     return best_count, best_key
 
@@ -430,9 +511,12 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
                     threads: int = 1):
     """Global planar max of closed simplicial depth.
 
-    Scans every candidate vertex (complete by upper semicontinuity), breaking
-    ties toward the lexicographically smallest point. The winner's count is
-    re-derived by exhaustive enumeration as an internal consistency check.
+    Walks the segment arrangement: the lexicographically least maximizer is a
+    data point or a proper crossing of two segments p_i p_j, p_k p_l (upper
+    semicontinuity). Each segment costs one exact count before its first
+    crossing plus integer steps across the crossings, O(n^4 log n) in all.
+    Ties break toward the lexicographically smallest point. The winner's count
+    is re-derived by exhaustive enumeration as an internal consistency check.
     """
     if pset.dim != 2:
         raise DimensionError("max_depth_point is planar only")
@@ -441,12 +525,11 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     violations = general_position_report(pset.points)
     if violations:
         raise DegeneracyError("point set is not in general position", violations)
-    pts_h = [homog(p) for p in pset.points]
-    keys = [k for k, _ in _candidate_homogs(pts_h)]
-    best_count, best_key = _scan_best(keys, pts_h, threads)
-    q = dehomog(best_key)
+    pts, w, orient, left, scale = _walk_tables([homog(p) for p in pset.points])
+    best_count, (x, y, v) = _walk_best(pts, orient, left, scale, threads)
+    q = dehomog((x, y, v * w))
     report = depth_naive(q, pset, witness_limit=witness_limit)
     if report.count != best_count:
         raise InternalError(
-            f"candidate scan count {best_count} != exhaustive count {report.count}")
+            f"segment walk count {best_count} != exhaustive count {report.count}")
     return q, replace(report, method="candidate_scan")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from heavycover.cli import run_command
+from heavycover.cli import UsageError, build_parser, run_command
 
 TRIANGLE = '{"kind":"POINTS","points":[["0","0"],["4","0"],["0","4"]]}'
 TRILINES = ('{"kind":"LINES","lines":['
@@ -127,6 +127,25 @@ def test_cli_threads_do_not_change_artifacts(tmp_path):
                             "--threads", threads, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["maxdepth", "maxdual", "verify"])
+def test_threads_below_one_is_a_usage_error(command, capsys):
+    # rejected while parsing, before any dataset or worker pool exists
+    assert run_command([command, "--seed", "1", "--threads", "0"]) == 1
+    assert "argument --threads: must be at least 1" in capsys.readouterr().err
+    with pytest.raises(UsageError):
+        build_parser().parse_args([command, "--threads", "-3"])
+
+
+@pytest.mark.parametrize("command", ["maxdepth", "maxdual", "verify"])
+def test_threads_clamped_to_cpu_count(command, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    parse = build_parser().parse_args
+    assert parse([command, "--threads", "64"]).threads == 4
+    assert parse([command, "--threads", "3"]).threads == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown CPU count
+    assert parse([command, "--threads", "2"]).threads == 1
 
 
 def test_verify_command_smoke(tmp_path, capsys):

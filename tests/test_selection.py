@@ -9,6 +9,8 @@ from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import Point, dehomog, homog, intersect_lines_homog, line_through_homog, reduce_homog
 from heavycover.selection import (
     BoundVariant,
+    _segment_vertices,
+    _walk_tables,
     LabeledPointSet,
     binom,
     candidate_vertices,
@@ -203,10 +205,67 @@ def test_max_depth_dominates_every_candidate():
 
 
 def test_max_depth_threads_match_serial():
-    ps = random_point_set(8, 55)
-    q1, r1 = max_depth_point(ps, threads=1)
-    q2, r2 = max_depth_point(ps, threads=2)
-    assert (q1, r1.count) == (q2, r2.count)
+    # n = 12 has 66 segments, enough for the walk to split them over workers
+    for ps in (random_point_set(8, 55), random_point_set(12, 56, near_convex=True)):
+        q1, r1 = max_depth_point(ps, threads=1)
+        q2, r2 = max_depth_point(ps, threads=2)
+        assert (q1, r1.count) == (q2, r2.count)
+
+
+HEXAGON = LabeledPointSet((Point(1, 0), Point(0, 1), Point(-1, 1), Point(-1, 0),
+                           Point(0, -1), Point(1, -1),
+                           Point(Fraction(1, 3), Fraction(1, 7))))
+
+
+def test_max_depth_point_matches_line_arrangement_oracle():
+    # lex-least maximum of closed depth over every line-arrangement vertex
+    rng = random.Random(2024)
+    for n, near_convex in itertools.product(range(5, 15), (False, True)):
+        ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+        counts = {q: closed_depth_count(q, ps.points)
+                  for q in candidate_vertices(ps).points}
+        best = max(counts.values())
+        expected = min((q for q, c in counts.items() if c == best),
+                       key=lambda q: q.coords)
+        q, rep = max_depth_point(ps, witness_limit=0)
+        assert (q, rep.count) == (expected, best)
+
+
+def _proper_crossings(ps):
+    """Points interior to two segments p_i p_j and p_k p_m, by line intersection."""
+    pts_h = [homog(p) for p in ps.points]
+    segments = list(itertools.combinations(range(ps.n), 2))
+    out = set()
+    for (i, j), (k, m) in itertools.combinations(segments, 2):
+        if {i, j} & {k, m}:
+            continue
+        x, y, w = intersect_lines_homog(line_through_homog(pts_h[i], pts_h[j]),
+                                        line_through_homog(pts_h[k], pts_h[m]))
+        if w == 0:
+            continue
+        v = dehomog((x, y, w))
+        if all(min(a.coords[c], b.coords[c]) <= v.coords[c] <= max(a.coords[c], b.coords[c])
+               and v != a and v != b
+               for a, b in ((ps.points[i], ps.points[j]), (ps.points[k], ps.points[m]))
+               for c in (0, 1)):
+            out.add(v)
+    return out
+
+
+def test_segment_walk_counts_every_crossing_exactly():
+    # the hexagon's three long diagonals meet at the origin: the walk must
+    # step across all three there at once
+    sets = [HEXAGON] + [random_point_set(n, 300 + n, near_convex=n % 2 == 0)
+                        for n in range(5, 11)]
+    for ps in sets:
+        pts, w, orient, left, scale = _walk_tables([homog(p) for p in ps.points])
+        seen = set()
+        for i, j in itertools.combinations(range(ps.n), 2):
+            for count, (x, y, v) in _segment_vertices(i, j, pts, orient, left, scale):
+                q = dehomog((x, y, v * w))
+                assert count == closed_depth_count(q, ps.points)
+                seen.add(q)
+        assert seen == _proper_crossings(ps)
 
 
 def test_upper_semicontinuity_on_arrangement_edges():
