@@ -77,7 +77,6 @@ from .continuity import (
     continuity_demo,
     heavy_region_witness,
     sample_path,
-    track_argmax,
 )
 from .datasets import Dataset, emit_dataset, generate, parse_dataset
 from .verification import run_battery

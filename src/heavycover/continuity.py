@@ -3,27 +3,28 @@
 The maximizing point is not a continuous function of the data: tracking it
 along a piecewise-linear motion exhibits jumps. What persists is the heavy
 region itself, witnessed here by a point of depth at least tau * C(n, 3) at
-every sampled time.
+every sampled time. The argmax and the witness both come from the
+segment-arrangement walk of ``selection``; this module holds no scan of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import Point, dehomog, general_position_report, homog
+from .exactgeom import Point, dehomog, general_position_report, homog, scalar
 from .selection import (
     LabeledPointSet,
-    _candidate_homogs,
     _closed_depth_homog,
-    _homog_lex_cmp,
+    _scan,
+    _walk_items,
+    _walk_tables,
+    _walk_visit,
     binom,
-    depth_naive,
     max_depth_point,
 )
-from .exactgeom import scalar
 
 
 @dataclass(frozen=True)
@@ -81,29 +82,34 @@ def sample_path(path: MotionPath, k: int):
     return [path.at(Fraction(j, k - 1)) for j in range(k)]
 
 
-def heavy_region_witness(pset: LabeledPointSet, tau):
-    """Lexicographically least candidate vertex of depth >= tau * C(n, 3), or
-    None when no candidate qualifies.
+def _witness_visit(item, shared):
+    tables, threshold = shared
+    for count, key in _walk_visit(item, tables):
+        yield count >= threshold, key
 
-    Candidates are the line-arrangement vertices of ``candidate_vertices``. At
-    tau <= 0 every candidate qualifies, so the witness is the lexicographically
-    least line-arrangement vertex: usually far outside the data with depth 0,
-    and never a data point or segment crossing."""
+
+def heavy_region_witness(pset: LabeledPointSet, tau):
+    """Lexicographically least point of depth >= tau * C(n, 3) with its count,
+    or None when no point qualifies.
+
+    The set {depth >= t} is closed and a union of faces of the segment
+    arrangement, so its lexicographically least point is a data point or a
+    proper crossing of two segments: the walk of ``max_depth_point`` visits
+    them all. At tau <= 0 every point qualifies and the witness is the
+    lexicographically least data point."""
     if pset.dim != 2:
         raise DimensionError("heavy_region_witness is planar only")
     violations = general_position_report(pset.points)
     if violations:
         raise DegeneracyError("point set is not in general position", violations)
-    tau = scalar(tau)
-    threshold = tau * binom(pset.n, 3)
-    pts_h = [homog(p) for p in pset.points]
-    keys = sorted((k for k, _ in _candidate_homogs(pts_h)),
-                  key=cmp_to_key(_homog_lex_cmp))
-    for key in keys:
-        count = _closed_depth_homog(key, pts_h)
-        if count >= threshold:
-            return dehomog(key), count
-    return None
+    threshold = scalar(tau) * binom(pset.n, 3)
+    pts, w, orient, left, scale = _walk_tables([homog(p) for p in pset.points])
+    qualifies, key = _scan(_walk_items(pset.n), _witness_visit,
+                           ((pts, orient, left, scale), threshold))
+    if not qualifies:
+        return None
+    x, y, v = key
+    return dehomog((x, y, v * w)), _closed_depth_homog(key, pts)
 
 
 @dataclass(frozen=True)
@@ -134,38 +140,6 @@ def _jump_flag(prev, cur, prev_set, cur_set, jump_threshold, data_threshold):
     return moved > jump_threshold and data_moved <= data_threshold
 
 
-def track_argmax(path: MotionPath, k: int, jump_threshold,
-                 data_threshold=None):
-    """Max-depth point at k evenly spaced samples, flagging jumps.
-
-    A jump is flagged when the argmax moves farther (in max-coordinate
-    distance) than ``jump_threshold`` between consecutive non-degenerate
-    samples while no data point moved farther than ``data_threshold``
-    (defaulting to the jump threshold itself). Degenerate samples are marked
-    and skipped, never perturbed.
-    """
-    jump_threshold = scalar(jump_threshold)
-    data_threshold = jump_threshold if data_threshold is None else scalar(data_threshold)
-    records = []
-    prev_argmax = None
-    prev_set = None
-    for j, pset in enumerate(sample_path(path, k)):
-        t = Fraction(j, k - 1)
-        if general_position_report(pset.points):
-            records.append(SweepRecord(time=t, degenerate=True))
-            prev_argmax = None
-            prev_set = None
-            continue
-        q, rep = max_depth_point(pset, witness_limit=0)
-        jump = _jump_flag(prev_argmax, q, prev_set, pset,
-                          jump_threshold, data_threshold)
-        records.append(SweepRecord(time=t, degenerate=False, argmax=q,
-                                   count=rep.count, jump=jump))
-        prev_argmax = q
-        prev_set = pset
-    return records
-
-
 @dataclass(frozen=True)
 class ContinuityReport:
     """Joint record of argmax tracking and heavy-region persistence."""
@@ -185,10 +159,15 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
                     data_threshold=None) -> ContinuityReport:
     """Track the argmax and a heavy-region witness together.
 
-    The witness (lexicographically least candidate of depth >= tau * C(n, 3))
-    is recomputed at every non-degenerate sample from the same candidate scan
-    that powers the argmax; jumps of the argmax are recorded as events while
-    the witness chain documents that the heavy region itself persists.
+    At every non-degenerate sample the argmax comes from ``max_depth_point``
+    and the witness (lexicographically least point of depth >= tau * C(n, 3))
+    from ``heavy_region_witness``; jumps of the argmax are recorded as events
+    while the witness chain documents that the heavy region itself persists.
+    A jump is flagged when the argmax moves farther (in max-coordinate
+    distance) than ``jump_threshold`` between consecutive non-degenerate
+    samples while no data point moved farther than ``data_threshold``
+    (defaulting to the jump threshold itself). Degenerate samples are marked
+    and skipped, never perturbed.
     """
     tau = scalar(tau)
     jump_threshold = scalar(jump_threshold)
@@ -205,23 +184,8 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
             degenerate += 1
             prev = None
             continue
-        threshold = tau * binom(pset.n, 3)
-        pts_h = [homog(p) for p in pset.points]
-        keys = sorted((key for key, _ in _candidate_homogs(pts_h)),
-                      key=cmp_to_key(_homog_lex_cmp))
-        best_key = None
-        best_count = -1
-        witness = None
-        for key in keys:
-            c = _closed_depth_homog(key, pts_h)
-            if witness is None and c >= threshold:
-                witness = (dehomog(key), c)
-            if c > best_count:  # first in lex order wins ties
-                best_key, best_count = key, c
-        argmax = dehomog(best_key)
-        check = depth_naive(argmax, pset)
-        if check.count != best_count:
-            raise InternalError("candidate scan disagrees with exhaustive count")
+        argmax, rep = max_depth_point(pset, witness_limit=0)
+        witness = heavy_region_witness(pset, tau)
         if witness is None:
             all_witnessed = False
         jump = False
@@ -229,9 +193,9 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
             jump = _jump_flag(prev[1], argmax, prev[3], pset,
                               jump_threshold, data_threshold)
             if jump:
-                jump_events.append((prev[0], t, prev[1], argmax, prev[2], best_count))
+                jump_events.append((prev[0], t, prev[1], argmax, prev[2], rep.count))
         records.append(SweepRecord(time=t, degenerate=False, argmax=argmax,
-                                   count=best_count, witness=witness, jump=jump))
-        prev = (t, argmax, best_count, pset)
+                                   count=rep.count, witness=witness, jump=jump))
+        prev = (t, argmax, rep.count, pset)
     return ContinuityReport(records=tuple(records), jump_events=tuple(jump_events),
                             all_witnessed=all_witnessed, degenerate_samples=degenerate)

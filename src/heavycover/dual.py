@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -41,12 +40,12 @@ from .exactgeom import (
 )
 from .selection import (
     _avoiding_triples,
-    _better,
     _depth_report,
     _directions_around,
     _half,
     _homog_lex_cmp,
     _icross,
+    _scan,
     binom,
     DepthReport,
 )
@@ -223,18 +222,15 @@ def _arrangement_vertices(coeffs):
     return seen
 
 
-def _dual_scan_chunk(args):
-    keys, triangles = args
-    best_key = None
-    best_count = -1
-    for key in keys:
-        c = 0
-        for _, tri in triangles:
-            if _closed_code_homog(key, tri) >= 1:
-                c += 1
-        if best_key is None or _better(c, key, best_count, best_key):
-            best_key, best_count = key, c
-    return best_count, best_key
+def _surround_visit(key, shared):
+    """The number of triangles with code at least ``code`` (1: closed, 2:
+    strict containment) at the point ``key``, as one (count, key) pair."""
+    triangles, code = shared
+    c = 0
+    for _, tri in triangles:
+        if _closed_code_homog(key, tri) >= code:
+            c += 1
+    return ((c, key),)
 
 
 def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
@@ -253,18 +249,8 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = _coeffs(family)
     triangles = _triple_triangles(coeffs)
-    keys = list(_arrangement_vertices(coeffs))
-    if threads <= 1 or len(keys) < 32:
-        best_count, best_key = _dual_scan_chunk((keys, triangles))
-    else:
-        chunk = (len(keys) + threads - 1) // threads
-        payloads = [(keys[i:i + chunk], triangles) for i in range(0, len(keys), chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_dual_scan_chunk, payloads))
-        best_count, best_key = results[0]
-        for c, k in results[1:]:
-            if _better(c, k, best_count, best_key):
-                best_count, best_key = c, k
+    best_count, best_key = _scan(list(_arrangement_vertices(coeffs)), _surround_visit,
+                                 (triangles, 1), threads)
     q = dehomog(best_key)
     report = dual_depth_naive(q, family, witness_limit=witness_limit)
     if report.count != best_count:
@@ -735,17 +721,8 @@ def _cell_representatives(coeffs):
 
 def _max_strict_dual(coeffs):
     """Max over generic points of the strict (open-cell) surround count."""
-    triangles = _triple_triangles(coeffs)
-    best_count = -1
-    best_key = None
-    for rep in _cell_representatives(coeffs):
-        key = reduce_homog(homog(rep))
-        c = 0
-        for _, tri in triangles:
-            if _closed_code_homog(key, tri) == 2:
-                c += 1
-        if best_key is None or _better(c, key, best_count, best_key):
-            best_count, best_key = c, key
+    keys = [reduce_homog(homog(rep)) for rep in _cell_representatives(coeffs)]
+    best_count, best_key = _scan(keys, _surround_visit, (_triple_triangles(coeffs), 2))
     return best_count, dehomog(best_key)
 
 

@@ -7,6 +7,11 @@ global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
 its crossings in O(n^4 log n) integer steps, with one exact count per segment.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
+
+Every max search in the package (this walk, ``continuity``'s heavy-region
+witness, and ``dual``'s vertex and cell scans) runs through ``_scan``, which
+alone owns the tie-break (higher count, then lexicographically least point),
+the chunking and the process pool.
 """
 
 from __future__ import annotations
@@ -398,8 +403,8 @@ def _homog_lex_cmp(a, b):
 
 
 def _better(count_a, key_a, count_b, key_b):
-    """True iff (count_a, key_a) beats (count_b, key_b): higher count first,
-    then lexicographically smaller point."""
+    """True iff (count_a, key_a) beats (count_b, key_b): higher count (or any
+    other ordered score) first, then lexicographically smaller point."""
     if count_a != count_b:
         return count_a > count_b
     return _homog_lex_cmp(key_a, key_b) < 0
@@ -473,38 +478,60 @@ def _segment_vertices(i, j, pts, orient, left, scale):
         before += past
 
 
-def _walk_chunk(args):
-    segments, pts, orient, left, scale = args
-    best_key = None
-    best_count = -1
-    for i, j in segments:
-        for c, key in _segment_vertices(i, j, pts, orient, left, scale):
-            if best_key is None or _better(c, key, best_count, best_key):
-                best_key, best_count = key, c
-    return best_count, best_key
+def _walk_visit(item, tables):
+    """Closed depth at data point p_i for item (i, i), or at each proper
+    crossing on segment p_i p_j for item (i, j), i < j: (count, key) pairs."""
+    i, j = item
+    pts = tables[0]
+    if i == j:
+        return ((_closed_depth_homog(pts[i], pts), pts[i]),)
+    return _segment_vertices(i, j, *tables)
 
 
-def _walk_best(pts, orient, left, scale, threads=1):
-    """Best (count, key) over the data points and every segment crossing."""
-    best_key = None
-    best_count = -1
-    for key in pts:
-        c = _closed_depth_homog(key, pts)
-        if best_key is None or _better(c, key, best_count, best_key):
-            best_key, best_count = key, c
-    segments = list(itertools.combinations(range(len(pts)), 2))
-    if threads <= 1 or len(segments) < 64:
-        results = [_walk_chunk((segments, pts, orient, left, scale))]
-    else:
-        chunk = (len(segments) + threads - 1) // threads
-        payloads = [(segments[s:s + chunk], pts, orient, left, scale)
-                    for s in range(0, len(segments), chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_walk_chunk, payloads))
-    for c, k in results:
-        if k is not None and _better(c, k, best_count, best_key):
-            best_count, best_key = c, k
-    return best_count, best_key
+def _walk_items(n):
+    """The walk's items: every data point (i, i) and every segment (i, j)."""
+    return list(itertools.combinations_with_replacement(range(n), 2))
+
+
+# Fewest items a scan sends to a process pool; below it, start-up outweighs
+# the split.
+FANOUT = 64
+
+
+def _best(pairs, best=None):
+    """The better of ``best`` and every (score, key) pair by ``_better``; None
+    when there is none."""
+    for score, key in pairs:
+        if best is None or _better(score, key, *best):
+            best = (score, key)
+    return best
+
+
+def _scan_chunk(args):
+    items, visit, shared = args
+    best = None
+    for item in items:
+        best = _best(visit(item, shared), best)
+    return best
+
+
+def _scan(items, visit, shared, threads=1):
+    """The max-search engine: the best of the (score, key) pairs that
+    ``visit(item, shared)`` returns for each item, highest score first, then
+    the lexicographically least point; None when there are none.
+
+    With ``threads > 1`` and at least ``FANOUT`` items, contiguous chunks of
+    the items go to a process pool (``visit`` must then be a module-level
+    function and ``shared`` picklable); the per-chunk winners merge by the same
+    tie-break, so the result does not depend on ``threads``.
+    """
+    if threads <= 1 or len(items) < FANOUT:
+        return _scan_chunk((items, visit, shared))
+    chunk = (len(items) + threads - 1) // threads
+    payloads = [(items[s:s + chunk], visit, shared)
+                for s in range(0, len(items), chunk)]
+    with ProcessPoolExecutor(max_workers=threads) as ex:
+        return _best(r for r in ex.map(_scan_chunk, payloads) if r is not None)
 
 
 def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
@@ -526,7 +553,8 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     if violations:
         raise DegeneracyError("point set is not in general position", violations)
     pts, w, orient, left, scale = _walk_tables([homog(p) for p in pset.points])
-    best_count, (x, y, v) = _walk_best(pts, orient, left, scale, threads)
+    best_count, (x, y, v) = _scan(_walk_items(pset.n), _walk_visit,
+                                  (pts, orient, left, scale), threads)
     q = dehomog((x, y, v * w))
     report = depth_naive(q, pset, witness_limit=witness_limit)
     if report.count != best_count:

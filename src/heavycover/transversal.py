@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
 
+from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
 from .exactgeom import ContainmentVerdict, Point, point_in_simplex
 from .selection import (
@@ -210,11 +210,6 @@ def _median_floor_count(n: int) -> int:
     return a * (n - 1 - a)
 
 
-def _reduce_dir(x, y):
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
-
-
 def _median_interval(vals):
     s = sorted(vals)
     n = len(s)
@@ -247,13 +242,13 @@ def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
         diff = b - a
         dx = diff.x.numerator * diff.y.denominator
         dy = diff.y.numerator * diff.x.denominator
-        v = _reduce_dir(-dy, dx)
+        v = _reduce_dir((-dy, dx))
         criticals.add(v)
         criticals.add((-v[0], -v[1]))
     ordered = sorted(criticals, key=cmp_to_key(_angle_cmp))
     candidates = []
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        candidates.append(_reduce_dir(a[0] + b[0], a[1] + b[1]))
+        candidates.append(_reduce_dir((a[0] + b[0], a[1] + b[1])))
     candidates.extend(ordered)
     for vx, vy in candidates:
         proj0 = [vx * p.x + vy * p.y for p in set0.points]

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +9,17 @@ from heavycover.continuity import (
     continuity_demo,
     heavy_region_witness,
     sample_path,
-    track_argmax,
 )
 from heavycover.datasets import random_motion_path, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import Point
-from heavycover.selection import LabeledPointSet, binom, max_depth_point
+from heavycover.selection import (
+    LabeledPointSet,
+    binom,
+    candidate_vertices,
+    closed_depth_count,
+    max_depth_point,
+)
 
 TRI = LabeledPointSet((Point(0, 0), Point(4, 0), Point(0, 4)))
 
@@ -103,19 +110,47 @@ def test_heavy_region_witness_rejects_degenerate():
         heavy_region_witness(bad, 0)
 
 
-def test_track_argmax_constant_path_no_jumps():
+def test_heavy_region_witness_nonpositive_tau_is_least_data_point():
+    # every point qualifies, so the witness is the lexicographically least
+    # data point with its true count, not a far-away count-0 vertex
+    for seed, tau in itertools.product(range(4), (0, Fraction(-1, 3))):
+        ps = random_point_set(7, seed)
+        point, count = heavy_region_witness(ps, tau)
+        assert point == min(ps.points, key=lambda p: p.coords)
+        assert count == closed_depth_count(point, ps.points) > 0
+
+
+def test_heavy_region_witness_matches_line_arrangement_oracle():
+    # lex-least line-arrangement vertex of depth >= tau * C(n, 3)
+    rng = random.Random(909)
+    for n, near_convex in itertools.product(range(5, 13), (False, True)):
+        ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+        counts = sorted((q.coords, closed_depth_count(q, ps.points), q)
+                        for q in candidate_vertices(ps).points)
+        total = binom(n, 3)
+        best = Fraction(max(c for _, c, _ in counts), total)
+        for tau in (best, best + Fraction(1, 2 * total), Fraction(2, 9),
+                    Fraction(1, 10)):
+            expected = next(((q, c) for _, c, q in counts if c >= tau * total), None)
+            assert heavy_region_witness(ps, tau) == expected
+            if tau > best:
+                assert expected is None
+
+
+def test_continuity_demo_constant_path_no_jumps():
     ps = random_point_set(6, 14)
-    records = track_argmax(constant_path(ps), 7, Fraction(1, 2))
+    records = continuity_demo(constant_path(ps), 7, Fraction(0)).records
     assert all(not r.jump for r in records)
     assert len({r.argmax for r in records}) == 1
 
 
-def test_track_argmax_translation_equivariance():
+def test_continuity_demo_translation_equivariance():
     ps = random_point_set(6, 15)
     shift = Point(1, 0)
     moved = LabeledPointSet(tuple(p + shift for p in ps.points))
     path = MotionPath(((Fraction(0), ps), (Fraction(1), moved)))
-    records = track_argmax(path, 5, Fraction(10))  # generous threshold: no jumps
+    # generous threshold: no jumps
+    records = continuity_demo(path, 5, Fraction(0), jump_threshold=Fraction(10)).records
     q0, _ = max_depth_point(ps)
     for j, rec in enumerate(records):
         assert not rec.degenerate
@@ -124,8 +159,9 @@ def test_track_argmax_translation_equivariance():
         assert not rec.jump
 
 
-def test_track_argmax_crafted_orbit_jumps():
-    records = track_argmax(orbit_fixture(), 21, Fraction(1, 2), Fraction(3))
+def test_continuity_demo_crafted_orbit_jumps():
+    records = continuity_demo(orbit_fixture(), 21, Fraction(0), Fraction(1, 2),
+                              Fraction(3)).records
     assert sum(1 for r in records if r.jump) >= 1
     assert any(r.degenerate for r in records)  # the orbit crosses collinearity
 

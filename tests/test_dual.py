@@ -7,6 +7,7 @@ import pytest
 from heavycover.datasets import random_line_family
 from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import Hyperplane, Point, project_onto_hyperplane, segment_crosses_ray
+from heavycover.selection import FANOUT, binom
 from heavycover.dual import (
     DUAL_BOUND,
     LineFamily,
@@ -130,7 +131,9 @@ def test_max_dual_depth_vertex_scan_matches_naive_oracle():
 
 
 def test_max_dual_depth_threads_match_serial():
-    fam = random_line_family(8, 31)
+    # n = 12 has 66 arrangement vertices, enough for the scan to use workers
+    assert binom(12, 2) >= FANOUT
+    fam = random_line_family(12, 31)
     q1, r1 = max_dual_depth_point(fam, threads=1)
     q2, r2 = max_dual_depth_point(fam, threads=2)
     assert (q1, r1.count) == (q2, r2.count)

@@ -8,6 +8,7 @@ from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import Point, dehomog, homog, intersect_lines_homog, line_through_homog, reduce_homog
 from heavycover.selection import (
+    FANOUT,
     BoundVariant,
     _segment_vertices,
     _walk_tables,
@@ -206,6 +207,7 @@ def test_max_depth_dominates_every_candidate():
 
 def test_max_depth_threads_match_serial():
     # n = 12 has 66 segments, enough for the walk to split them over workers
+    assert binom(12, 2) >= FANOUT
     for ps in (random_point_set(8, 55), random_point_set(12, 56, near_convex=True)):
         q1, r1 = max_depth_point(ps, threads=1)
         q2, r2 = max_depth_point(ps, threads=2)
