@@ -3,15 +3,24 @@
 Three pairwise nonparallel lines surround a point when it lies in the closed
 bounded cell of their arrangement (the triangle of their pairwise
 intersections). The count over all 3-subsets of a line family is the dual
-depth; projecting the query onto each line turns it into a simplicial-depth
-question, which both the fast counting route and the exposure-direction
-analysis exploit.
+depth. Projecting the query onto each line turns it into a simplicial-depth
+question, and the direction from q to its foot on line k, a·x + b·y = c, is
+the line's normal oriented toward the line, sign(c·w − a·x − b·y)·(a, b). So
+at a point off every line, with no two lines parallel, the dual depth is
+C(n, 3) minus the triples of oriented normals inside an open half-plane: the
+primal angular count fed with integer signs, O(n log n) per point.
+
+``dual_depth_naive`` enumerates the triangles and is the oracle. Every other
+count goes through ``_surrounding``: ``dual_depth_fast``, the closed count at
+each arrangement vertex in ``max_dual_depth_point`` and the strict count in
+each cell around a vertex in ``_max_strict_dual``, O(n^3 log n) per search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -41,8 +50,6 @@ from .exactgeom import (
 from .selection import (
     _avoiding_triples,
     _depth_report,
-    _directions_around,
-    _half,
     _homog_lex_cmp,
     _icross,
     _scan,
@@ -175,34 +182,71 @@ def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> De
                          strict=strict, witnesses=witnesses, method="naive")
 
 
-def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
-    """Dual depth as simplicial depth of q in its projections onto the lines,
-    counted by the angular sweep.
+def _reduce_dir(d):
+    x, y = d
+    g = gcd(abs(x), abs(y))
+    return (x // g, y // g)
 
-    Any degeneracy (q on a line, coincident/collinear projections) falls back
-    to the exhaustive count; the report's method field records which route ran.
+
+def _normals(coeffs):
+    """Reduced integer normals (a, b) of the lines a·x + b·y = c; parallel
+    lines share one, since every line's leading coefficient is positive."""
+    return [_reduce_dir((a, b)) for a, b, _ in coeffs]
+
+
+def _sides(qh, coeffs):
+    """The sign of c·w − a·x − b·y for each line (a, b, c) at q = (x, y, w):
+    q's foot on that line lies in direction sign·(a, b) from q; 0 when q is on
+    the line."""
+    x, y, w = qh
+    out = []
+    for a, b, c in coeffs:
+        v = c * w - a * x - b * y
+        out.append((v > 0) - (v < 0))
+    return out
+
+
+def _oriented(normals, sides):
+    """The normals of the lines with a nonzero side, each turned toward its
+    line: the directions from the point to its feet on those lines."""
+    return [(a, b) if s > 0 else (-a, -b) for (a, b), s in zip(normals, sides) if s]
+
+
+def _surrounding(normals, sides):
+    """Surrounding triples among the lines with a nonzero side, at a point off
+    each of them, given their reduced normals and no two of them parallel:
+    C(m, 3) minus the triples of oriented normals inside an open half-plane."""
+    dirs = _oriented(normals, sides)
+    return math.comb(len(dirs), 3) - _avoiding_triples(dirs)
+
+
+def _dual_tables(coeffs):
+    """The integer lines, their reduced normals, and ``turn[i][k]``, the sign
+    of cross(n_i, n_k): the shared tables of the vertex and cell scans."""
+    normals = _normals(coeffs)
+    turn = [[(c > 0) - (c < 0) for c in (_icross(u, v) for v in normals)]
+            for u in normals]
+    return coeffs, normals, turn
+
+
+def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
+    """Dual depth at q from the oriented normals of the lines: C(n, 3) minus
+    the normal triples inside an open half-plane, O(n log n).
+
+    q on a line or a parallel pair in the family falls back to the exhaustive
+    count; the report's method field records which route ran.
     """
     if q.dim != 2:
         raise DimensionError("dual depth is planar only")
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    if any(h.contains(q) for h in family.lines):
+    coeffs = _coeffs(family)
+    normals = _normals(coeffs)
+    sides = _sides(homog(q), coeffs)
+    if 0 in sides or len(set(normals)) < n:
         return replace(dual_depth_naive(q, family), method="naive_fallback")
-    feet = [project_onto_hyperplane(q, h) for h in family.lines]
-    qh = homog(q)
-    dirs = _directions_around(qh, [homog(f) for f in feet])
-    axes = set()
-    degenerate = len(dirs) < n
-    for d in dirs:
-        axis = d if _half(d) == 0 else (-d[0], -d[1])
-        if axis in axes:
-            degenerate = True
-            break
-        axes.add(axis)
-    if degenerate:
-        return replace(dual_depth_naive(q, family), method="naive_fallback")
-    count = math.comb(n, 3) - _avoiding_triples(dirs)
+    count = _surrounding(normals, sides)
     # q off every line means no surrounding triple touches it on its boundary
     return _depth_report(count, binom(n, 3), n, 2, strict=count,
                          method="projection_sweep")
@@ -222,15 +266,25 @@ def _arrangement_vertices(coeffs):
     return seen
 
 
-def _surround_visit(key, shared):
-    """The number of triangles with code at least ``code`` (1: closed, 2:
-    strict containment) at the point ``key``, as one (count, key) pair."""
-    triangles, code = shared
-    c = 0
-    for _, tri in triangles:
-        if _closed_code_homog(key, tri) >= code:
-            c += 1
-    return ((c, key),)
+def _vertex_visit(item, tables):
+    """Closed dual depth at the vertex v = L_i ∩ L_j of a family in general
+    position, as one (count, key) pair.
+
+    The n − 2 other lines miss v, so their triples count as at any generic
+    point. The n − 2 triples {i, j, k} have v as a corner. A triple {i, k, m}
+    holds v on its edge along L_i iff L_k and L_m cross L_i on opposite sides
+    of v; the side of L_k is sign(f_k(v))·turn[i][k], so these add l_i·r_i,
+    and likewise l_j·r_j."""
+    key, (i, j) = item
+    coeffs, normals, turn = tables
+    sides = _sides(key, coeffs)
+    m = len(coeffs) - 2
+    count = _surrounding(normals, sides) + m
+    for row in (turn[i], turn[j]):
+        # sides · turn[i] = l_i − r_i, and l_i + r_i = n − 2
+        left =(sum(map(operator.mul, sides, row)) + m) // 2
+        count += left * (m - left)
+    return ((count, key),)
 
 
 def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
@@ -238,8 +292,9 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     """Global max of closed dual depth over the arrangement vertices of the
     family (complete under closed containment), lexicographic tie-break.
 
-    The winner's count is re-derived by the exhaustive route as an internal
-    consistency check.
+    Each vertex costs one O(n log n) normal count plus two O(n) side tallies
+    (``_vertex_visit``), O(n^3 log n) in all. The winner's count is
+    re-derived by the exhaustive route as an internal consistency check.
     """
     n = family.n
     if n < 3:
@@ -248,9 +303,8 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = _coeffs(family)
-    triangles = _triple_triangles(coeffs)
-    best_count, best_key = _scan(list(_arrangement_vertices(coeffs)), _surround_visit,
-                                 (triangles, 1), threads)
+    best_count, best_key = _scan(list(_arrangement_vertices(coeffs).items()),
+                                 _vertex_visit, _dual_tables(coeffs), threads)
     q = dehomog(best_key)
     report = dual_depth_naive(q, family, witness_limit=witness_limit)
     if report.count != best_count:
@@ -318,12 +372,6 @@ def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
 # ---------------------------------------------------------------------------
 # Exposure analysis
 # ---------------------------------------------------------------------------
-
-def _reduce_dir(d):
-    x, y = d
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
-
 
 def _in_closed_cone(a, b, p):
     """p in the closed cone spanned by non-collinear directions a, b."""
@@ -393,18 +441,13 @@ class ExposureProfile:
 
 
 def _projection_directions(q: Point, lines):
-    """Reduced integer directions from q to its projections, index-aligned."""
-    qh = homog(q)
-    qx, qy, qw = qh
-    dirs = []
-    for h in lines:
-        f = homog(project_onto_hyperplane(q, h))
-        ix = f[0] * qw - qx * f[2]
-        iy = f[1] * qw - qy * f[2]
-        if ix == 0 and iy == 0:
-            raise DegeneracyError("query point lies on a line")
-        dirs.append(_reduce_dir((ix, iy)))
-    return dirs
+    """Reduced integer directions from q to its projections, index-aligned:
+    each line's normal oriented toward the line."""
+    coeffs = [line_coeffs_int(h) for h in lines]
+    sides = _sides(homog(q), coeffs)
+    if 0 in sides:
+        raise DegeneracyError("query point lies on a line")
+    return _oriented(_normals(coeffs), sides)
 
 
 def _sorted_cyclic(dirs):
@@ -691,39 +734,76 @@ def classify_tangents(q: Point, family: LineFamily) -> TangentClassification:
     return TangentClassification(n1, n2, n3)
 
 
-def _cell_representatives(coeffs):
-    """One exact rational point strictly inside each arrangement cell adjacent
-    to each vertex; covers every bounded cell, hence every cell where the
-    strict surround count can be positive."""
-    verts = _arrangement_vertices(coeffs)
-    reps = []
-    for key, (i, j) in verts.items():
-        vx, vy, vw = key
-        ui = (-coeffs[i][1], coeffs[i][0])
-        uj = (-coeffs[j][1], coeffs[j][0])
+def _cell_counts(coeffs):
+    """(strict count, key, i, j, sx, sy) for the cell on side (sx, sy) of each
+    arrangement vertex v = L_i ∩ L_j, for a family in general position: the
+    four cells around every vertex cover every bounded cell, hence every cell
+    where the strict surround count can be positive.
+
+    Inside such a cell the lines other than i and j keep their side at v, and
+    moving from v along sx·u_i + sy·u_j (u = (−b, a), the line's direction)
+    puts it on side sy·turn[i][j] of L_i and −sx·turn[i][j] of L_j. The
+    count at a point off every line is strict, so each cell costs one
+    ``_surrounding`` call."""
+    _, normals, turn = _dual_tables(coeffs)
+    cells = []
+    for key, (i, j) in _arrangement_vertices(coeffs).items():
+        sides = _sides(key, coeffs)
+        t = turn[i][j]
         for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            w = (sx * ui[0] + sy * uj[0], sx * ui[1] + sy * uj[1])
-            if w == (0, 0):
-                continue
-            nearest = None
-            for a, b, c in coeffs:
-                num = c * vw - a * vx - b * vy
-                den = vw * (a * w[0] + b * w[1])
-                if den == 0 or num == 0:
-                    continue
-                s = Fraction(num, den)
-                if s > 0 and (nearest is None or s < nearest):
-                    nearest = s
-            t = nearest / 2 if nearest is not None else Fraction(1)
-            reps.append(Point(Fraction(vx, vw) + t * w[0], Fraction(vy, vw) + t * w[1]))
-    return reps
+            sides[i], sides[j] = sy * t, -sx * t
+            cells.append((_surrounding(normals, sides), key, i, j, sx, sy))
+    return cells
 
 
-def _max_strict_dual(coeffs):
-    """Max over generic points of the strict (open-cell) surround count."""
-    keys = [reduce_homog(homog(rep)) for rep in _cell_representatives(coeffs)]
-    best_count, best_key = _scan(keys, _surround_visit, (_triple_triangles(coeffs), 2))
-    return best_count, dehomog(best_key)
+def _cell_point(coeffs, key, i, j, sx, sy):
+    """The exact rational point strictly inside the cell on side (sx, sy) of
+    the vertex v = L_i ∩ L_j: v + t·w with w = sx·u_i + sy·u_j and t half the
+    parameter of the first line the ray v + s·w meets (1 when it meets none)."""
+    vx, vy, vw = key
+    ui = (-coeffs[i][1], coeffs[i][0])
+    uj = (-coeffs[j][1], coeffs[j][0])
+    w = (sx * ui[0] + sy * uj[0], sx * ui[1] + sy * uj[1])
+    nearest = None
+    for a, b, c in coeffs:
+        num = c * vw - a * vx - b * vy
+        den = vw * (a * w[0] + b * w[1])
+        if den == 0 or num == 0:
+            continue
+        s = Fraction(num, den)
+        if s > 0 and (nearest is None or s < nearest):
+            nearest = s
+    t = nearest / 2 if nearest is not None else Fraction(1)
+    return Point(Fraction(vx, vw) + t * w[0], Fraction(vy, vw) + t * w[1])
+
+
+def _cell_visit(cell, coeffs):
+    """A ``_cell_counts`` entry as one (count, key) pair keyed by its cell
+    point."""
+    count, key, i, j, sx, sy = cell
+    return ((count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))),)
+
+
+def _max_strict_dual(family: LineFamily):
+    """Max over generic points of the strict (open-cell) surround count, with
+    the lexicographically least cell point among the maximizers.
+
+    Every cell around every vertex is counted by ``_cell_counts``,
+    O(n^3 log n) in all; only the cells with the top count get their point
+    built and go through the scan's tie-break. The winner's count is
+    re-derived by the exhaustive route as an internal consistency check.
+    """
+    coeffs = _coeffs(family)
+    cells = _cell_counts(coeffs)
+    top = max(cell[0] for cell in cells)
+    best_count, best_key = _scan([cell for cell in cells if cell[0] == top],
+                                 _cell_visit, coeffs)
+    q = dehomog(best_key)
+    strict = dual_depth_naive(q, family).strict_count
+    if strict != best_count:
+        raise InternalError(
+            f"cell scan count {best_count} != exhaustive strict count {strict}")
+    return best_count, q
 
 
 @dataclass(frozen=True)
@@ -754,8 +834,7 @@ def extremal_report(n: int) -> ExtremalReport:
     """Run the max searches on tangent_family(n) and compare against the
     product bound n^3/27 and the 2/9 floor."""
     family = tangent_family(n)
-    coeffs = _coeffs(family)
-    strict_max, strict_point = _max_strict_dual(coeffs)
+    strict_max, strict_point = _max_strict_dual(family)
     floor = n ** 3 // 27
     if strict_max > floor:
         raise InternalError(

@@ -539,7 +539,10 @@ def battery_json(report: dict) -> str:
 
 def check_determinism(seed, trials=2, samples=11):
     """The battery (all check families) serializes byte-identically across
-    repeated runs and across thread counts."""
+    repeated runs and across thread counts, and the dual vertex scan of a
+    seeded n = 12 family (66 vertices, enough to reach the process pool, which
+    the battery's small dual sizes do not) gives the same result at threads 1
+    and 2."""
     runs = [
         battery_json(run_battery(seed=seed, trials=trials, threads=1,
                                  include_determinism=False,
@@ -551,11 +554,16 @@ def check_determinism(seed, trials=2, samples=11):
                                  include_determinism=False,
                                  continuity_samples=samples)),
     ]
+    fam = random_line_family(12, seed)
+    serial = max_dual_depth_point(fam, threads=1)
+    pooled = max_dual_depth_point(fam, threads=2)
     failures = []
     if runs[0] != runs[1]:
         failures.append("repeat run with identical arguments differed")
     if runs[0] != runs[2]:
         failures.append("thread count changed the report bytes")
+    if serial != pooled:
+        failures.append("thread count changed the dual vertex scan's result")
     return _check(
         "determinism",
         "battery reports are byte-identical across reruns and thread counts",

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from heavycover import dual
 from heavycover.datasets import random_line_family
 from heavycover.errors import DegeneracyError, DomainError
-from heavycover.exactgeom import Hyperplane, Point, project_onto_hyperplane, segment_crosses_ray
+from heavycover.exactgeom import (
+    Hyperplane,
+    Point,
+    dehomog,
+    project_onto_hyperplane,
+    segment_crosses_ray,
+)
 from heavycover.selection import FANOUT, binom
 from heavycover.dual import (
     DUAL_BOUND,
@@ -107,6 +114,40 @@ def test_dual_depth_fast_equals_naive_seeded():
         fam = random_line_family(n, 5000 + trial)
         q = rand_q(rng)
         assert dual_depth_fast(q, fam).count == dual_depth_naive(q, fam).count
+
+
+def test_dual_depth_fast_parallel_pair_falls_back():
+    # q is off every line, but y = 0 and y = 1 are parallel
+    fam = LineFamily((Y0, Hyperplane((0, 1), 1), X0, DIAG))
+    for q in (Point(1, Fraction(1, 2)), Point(Fraction(-1, 3), 2), Point(9, 7)):
+        rep = dual_depth_fast(q, fam)
+        assert rep.method == "naive_fallback"
+        assert rep.count == dual_depth_naive(q, fam).count
+
+
+def _oracle_families():
+    """Seeded random families n = 4-14 and the tangent families 9, 12, 15."""
+    return ([random_line_family(n, 300 + n) for n in range(4, 15)]
+            + [tangent_family(n) for n in (9, 12, 15)])
+
+
+def test_vertex_closed_count_matches_naive_at_every_vertex():
+    for fam in _oracle_families():
+        coeffs = dual._coeffs(fam)
+        tables = dual._dual_tables(coeffs)
+        for item in dual._arrangement_vertices(coeffs).items():
+            ((count, key),) = dual._vertex_visit(item, tables)
+            assert count == dual_depth_naive(dehomog(key), fam).count
+
+
+def test_cell_strict_count_matches_naive_at_every_cell():
+    for fam in _oracle_families():
+        coeffs = dual._coeffs(fam)
+        cells = dual._cell_counts(coeffs)
+        assert len(cells) == 4 * binom(fam.n, 2)
+        for count, *cell in cells:
+            q = dual._cell_point(coeffs, *cell)
+            assert count == dual_depth_naive(q, fam).strict_count
 
 
 def test_max_dual_depth_point_examples():
@@ -390,3 +431,13 @@ def test_extremal_report_small():
     # the closed vertex maximum exceeds the strict one through boundary triples
     assert rep9.closed_max_count >= rep9.max_count
     assert rep9.closed_boundary_count > 0
+
+
+def test_extremal_report_tangent_30():
+    # beyond the frozen acceptance sizes 9, 12, 18
+    rep = extremal_report(30)
+    family = tangent_family(30)
+    assert rep.max_count <= rep.product_bound_floor == 30 ** 3 // 27
+    assert dual_depth_naive(rep.max_point, family).strict_count == rep.max_count
+    assert dual_depth_naive(rep.closed_max_point, family).count == rep.closed_max_count
+    assert rep.distance_to_bound < extremal_report(18).distance_to_bound
