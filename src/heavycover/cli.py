@@ -59,15 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _threads(text) -> int:
-    """--threads value: at least 1, clamped to the machine's CPU count."""
+def _count(text) -> int:
+    """A count argument (--n, --grid, --trials): an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return value
+
+
+def _threads(text) -> int:
+    """--threads value: a count, clamped to the machine's CPU count."""
+    return min(_count(text), os.cpu_count() or 1)
 
 
 def _fr(x) -> str:
@@ -106,8 +111,7 @@ def _load_dataset(args, kinds, default_kind, **gen_params) -> Dataset:
         return ds
     if args.seed is None:
         raise UsageError("provide --in FILE or --seed (with optional --n)")
-    n = args.n if args.n else 10
-    return generate(default_kind, n, args.seed, **gen_params)
+    return generate(default_kind, args.n, args.seed, **gen_params)
 
 
 def _depth_report_json(rep, q):
@@ -387,8 +391,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="machine-readable JSON report path")
         p.add_argument("--plot", help="SVG output path")
         p.add_argument("--seed", type=int, help="generate the dataset from this seed")
-        p.add_argument("--n", type=int, help="generated dataset size (default 10)")
-        p.add_argument("--grid", type=int, default=200,
+        p.add_argument("--n", type=_count, default=10,
+                       help="generated dataset size (default 10)")
+        p.add_argument("--grid", type=_count, default=200,
                        help="plot sampling resolution (default 200)")
         if point:
             p.add_argument("--point", required=True,
@@ -427,7 +432,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the full verification battery")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=50,
+    p.add_argument("--trials", type=_count, default=50,
                    help="seeded-instance count knob (default 50 = full battery)")
     p.add_argument("--threads", type=_threads, default=1,
                    help="parallel scan width, at most the CPU count (default 1)")

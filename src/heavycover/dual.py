@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -32,11 +32,9 @@ from .errors import (
     InternalError,
 )
 from .exactgeom import (
-    ContainmentVerdict,
     Hyperplane,
     Point,
-    _in_closed_hull,
-    _orientation_homog,
+    _simplex_verdict,
     dehomog,
     homog,
     intersect_lines_homog,
@@ -53,6 +51,7 @@ from .selection import (
     _homog_lex_cmp,
     _icross,
     _scan,
+    _tally,
     binom,
     DepthReport,
 )
@@ -62,10 +61,16 @@ DUAL_BOUND = Fraction(2, 9)
 
 @dataclass(frozen=True)
 class LineFamily:
-    """Planar line family, pairwise distinct in canonical form."""
+    """Planar line family, pairwise distinct in canonical form.
+
+    ``coeffs`` holds each line as reduced integers (a, b, c) with
+    a·x + b·y = c, index-aligned with ``lines`` and derived once here: every
+    count in this module reads them.
+    """
 
     lines: tuple
     provenance: str | None = None
+    coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ls = tuple(self.lines)
@@ -77,31 +82,11 @@ class LineFamily:
                 raise DimensionError("line families are planar")
         if len(set(ls)) != len(ls):
             raise DomainError("line family has coincident members")
+        object.__setattr__(self, "coeffs", tuple(line_coeffs_int(h) for h in ls))
 
     @property
     def n(self) -> int:
         return len(self.lines)
-
-
-def _coeffs(family: LineFamily):
-    return [line_coeffs_int(h) for h in family.lines]
-
-
-def _closed_code_homog(qh, tri):
-    """0 outside, 1 boundary, 2 interior for q vs a homogeneous triangle."""
-    v1, v2, v3 = tri
-    s0 = _orientation_homog([v1, v2, v3])
-    if s0 == 0:
-        inside = _in_closed_hull(dehomog(qh), [dehomog(v) for v in tri])
-        return 1 if inside else 0
-    boundary = False
-    for rows in ((qh, v2, v3), (v1, qh, v3), (v1, v2, qh)):
-        s = _orientation_homog(rows)
-        if s == 0:
-            boundary = True
-        elif s != s0:
-            return 0
-    return 1 if boundary else 2
 
 
 def surround_direct(q: Point, lines) -> bool:
@@ -119,7 +104,7 @@ def surround_direct(q: Point, lines) -> bool:
         if w == 0:
             return False
         verts.append((x, y, w))
-    return _closed_code_homog(homog(q), tuple(verts)) >= 1
+    return _simplex_verdict(homog(q), verts).in_closed
 
 
 def surround_projection(q: Point, lines) -> bool:
@@ -140,7 +125,7 @@ def surround_projection(q: Point, lines) -> bool:
     if any(h.contains(q) for h in lines):
         raise DegeneracyError("query point lies on a line")
     feet = [project_onto_hyperplane(q, h) for h in lines]
-    return point_in_simplex(q, feet) is not ContainmentVerdict.OUTSIDE
+    return point_in_simplex(q, feet).in_closed
 
 
 def _triple_triangles(coeffs):
@@ -165,19 +150,8 @@ def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> De
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    qh = homog(q)
-    count = 0
-    strict = 0
-    witnesses = []
-    for idx, tri in _triple_triangles(_coeffs(family)):
-        code = _closed_code_homog(qh, tri)
-        if code == 0:
-            continue
-        count += 1
-        if code == 2:
-            strict += 1
-        if len(witnesses) < witness_limit:
-            witnesses.append(idx)
+    count, strict, witnesses = _tally(homog(q), _triple_triangles(family.coeffs),
+                                      witness_limit)
     return _depth_report(count, binom(n, 3), n, 2,
                          strict=strict, witnesses=witnesses, method="naive")
 
@@ -241,7 +215,7 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    coeffs = _coeffs(family)
+    coeffs = family.coeffs
     normals = _normals(coeffs)
     sides = _sides(homog(q), coeffs)
     if 0 in sides or len(set(normals)) < n:
@@ -302,7 +276,7 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     violations = lines_general_position_report(family.lines)
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
-    coeffs = _coeffs(family)
+    coeffs = family.coeffs
     best_count, best_key = _scan(list(_arrangement_vertices(coeffs).items()),
                                  _vertex_visit, _dual_tables(coeffs), threads)
     q = dehomog(best_key)
@@ -326,10 +300,9 @@ def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
         raise DomainError(f"line index {i} out of range")
     if q.dim != 2:
         raise DimensionError("base_cut_count is planar only")
-    coeffs = _coeffs(family)
-    for a, b in itertools.combinations(range(n), 2):
-        if family.lines[a].normal == family.lines[b].normal:
-            raise DegeneracyError("parallel lines in the family")
+    coeffs = family.coeffs
+    if len(set(_normals(coeffs))) < n:
+        raise DegeneracyError("parallel lines in the family")
     qh = homog(q)
     qx, qy, qw = qh
     for a, b, c in coeffs:
@@ -440,11 +413,10 @@ class ExposureProfile:
         return out
 
 
-def _projection_directions(q: Point, lines):
-    """Reduced integer directions from q to its projections, index-aligned:
-    each line's normal oriented toward the line."""
-    coeffs = [line_coeffs_int(h) for h in lines]
-    sides = _sides(homog(q), coeffs)
+def _projection_directions(qh, coeffs):
+    """Reduced integer directions from q = ``qh`` to its projections on the
+    integer lines, index-aligned: each line's normal oriented toward it."""
+    sides = _sides(qh, coeffs)
     if 0 in sides:
         raise DegeneracyError("query point lies on a line")
     return _oriented(_normals(coeffs), sides)
@@ -498,7 +470,7 @@ def exposure_profile(q: Point, family: LineFamily) -> ExposureProfile:
     n = family.n
     if n < 2:
         raise DomainError("exposure needs at least 2 lines")
-    dirs = _projection_directions(q, family.lines)
+    dirs = _projection_directions(homog(q), family.coeffs)
     sorted_dirs = _sorted_cyclic(dirs)
     pairs = list(itertools.combinations(dirs, 2))
     counts = _arc_counts(sorted_dirs, pairs)
@@ -592,7 +564,7 @@ def almost_exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
     return _mask_to_arcset(almost, profile.directions, "ALMOST_EXPOSED")
 
 
-def _unexposed_at(candidate_h, coeffs, lines, full_pair_total):
+def _unexposed_at(candidate_h, coeffs, normals, full_pair_total):
     """Conservative unexposedness certificate at a candidate point.
 
     Lines through the candidate contribute no well-defined projection
@@ -600,16 +572,10 @@ def _unexposed_at(candidate_h, coeffs, lines, full_pair_total):
     counts and so can only under-certify. A certificate here still implies the
     2/9 depth consequence.
     """
-    cx, cy, cw = candidate_h
-    others = []
-    for idx, (a, b, c) in enumerate(coeffs):
-        if a * cx + b * cy != c * cw:
-            others.append(idx)
-    if len(others) < 2:
+    dirs = _oriented(normals, _sides(candidate_h, coeffs))
+    if len(dirs) < 2:
         return False
-    q = dehomog(candidate_h)
     try:
-        dirs = _projection_directions(q, [lines[j] for j in others])
         sorted_dirs = _sorted_cyclic(dirs)
     except DegeneracyError:
         return False  # cannot certify a degenerate direction configuration
@@ -627,7 +593,8 @@ def find_unexposed_point(family: LineFamily):
     violations = lines_general_position_report(family.lines)
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
-    coeffs = _coeffs(family)
+    coeffs = family.coeffs
+    normals = _normals(coeffs)
     pair_total = binom(n, 2) if n >= 2 else 0
     verts = list(_arrangement_vertices(coeffs))
     verts.sort(key=cmp_to_key(_homog_lex_cmp))
@@ -649,7 +616,7 @@ def find_unexposed_point(family: LineFamily):
     mid_keys = sorted({reduce_homog(homog(p)) for p in midpoints},
                       key=cmp_to_key(_homog_lex_cmp))
     for key in verts + mid_keys:
-        if _unexposed_at(key, coeffs, family.lines, pair_total):
+        if _unexposed_at(key, coeffs, normals, pair_total):
             return dehomog(key)
     return None
 
@@ -793,7 +760,7 @@ def _max_strict_dual(family: LineFamily):
     built and go through the scan's tie-break. The winner's count is
     re-derived by the exhaustive route as an internal consistency check.
     """
-    coeffs = _coeffs(family)
+    coeffs = family.coeffs
     cells = _cell_counts(coeffs)
     top = max(cell[0] for cell in cells)
     best_count, best_key = _scan([cell for cell in cells if cell[0] == top],

@@ -327,16 +327,26 @@ def point_in_simplex(q: Point, vertices) -> ContainmentVerdict:
     d = q.dim
     if len(vertices) != d + 1 or any(v.dim != d for v in vertices):
         raise DimensionError(f"simplex in R^{d} needs {d + 1} vertices of dimension {d}")
-    hv = [homog(v) for v in vertices]
+    return _simplex_verdict(homog(q), [homog(v) for v in vertices])
+
+
+def _simplex_verdict(hq, hv) -> ContainmentVerdict:
+    """``point_in_simplex`` on homogeneous integer coordinates (every W > 0):
+    q = ``hq`` against the closed simplex on the d+1 vertices ``hv``.
+
+    The sign of each orientation with one vertex replaced by q must match the
+    simplex's own; a zero sign puts q on a facet. A flat simplex falls back to
+    the exact hull test.
+    """
     s0 = _orientation_homog(hv)
     if s0 == 0:
-        if _in_closed_hull(q, vertices):
+        if _in_closed_hull(dehomog(hq), [dehomog(v) for v in hv]):
             return ContainmentVerdict.BOUNDARY
         return ContainmentVerdict.OUTSIDE
-    hq = homog(q)
     on_boundary = False
-    for i in range(d + 1):
-        rows = hv[:i] + [hq] + hv[i + 1:]
+    for i in range(len(hv)):
+        rows = list(hv)
+        rows[i] = hq
         s = _orientation_homog(rows)
         if s == 0:
             on_boundary = True
@@ -470,16 +480,20 @@ def lines_general_position_report(lines) -> list:
             raise DimensionError("lines_general_position_report is planar only")
     out = []
     coeffs = [line_coeffs_int(h) for h in ls]
-    for i, j in itertools.combinations(range(len(ls)), 2):
-        if ls[i].normal == ls[j].normal:
-            kind = "coincident" if ls[i].offset == ls[j].offset else "parallel"
+    n = len(coeffs)
+    # reduced integer lines are canonical, so parallel lines are coincident
+    # exactly when their triples are equal
+    parallel = [[a1 * b2 == a2 * b1 for a2, b2, _ in coeffs] for a1, b1, _ in coeffs]
+    for i, j in itertools.combinations(range(n), 2):
+        if parallel[i][j]:
+            kind = "coincident" if coeffs[i] == coeffs[j] else "parallel"
             out.append((kind, (i, j)))
-    for i, j, k in itertools.combinations(range(len(ls)), 3):
-        if ls[i].normal == ls[j].normal or ls[i].normal == ls[k].normal \
-                or ls[j].normal == ls[k].normal:
+    for i, j in itertools.combinations(range(n), 2):
+        if parallel[i][j]:
             continue
         x, y, w = intersect_lines_homog(coeffs[i], coeffs[j])
-        a, b, c = coeffs[k]
-        if a * x + b * y == c * w:
-            out.append(("concurrent", (i, j, k)))
+        for k in range(j + 1, n):
+            a, b, c = coeffs[k]
+            if a * x + b * y == c * w and not (parallel[i][k] or parallel[j][k]):
+                out.append(("concurrent", (i, j, k)))
     return out

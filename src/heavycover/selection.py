@@ -33,12 +33,12 @@ from .errors import (
 from .exactgeom import (
     ContainmentVerdict,
     Point,
+    _simplex_verdict,
     dehomog,
     general_position_report,
     homog,
     intersect_lines_homog,
     line_through_homog,
-    point_in_simplex,
     reduce_homog,
 )
 from enum import Enum
@@ -163,6 +163,33 @@ def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naiv
     )
 
 
+def _tally(qh, simplices, witness_limit):
+    """The exhaustive counters' one tally: (count, strict count, witnesses)
+    of q = ``qh`` against each closed simplex of ``simplices``, pairs of an
+    index tuple and its homogeneous vertices. ``witnesses`` holds the first
+    ``witness_limit`` index tuples whose simplex contains q."""
+    count = 0
+    strict = 0
+    witnesses = []
+    for idx, hv in simplices:
+        verdict = _simplex_verdict(qh, hv)
+        if verdict is ContainmentVerdict.OUTSIDE:
+            continue
+        count += 1
+        if verdict is ContainmentVerdict.INTERIOR:
+            strict += 1
+        if len(witnesses) < witness_limit:
+            witnesses.append(idx)
+    return count, strict, witnesses
+
+
+def _subsets(points, index_tuples):
+    """(index tuple, homogeneous vertices) for each tuple of indices into
+    ``points``, with every point homogenized once."""
+    pts_h = [homog(p) for p in points]
+    return ((idx, [pts_h[i] for i in idx]) for idx in index_tuples)
+
+
 def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> DepthReport:
     """Exhaustive closed simplicial depth in any dimension.
 
@@ -174,18 +201,8 @@ def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> Dept
     n = pset.n
     if n < d + 1:
         raise DomainError(f"depth query needs at least d+1 = {d + 1} points, got {n}")
-    count = 0
-    strict = 0
-    witnesses = []
-    for idx in itertools.combinations(range(n), d + 1):
-        verdict = point_in_simplex(q, [pset.points[i] for i in idx])
-        if verdict is ContainmentVerdict.OUTSIDE:
-            continue
-        count += 1
-        if verdict is ContainmentVerdict.INTERIOR:
-            strict += 1
-        if len(witnesses) < witness_limit:
-            witnesses.append(idx)
+    simplices = _subsets(pset.points, itertools.combinations(range(n), d + 1))
+    count, strict, witnesses = _tally(homog(q), simplices, witness_limit)
     return _depth_report(count, binom(n, d + 1), n, d,
                          strict=strict, witnesses=witnesses, method="naive")
 
@@ -328,18 +345,8 @@ def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> D
     total = 1
     for ix in class_indices:
         total *= len(ix)
-    count = 0
-    strict = 0
-    witnesses = []
-    for idx in itertools.product(*class_indices):
-        verdict = point_in_simplex(q, [pset.points[i] for i in idx])
-        if verdict is ContainmentVerdict.OUTSIDE:
-            continue
-        count += 1
-        if verdict is ContainmentVerdict.INTERIOR:
-            strict += 1
-        if len(witnesses) < witness_limit:
-            witnesses.append(idx)
+    simplices = _subsets(pset.points, itertools.product(*class_indices))
+    count, strict, witnesses = _tally(homog(q), simplices, witness_limit)
     return _depth_report(count, total, pset.n, d,
                          strict=strict, witnesses=witnesses, method="colorful")
 

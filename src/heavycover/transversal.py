@@ -15,12 +15,14 @@ from functools import cmp_to_key
 
 from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import ContainmentVerdict, Point, point_in_simplex
+from .exactgeom import Point, homog, point_in_simplex
 from .selection import (
     BoundVariant,
     LabeledPointSet,
     SLACK_NUMERATOR,
     _angle_cmp,
+    _subsets,
+    _tally,
     binom,
     selection_bound,
 )
@@ -42,7 +44,7 @@ class AffineFlat:
                 raise DimensionError("flat directions must match the base dimension")
         if not 0 <= len(dirs) < d:
             raise DomainError(f"flat dimension must satisfy 0 <= m < d, got m={len(dirs)}")
-        if dirs and _rank([list(v.coords) for v in dirs]) != len(dirs):
+        if len(_orthogonalize([v.coords for v in dirs])) != len(dirs):
             raise DomainError("flat directions must be linearly independent")
 
     @property
@@ -54,27 +56,10 @@ class AffineFlat:
         return len(self.directions)
 
 
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        pivot = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(nr):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _orthogonalize(vectors):
     """Gram-Schmidt without normalization: pairwise orthogonal rational
-    vectors with the same span; zero remainders are dropped."""
+    vectors with the same span; zero remainders are dropped, so there are as
+    many as the vectors' rank."""
     basis = []
     for v in vectors:
         r = list(v)
@@ -89,25 +74,13 @@ def _orthogonalize(vectors):
 
 def complement_basis(flat: AffineFlat):
     """Orthogonal rational basis of the orthogonal complement of the flat's
-    direction span (not unit vectors; containment tests are affine-invariant)."""
+    direction span (not unit vectors; containment tests are affine-invariant).
+    Gram-Schmidt runs over the flat's directions, then the unit vectors; the
+    unit vectors' nonzero remainders form the basis."""
     d = flat.dim
-    dir_basis = _orthogonalize([v.coords for v in flat.directions])
-    out = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        r = e
-        for b in dir_basis + out:
-            bb = sum(x * x for x in b)
-            coef = sum(x * y for x, y in zip(r, b)) / bb
-            r = [x - coef * y for x, y in zip(r, b)]
-        if any(x != 0 for x in r):
-            out.append(r)
-        if len(out) == d - flat.m:
-            break
-    if len(out) != d - flat.m:
-        raise InternalError("complement basis construction failed")
-    return [Point(*b) for b in out]
+    units = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    basis = _orthogonalize([v.coords for v in flat.directions] + units)
+    return [Point(*b) for b in basis[flat.m:]]
 
 
 def _complement_coords(p: Point, basis):
@@ -137,7 +110,7 @@ def tuple_touches_flat(points, flat: AffineFlat) -> bool:
     basis = complement_basis(flat)
     image = [_complement_coords(p, basis) for p in points]
     target = _complement_coords(flat.base, basis)
-    return point_in_simplex(target, image) is not ContainmentVerdict.OUTSIDE
+    return point_in_simplex(target, image).in_closed
 
 
 @dataclass(frozen=True)
@@ -182,7 +155,7 @@ def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
     k = d - m + 1
     bound = transversal_bound(d, m)
     basis = complement_basis(flat)
-    target = _complement_coords(flat.base, basis)
+    target = homog(_complement_coords(flat.base, basis))
     per_set = []
     for pset in sets:
         if pset.dim != d:
@@ -190,11 +163,8 @@ def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
         if pset.n < k:
             raise DomainError(f"each set needs at least {k} points")
         image = [_complement_coords(p, basis) for p in pset.points]
-        count = 0
-        for idx in itertools.combinations(range(pset.n), k):
-            if point_in_simplex(target, [image[i] for i in idx]) \
-                    is not ContainmentVerdict.OUTSIDE:
-                count += 1
+        simplices = _subsets(image, itertools.combinations(range(pset.n), k))
+        count, _, _ = _tally(target, simplices, 0)
         total = binom(pset.n, k)
         frac = Fraction(count, total)
         slack = bound - Fraction(SLACK_NUMERATOR, pset.n)

@@ -41,7 +41,14 @@ from .dual import (
     tangent_family,
 )
 from .errors import DegeneracyError
-from .exactgeom import Point, orientation, point_in_simplex, project_onto_hyperplane, segment_crosses_ray
+from .exactgeom import (
+    Point,
+    _solve_exact,
+    orientation,
+    point_in_simplex,
+    project_onto_hyperplane,
+    segment_crosses_ray,
+)
 from .selection import (
     LabeledPointSet,
     colorful_depth,
@@ -303,23 +310,10 @@ def check_exposure_semantics(seed, trials=50):
 # Criterion 7: transversal floors (d=2, m=1) and general verify path (d=3, m=1)
 # ---------------------------------------------------------------------------
 
-def _solve_fraction_system(rows, rhs):
-    n = len(rows)
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        m[c] = [v / m[c][c] for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
-
-
 def _triangle_line_oracle(tri, base, direction):
+    """Whether the line base + t·direction meets the closed triangle, from the
+    4×4 system sum(mu_i·tri_i) − t·direction = base, sum(mu_i) = 1: None when
+    the system is singular, else whether every mu_i >= 0."""
     rows = []
     rhs = []
     for c in range(3):
@@ -327,8 +321,8 @@ def _triangle_line_oracle(tri, base, direction):
         rhs.append(base[c])
     rows.append([Fraction(1)] * 3 + [Fraction(0)])
     rhs.append(Fraction(1))
-    sol = _solve_fraction_system(rows, rhs)
-    if sol is None:
+    status, sol = _solve_exact(rows, rhs)
+    if status != "unique":
         return None
     return sol[0] >= 0 and sol[1] >= 0 and sol[2] >= 0
 

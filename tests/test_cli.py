@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,13 +130,26 @@ def test_cli_threads_do_not_change_artifacts(tmp_path):
     assert reports[0] == reports[1]
 
 
+# the count flags each command takes besides --threads
+COUNT_FLAGS = {"maxdepth": ("--n", "--grid"), "maxdual": ("--n", "--grid"),
+               "verify": ("--trials",)}
+
+
 @pytest.mark.parametrize("command", ["maxdepth", "maxdual", "verify"])
-def test_threads_below_one_is_a_usage_error(command, capsys):
-    # rejected while parsing, before any dataset or worker pool exists
-    assert run_command([command, "--seed", "1", "--threads", "0"]) == 1
-    assert "argument --threads: must be at least 1" in capsys.readouterr().err
-    with pytest.raises(UsageError):
-        build_parser().parse_args([command, "--threads", "-3"])
+def test_threads_below_one_is_a_usage_error(command, tmp_path, capsys):
+    # rejected while parsing, before any dataset, plot or worker pool exists
+    plot = tmp_path / "x.svg"
+    for flag in ("--threads",) + COUNT_FLAGS[command]:
+        argv = [command, "--seed", "1", flag, "0"]
+        if flag == "--grid":
+            argv += ["--plot", str(plot)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in err
+        assert "Traceback" not in err
+        with pytest.raises(UsageError):
+            build_parser().parse_args([command, flag, "-3"])
+    assert not plot.exists()
 
 
 @pytest.mark.parametrize("command", ["maxdepth", "maxdual", "verify"])
@@ -158,3 +172,38 @@ def test_verify_command_smoke(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert len(report["checks"]) == 10
+    # the same bytes on Python 3.11, 3.12 and 3.13
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "651396c15a2816b9727231ed03cdad6600ca934f7aa3a20293c6ef0f6ad2d27f"
+
+
+# sha256 of the canonical --out JSON of fixed-seed runs; any change to a
+# reported number, point, witness or key shows here
+PINNED_OUT = {
+    "depth": (["depth", "--seed", "3", "--n", "9", "--point", "1/3,1/7"],
+              "95c54de628c8c52d2929a9877a774932778910866371a180a5655a7a0bebd21b"),
+    "maxdepth": (["maxdepth", "--seed", "4", "--n", "12"],
+                 "99b04d176519f490e6e770fc7b6815678195f588dbc51e30221aa2a09b7f35a1"),
+    "dual": (["dual", "--seed", "5", "--n", "10", "--point", "1/3,-1/5"],
+             "6f6c90d672069229ab49f4df9b5cd1aa68e9e5259a8fa19cfe5b1ed0b798c8ed"),
+    "expose": (["expose", "--seed", "6", "--n", "9", "--point", "2/7,1/9"],
+               "b80b35444095f03f770fa739ec9bec0a51ec7e7888542948f11c8a88ac4588a0"),
+    "transversal": (["transversal", "--seed", "5", "--n", "12"],
+                    "d8b95ba8ec07c300aa8bf2bfdc06115e1ab64ee0365ce00e6d4305c81c35709a"),
+    "maxdual": (["maxdual", "--seed", "7", "--n", "12"],
+                "ca45fad9eda81a55baebc8ea336f84523de49685862fc0f90ef67e5aa218e0d7"),
+    "maxdual-tangent": (["maxdual", "--seed", "7", "--n", "12", "--tangent"],
+                        "a8816fdb5cdb301a5d49b7468a4e50a69eb15fe7da46720db9dacc060c442ff9"),
+    "extremal": (["extremal", "12"],
+                 "a9e4f1ec697fbcedad910bc61b10242c546b1db7a92e456a932fde98b92b4744"),
+    "sweep": (["sweep", "--seed", "3", "--n", "8", "--samples", "9", "--tau", "1/5"],
+              "45ed102060095c0f8df8406ef76a846919d947f7c3672c8e8aaf62ec117f490f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUT))
+def test_canonical_out_is_pinned(name, tmp_path):
+    argv, digest = PINNED_OUT[name]
+    out = tmp_path / "out.json"
+    assert run_command(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

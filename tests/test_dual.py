@@ -79,6 +79,21 @@ def test_dual_depth_naive_examples():
     assert dual_depth_naive(Point(1, 1), parallel).count == 0
 
 
+def test_dual_depth_naive_concurrent_triple():
+    # x = 0, y = 0 and x = y meet at the origin: their "triangle" is one
+    # point, so the oracle's flat-simplex branch decides whether they surround
+    concurrent = (X0, Y0, Hyperplane((1, -1), 0))
+    assert surround_direct(Point(0, 0), concurrent) is True
+    assert surround_direct(Point(1, 2), concurrent) is False
+    fam = LineFamily(concurrent + (Hyperplane((1, 1), 3),))
+    for q, expected in ((Point(0, 0), (4, 0)), (Point(1, 2), (2, 0)),
+                        (Point(1, 1), (3, 1))):
+        rep = dual_depth_naive(q, fam)
+        assert (rep.count, rep.strict_count) == expected
+    rep = dual_depth_naive(Point(1, 1), fam, witness_limit=3)
+    assert rep.witnesses == ((0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
 def test_dual_depth_naive_frozen_seeded_value():
     # frozen from an independent triple-loop bounded-cell enumeration
     fam = random_line_family(8, 13)
@@ -133,7 +148,7 @@ def _oracle_families():
 
 def test_vertex_closed_count_matches_naive_at_every_vertex():
     for fam in _oracle_families():
-        coeffs = dual._coeffs(fam)
+        coeffs = fam.coeffs
         tables = dual._dual_tables(coeffs)
         for item in dual._arrangement_vertices(coeffs).items():
             ((count, key),) = dual._vertex_visit(item, tables)
@@ -142,7 +157,7 @@ def test_vertex_closed_count_matches_naive_at_every_vertex():
 
 def test_cell_strict_count_matches_naive_at_every_cell():
     for fam in _oracle_families():
-        coeffs = dual._coeffs(fam)
+        coeffs = fam.coeffs
         cells = dual._cell_counts(coeffs)
         assert len(cells) == 4 * binom(fam.n, 2)
         for count, *cell in cells:

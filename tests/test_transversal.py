@@ -69,6 +69,33 @@ def test_complement_gram_identity_3d():
         assert via_gram == resid.dot(resid)
 
 
+def _strs(points):
+    return [tuple(str(c) for c in p.coords) for p in points]
+
+
+@pytest.mark.parametrize("flat, basis, projected", [
+    (AffineFlat(Point(1, 2, 3), (Point(1, 1, 0),)),
+     [("1/2", "-1/2", "0"), ("0", "0", "1")],
+     [("0", "1"), ("-1", "2"), ("1/6", "1/4")]),
+    (AffineFlat(Point(0, 1, Fraction(1, 2)), (Point(1, 2, 3), Point(0, 1, -1))),
+     [("25/27", "-5/27", "-5/27")],
+     [("3/5",), ("-3/5",), ("23/60",)]),
+    (AffineFlat(Point(1, 0, 0, 2), (Point(1, -1, 2, 0),)),
+     [("5/6", "1/6", "-1/3", "0"), ("0", "4/5", "2/5", "0"), ("0", "0", "0", "1")],
+     [("4/5", "3/2", "1"), ("-3/5", "2", "3"), ("7/15", "11/24", "1/5")]),
+    (AffineFlat(Point(0, 0, 1, 1), (Point(2, 1, 0, 1), Point(0, 1, 1, Fraction(1, 2)))),
+     [("1/5", "-2/15", "4/15", "-4/15"), ("0", "4/9", "-2/9", "-4/9")],
+     [("1/3", "-1/2"), ("-2", "-3"), ("31/90", "1/120")]),
+], ids=["d3-m1", "d3-m2", "d4-m1", "d4-m2"])
+def test_complement_basis_exact_values(flat, basis, projected):
+    # frozen exact outputs: the unit vectors' Gram-Schmidt remainders, in order
+    d = flat.dim
+    pts = LabeledPointSet((Point(*[1] * d), Point(*range(d)),
+                           Point(*[Fraction(1, k + 2) for k in range(d)])))
+    assert _strs(complement_basis(flat)) == basis
+    assert _strs(project_to_complement(pts, flat).points) == projected
+
+
 def test_tuple_touches_flat_examples():
     assert tuple_touches_flat([Point(0, 1), Point(0, -1)], X_AXIS) is True
     assert tuple_touches_flat([Point(0, 1), Point(1, 2)], X_AXIS) is False
