@@ -58,6 +58,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a value such as "-1,2" for an option, not for
+        # --point; glue it on, so "--point -1,2" reads as "--point=-1,2"
+        args = list(sys.argv[1:] if args is None else args)
+        for k in range(len(args) - 2, -1, -1):
+            if args[k] == "--point" and args[k + 1].startswith("-"):
+                args[k:k + 2] = [f"--point={args[k + 1]}"]
+        return super().parse_known_args(args, namespace)
+
 
 def _count(text) -> int:
     """A count argument (--n, --grid, --trials): an int of at least 1."""

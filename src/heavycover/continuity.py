@@ -3,27 +3,27 @@
 The maximizing point is not a continuous function of the data: tracking it
 along a piecewise-linear motion exhibits jumps. What persists is the heavy
 region itself, witnessed here by a point of depth at least tau * C(n, 3) at
-every sampled time. The argmax and the witness both come from the
-segment-arrangement walk of ``selection``; this module holds no scan of its
-own.
+every sampled time. The argmax and the witness both come from one pass of the
+segment-arrangement walk of ``selection``, scored twice by its scan engine;
+this module holds no scan of its own.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import Point, dehomog, general_position_report, homog, scalar
+from .exactgeom import Point, dehomog, general_position_report, scalar
 from .selection import (
     LabeledPointSet,
+    _checked_max,
     _closed_depth_homog,
-    _scan,
-    _walk_items,
-    _walk_tables,
-    _walk_visit,
+    _walk_scan,
     binom,
-    max_depth_point,
 )
 
 
@@ -82,10 +82,18 @@ def sample_path(path: MotionPath, k: int):
     return [path.at(Fraction(j, k - 1)) for j in range(k)]
 
 
-def _witness_visit(item, shared):
-    tables, threshold = shared
-    for count, key in _walk_visit(item, tables):
-        yield count >= threshold, key
+def _at_least(tau, n):
+    """The witness scorer: True iff a count reaches tau * C(n, 3)."""
+    return partial(operator.le, math.ceil(scalar(tau) * binom(n, 3)))
+
+
+def _witness(w, tables, first):
+    """The walk's first qualifying (True, key) as (point, count), or None."""
+    qualifies, key = first
+    if not qualifies:
+        return None
+    x, y, v = key
+    return dehomog((x, y, v * w)), _closed_depth_homog(key, tables[0])
 
 
 def heavy_region_witness(pset: LabeledPointSet, tau):
@@ -102,14 +110,8 @@ def heavy_region_witness(pset: LabeledPointSet, tau):
     violations = general_position_report(pset.points)
     if violations:
         raise DegeneracyError("point set is not in general position", violations)
-    threshold = scalar(tau) * binom(pset.n, 3)
-    pts, w, orient, left, scale = _walk_tables([homog(p) for p in pset.points])
-    qualifies, key = _scan(_walk_items(pset.n), _witness_visit,
-                           ((pts, orient, left, scale), threshold))
-    if not qualifies:
-        return None
-    x, y, v = key
-    return dehomog((x, y, v * w)), _closed_depth_homog(key, pts)
+    w, tables, [first] = _walk_scan(pset, (_at_least(tau, pset.n),))
+    return _witness(w, tables, first)
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,8 @@ def _max_displacement(ps0: LabeledPointSet, ps1: LabeledPointSet) -> Fraction:
 def _jump_flag(prev, cur, prev_set, cur_set, jump_threshold, data_threshold):
     if prev is None or cur is None:
         return False
-    moved = _linf(prev, cur)
-    data_moved = _max_displacement(prev_set, cur_set)
-    return moved > jump_threshold and data_moved <= data_threshold
+    return (_linf(prev, cur) > jump_threshold
+            and _max_displacement(prev_set, cur_set) <= data_threshold)
 
 
 @dataclass(frozen=True)
@@ -159,9 +160,11 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
                     data_threshold=None) -> ContinuityReport:
     """Track the argmax and a heavy-region witness together.
 
-    At every non-degenerate sample the argmax comes from ``max_depth_point``
-    and the witness (lexicographically least point of depth >= tau * C(n, 3))
-    from ``heavy_region_witness``; jumps of the argmax are recorded as events
+    At every non-degenerate sample one walk of the segment arrangement (its
+    counts read off the orientation table, then integer steps) gives both the
+    argmax, as ``max_depth_point`` finds it and re-checks it exhaustively, and
+    the witness (lexicographically least point of depth >= tau * C(n, 3)), as
+    ``heavy_region_witness`` finds it. Jumps of the argmax are recorded as events
     while the witness chain documents that the heavy region itself persists.
     A jump is flagged when the argmax moves farther (in max-coordinate
     distance) than ``jump_threshold`` between consecutive non-degenerate
@@ -169,7 +172,11 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
     (defaulting to the jump threshold itself). Degenerate samples are marked
     and skipped, never perturbed.
     """
-    tau = scalar(tau)
+    if path.dim != 2:
+        raise DimensionError("continuity_demo is planar only")
+    if path.n < 3:
+        raise DomainError("need at least 3 points")
+    scorers = (None, _at_least(tau, path.n))
     jump_threshold = scalar(jump_threshold)
     data_threshold = jump_threshold if data_threshold is None else scalar(data_threshold)
     records = []
@@ -184,8 +191,9 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
             degenerate += 1
             prev = None
             continue
-        argmax, rep = max_depth_point(pset, witness_limit=0)
-        witness = heavy_region_witness(pset, tau)
+        w, tables, (best, first) = _walk_scan(pset, scorers)
+        argmax, rep = _checked_max(pset, w, best, 0)
+        witness = _witness(w, tables, first)
         if witness is None:
             all_witnessed = False
         jump = False

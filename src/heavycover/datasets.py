@@ -192,6 +192,7 @@ def emit_dataset(ds: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 MAX_RETRIES = 64
+LINE_SPAN_DOUBLINGS = 8  # rounds of MAX_RETRIES line draws after the first
 _DENOM = 9973  # prime jitter denominator; keeps accidental collinearity rare
 
 
@@ -245,25 +246,34 @@ def colored_point_set(n, seed, classes=3) -> LabeledPointSet:
 
 def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     """Seeded general-position line family: random integer normals through
-    jittered rational anchor points."""
+    jittered rational anchor points.
+
+    The first ``MAX_RETRIES`` draws take normals from [-coeff_span,
+    coeff_span]^2. From about n = 28 at the default span two of them are
+    likely parallel; when all those draws fail, each further round of
+    ``MAX_RETRIES`` draws doubles the span, up to ``LINE_SPAN_DOUBLINGS``
+    rounds. Every family the first round finds is therefore kept as is."""
     if n < 1:
         raise DomainError("need n >= 1")
     rng = random.Random(seed)
-    for _ in range(MAX_RETRIES):
-        lines = []
-        for _ in range(n):
-            a = b = 0
-            while a == 0 and b == 0:
-                a = rng.randrange(-coeff_span, coeff_span + 1)
-                b = rng.randrange(-coeff_span, coeff_span + 1)
-            anchor = (_rand_coord(rng, 6), _rand_coord(rng, 6))
-            lines.append(Hyperplane((a, b), a * anchor[0] + b * anchor[1]))
-        if len(set(lines)) != n:
-            continue
-        family = LineFamily(tuple(lines), provenance=f"seed:{seed}")
-        if not lines_general_position_report(family.lines):
-            return family
-    raise GenerationError(f"no general-position line family after {MAX_RETRIES} tries")
+    for doublings in range(LINE_SPAN_DOUBLINGS + 1):
+        span = coeff_span << doublings
+        for _ in range(MAX_RETRIES):
+            lines = []
+            for _ in range(n):
+                a = b = 0
+                while a == 0 and b == 0:
+                    a = rng.randrange(-span, span + 1)
+                    b = rng.randrange(-span, span + 1)
+                anchor = (_rand_coord(rng, 6), _rand_coord(rng, 6))
+                lines.append(Hyperplane((a, b), a * anchor[0] + b * anchor[1]))
+            if len(set(lines)) != n:
+                continue
+            family = LineFamily(tuple(lines), provenance=f"seed:{seed}")
+            if not lines_general_position_report(family.lines):
+                return family
+    raise GenerationError("no general-position line family after "
+                          f"{MAX_RETRIES * (LINE_SPAN_DOUBLINGS + 1)} tries")
 
 
 def random_tangent_family(n, seed) -> LineFamily:

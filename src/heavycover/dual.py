@@ -65,12 +65,15 @@ class LineFamily:
 
     ``coeffs`` holds each line as reduced integers (a, b, c) with
     a·x + b·y = c, index-aligned with ``lines`` and derived once here: every
-    count in this module reads them.
+    count in this module reads them. ``normals`` holds their reduced normals
+    (a, b), and ``parallel_pair`` is True iff two of the lines are parallel.
     """
 
     lines: tuple
     provenance: str | None = None
     coeffs: tuple = field(init=False, repr=False, compare=False)
+    normals: tuple = field(init=False, repr=False, compare=False)
+    parallel_pair: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ls = tuple(self.lines)
@@ -83,6 +86,9 @@ class LineFamily:
         if len(set(ls)) != len(ls):
             raise DomainError("line family has coincident members")
         object.__setattr__(self, "coeffs", tuple(line_coeffs_int(h) for h in ls))
+        normals = tuple(_normals(self.coeffs))
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "parallel_pair", len(set(normals)) < len(normals))
 
     @property
     def n(self) -> int:
@@ -215,12 +221,10 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    coeffs = family.coeffs
-    normals = _normals(coeffs)
-    sides = _sides(homog(q), coeffs)
-    if 0 in sides or len(set(normals)) < n:
+    sides = _sides(homog(q), family.coeffs)
+    if 0 in sides or family.parallel_pair:
         return replace(dual_depth_naive(q, family), method="naive_fallback")
-    count = _surrounding(normals, sides)
+    count = _surrounding(family.normals, sides)
     # q off every line means no surrounding triple touches it on its boundary
     return _depth_report(count, binom(n, 3), n, 2, strict=count,
                          method="projection_sweep")
@@ -277,8 +281,8 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = family.coeffs
-    best_count, best_key = _scan(list(_arrangement_vertices(coeffs).items()),
-                                 _vertex_visit, _dual_tables(coeffs), threads)
+    [(best_count, best_key)] = _scan(list(_arrangement_vertices(coeffs).items()),
+                                     _vertex_visit, _dual_tables(coeffs), threads)
     q = dehomog(best_key)
     report = dual_depth_naive(q, family, witness_limit=witness_limit)
     if report.count != best_count:
@@ -301,7 +305,7 @@ def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
     if q.dim != 2:
         raise DimensionError("base_cut_count is planar only")
     coeffs = family.coeffs
-    if len(set(_normals(coeffs))) < n:
+    if family.parallel_pair:
         raise DegeneracyError("parallel lines in the family")
     qh = homog(q)
     qx, qy, qw = qh
@@ -413,13 +417,13 @@ class ExposureProfile:
         return out
 
 
-def _projection_directions(qh, coeffs):
+def _projection_directions(qh, family):
     """Reduced integer directions from q = ``qh`` to its projections on the
-    integer lines, index-aligned: each line's normal oriented toward it."""
-    sides = _sides(qh, coeffs)
+    family's lines, index-aligned: each line's normal oriented toward it."""
+    sides = _sides(qh, family.coeffs)
     if 0 in sides:
         raise DegeneracyError("query point lies on a line")
-    return _oriented(_normals(coeffs), sides)
+    return _oriented(family.normals, sides)
 
 
 def _sorted_cyclic(dirs):
@@ -470,7 +474,7 @@ def exposure_profile(q: Point, family: LineFamily) -> ExposureProfile:
     n = family.n
     if n < 2:
         raise DomainError("exposure needs at least 2 lines")
-    dirs = _projection_directions(homog(q), family.coeffs)
+    dirs = _projection_directions(homog(q), family)
     sorted_dirs = _sorted_cyclic(dirs)
     pairs = list(itertools.combinations(dirs, 2))
     counts = _arc_counts(sorted_dirs, pairs)
@@ -594,7 +598,7 @@ def find_unexposed_point(family: LineFamily):
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = family.coeffs
-    normals = _normals(coeffs)
+    normals = family.normals
     pair_total = binom(n, 2) if n >= 2 else 0
     verts = list(_arrangement_vertices(coeffs))
     verts.sort(key=cmp_to_key(_homog_lex_cmp))
@@ -763,8 +767,8 @@ def _max_strict_dual(family: LineFamily):
     coeffs = family.coeffs
     cells = _cell_counts(coeffs)
     top = max(cell[0] for cell in cells)
-    best_count, best_key = _scan([cell for cell in cells if cell[0] == top],
-                                 _cell_visit, coeffs)
+    [(best_count, best_key)] = _scan([cell for cell in cells if cell[0] == top],
+                                     _cell_visit, coeffs)
     q = dehomog(best_key)
     strict = dual_depth_naive(q, family).strict_count
     if strict != best_count:

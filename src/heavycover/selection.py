@@ -5,13 +5,16 @@ Closed containment is used throughout, which makes depth an upper
 semicontinuous function of the query point; the lexicographically least
 global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
-its crossings in O(n^4 log n) integer steps, with one exact count per segment.
-``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
+its crossings in O(n^4 log n) integer steps. The n data-point counts and every
+segment's start count are read off the walk's orientation table, so the walk
+makes no angular sort. ``candidate_vertices`` keeps the line-arrangement
+superset as a test oracle.
 
-Every max search in the package (this walk, ``continuity``'s heavy-region
-witness, and ``dual``'s vertex and cell scans) runs through ``_scan``, which
-alone owns the tie-break (higher count, then lexicographically least point),
-the chunking and the process pool.
+Every max search in the package (this walk, ``continuity``'s argmax and
+heavy-region witness, and ``dual``'s vertex and cell scans) runs through
+``_scan``, which alone owns the tie-break (higher score, then lexicographically
+least point), the chunking and the process pool. It can score one stream of
+counts several ways at once, so ``continuity`` walks each sample once.
 """
 
 from __future__ import annotations
@@ -418,12 +421,18 @@ def _better(count_a, key_a, count_b, key_b):
 
 
 def _walk_tables(pts_h):
-    """Tables for the segment walk: the points scaled to integers over one
-    common denominator W (homogeneous, with weight 1), the orientation table
-    ``orient[a][b][c]`` (twice the signed area of p_a p_b p_c, positive iff
-    p_c is left of p_a -> p_b), ``left[a][b]``, the number of points strictly
-    left of p_a -> p_b, and an integer above the square of every
-    crossing-parameter denominator (the ``scale`` of the walk's sort key)."""
+    """The common denominator W and the tables of the segment walk: the points
+    scaled to integers over W (homogeneous, with weight 1), the orientation
+    table ``orient[a][b][c]`` (twice the signed area of p_a p_b p_c, positive
+    iff p_c is left of p_a -> p_b), ``left[a][b]``, the number of points
+    strictly left of p_a -> p_b, an integer above the square of every
+    crossing-parameter denominator (the ``scale`` of the walk's sort key), and
+    the closed depth of each data point.
+
+    In general position a triangle without vertex i misses p_i iff, for
+    exactly one of its vertices k, the other two lie left of p_i -> p_k, so
+    depth(p_i) = C(n-1, 2) + C(n-1, 3) - sum over k of C(left[i][k], 2): the
+    ``depth_planar_sweep`` identity read off the table, with no sort."""
     w = 1
     for _, _, pw in pts_h:
         w = w * pw // gcd(w, pw)
@@ -432,36 +441,42 @@ def _walk_tables(pts_h):
                for bx, by, _ in pts] for ax, ay, _ in pts]
     left = [[sum(1 for v in row if v > 0) for row in rows] for rows in orient]
     widest = 2 * max(abs(v) for rows in orient for row in rows for v in row)
-    return pts, w, orient, left, widest * widest + 1
+    n = len(pts)
+    depth = [math.comb(n - 1, 2) + math.comb(n - 1, 3)
+             - sum(u * (u - 1) // 2 for u in row) for row in left]
+    return w, (pts, orient, left, widest * widest + 1, depth)
 
 
-def _segment_vertices(i, j, pts, orient, left, scale):
-    """Closed depth at each proper crossing on the open segment p_i p_j, in
-    order from p_i: yields (count, key) with key homogeneous in the scaled
-    coordinates. Needs general position.
+def _segment_steps(i, j, pts, orient, left, scale, depth):
+    """The closed depth on the open segment p_i p_j just past p_i, and its
+    proper crossings: ``floor(t * scale) -> [sum |B|, sum (|B| - |A|), a, b]``
+    (see ``_segment_vertices``). Needs general position.
 
-    Depth on the open segment changes only where it crosses a segment p_k p_m
-    with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
-    strictly on p_j's side of line km (B) and, past the crossing, drops those
-    with r on p_i's side (A); at the crossing itself all of them contain the
-    point. Concurrent crossings share a parameter t and their terms add up.
-
-    A crossing sits at t = a / (a + b) with a, b the distances (times a common
-    factor) of p_i and p_j from line km. Distinct such fractions differ by more
-    than 1 / scale, so floor(t * scale) is an exact integer sort and group key.
+    Near p_i, a triangle without vertex i contains the point iff it contains
+    p_i, and one of the C(n-1, 2) triangles i k m iff the direction to p_j
+    lies in the closed cone at p_i spanned by p_k and p_m: always when j is
+    k or m (n - 2 triangles), and otherwise iff p_k and p_m lie on opposite
+    sides of p_i -> p_j with orient(p_i, p_k, p_m) < 0 for p_k the left one.
+    Those are the pairs with a > 0 in the crossing loop, so the start count
+    costs no sort.
     """
     n = len(pts)
-    side = orient[i][j]
+    oi, oj = orient[i], orient[j]
+    side = oi[j]
     lefts = [k for k in range(n) if side[k] > 0]
     rights = [k for k in range(n) if side[k] < 0]
-    steps = {}  # floor(t * scale) -> [sum |B|, sum (|B| - |A|), a, b]
+    cone = 0
+    steps = {}
     for k in lefts:
-        ok, lk = orient[k], left[k]
+        oik, ojk, lk = oi[k], oj[k], left[k]
         for m in rights:
             # with p_k left of p_i -> p_j and p_m right, the segments cross iff
             # p_i is right of p_k -> p_m and p_j left; then B is the left side
-            a, b = -ok[m][i], ok[m][j]
-            if a <= 0 or b <= 0:
+            a, b = -oik[m], ojk[m]
+            if a <= 0:
+                continue
+            cone += 1
+            if b <= 0:
                 continue
             far = lk[m]
             t = a * scale // (a + b)
@@ -471,15 +486,29 @@ def _segment_vertices(i, j, pts, orient, left, scale):
             else:
                 step[0] += far
                 step[1] += 2 * far - (n - 2)
-    if not steps:
-        return
-    order = sorted(steps)
+    return depth[i] - math.comb(n - 1, 2) + (n - 2) + cone, steps
+
+
+def _segment_vertices(i, j, pts, orient, left, scale, depth):
+    """Closed depth at each proper crossing on the open segment p_i p_j, in
+    order from p_i: yields (count, key) with key homogeneous in the scaled
+    coordinates. Needs general position.
+
+    Depth on the open segment changes only where it crosses a segment p_k p_m
+    with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
+    strictly on p_j's side of line km (B) and, past the crossing, drops those
+    with r on p_i's side (A); at the crossing itself all of them contain the
+    point. Concurrent crossings share a parameter t and their terms add up.
+    The count before the first crossing comes from ``_segment_steps``, out of
+    the depth of p_i and the orientation table, so the walk is integer steps.
+
+    A crossing sits at t = a / (a + b) with a, b the distances (times a common
+    factor) of p_i and p_j from line km. Distinct such fractions differ by more
+    than 1 / scale, so floor(t * scale) is an exact integer sort and group key.
+    """
+    before, steps = _segment_steps(i, j, pts, orient, left, scale, depth)
     (xi, yi, _), (xj, yj, _) = pts[i], pts[j]
-    # one exact count on the open edge at half the first crossing's t, then steps
-    _, _, a, b = steps[order[0]]
-    before = _closed_depth_homog(((a + 2 * b) * xi + a * xj,
-                                  (a + 2 * b) * yi + a * yj, 2 * (a + b)), pts)
-    for t in order:
+    for t in sorted(steps):
         at_vertex, past, a, b = steps[t]
         yield before + at_vertex, (b * xi + a * xj, b * yi + a * yj, a + b)
         before += past
@@ -489,9 +518,9 @@ def _walk_visit(item, tables):
     """Closed depth at data point p_i for item (i, i), or at each proper
     crossing on segment p_i p_j for item (i, j), i < j: (count, key) pairs."""
     i, j = item
-    pts = tables[0]
     if i == j:
-        return ((_closed_depth_homog(pts[i], pts), pts[i]),)
+        pts, depth = tables[0], tables[-1]
+        return ((depth[i], pts[i]),)
     return _segment_vertices(i, j, *tables)
 
 
@@ -505,9 +534,9 @@ def _walk_items(n):
 FANOUT = 64
 
 
-def _best(pairs, best=None):
-    """The better of ``best`` and every (score, key) pair by ``_better``; None
-    when there is none."""
+def _best(pairs):
+    """The best (score, key) pair by ``_better``; None when there is none."""
+    best = None
     for score, key in pairs:
         if best is None or _better(score, key, *best):
             best = (score, key)
@@ -515,30 +544,59 @@ def _best(pairs, best=None):
 
 
 def _scan_chunk(args):
-    items, visit, shared = args
-    best = None
+    items, visit, shared, scorers = args
+    bests = [None] * len(scorers)
     for item in items:
-        best = _best(visit(item, shared), best)
-    return best
+        for count, key in visit(item, shared):
+            for s, scorer in enumerate(scorers):
+                score = count if scorer is None else scorer(count)
+                best = bests[s]
+                if best is None or _better(score, key, *best):
+                    bests[s] = (score, key)
+    return bests
 
 
-def _scan(items, visit, shared, threads=1):
-    """The max-search engine: the best of the (score, key) pairs that
-    ``visit(item, shared)`` returns for each item, highest score first, then
-    the lexicographically least point; None when there are none.
+def _scan(items, visit, shared, threads=1, scorers=(None,)):
+    """The max-search engine over the (count, key) pairs that
+    ``visit(item, shared)`` returns for each item: for each scorer, the best
+    (score, key) pair, highest score first, then the lexicographically least
+    point; None when there are no pairs. A scorer maps a count to its score;
+    None scores a count as itself.
 
     With ``threads > 1`` and at least ``FANOUT`` items, contiguous chunks of
-    the items go to a process pool (``visit`` must then be a module-level
-    function and ``shared`` picklable); the per-chunk winners merge by the same
+    the items go to a process pool (``visit`` and the scorers must then be
+    picklable, and ``shared`` too); the per-chunk winners merge by the same
     tie-break, so the result does not depend on ``threads``.
     """
     if threads <= 1 or len(items) < FANOUT:
-        return _scan_chunk((items, visit, shared))
+        return _scan_chunk((items, visit, shared, scorers))
     chunk = (len(items) + threads - 1) // threads
-    payloads = [(items[s:s + chunk], visit, shared)
+    payloads = [(items[s:s + chunk], visit, shared, scorers)
                 for s in range(0, len(items), chunk)]
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        return _best(r for r in ex.map(_scan_chunk, payloads) if r is not None)
+        chunks = list(ex.map(_scan_chunk, payloads))
+    return [_best(bests[s] for bests in chunks if bests[s] is not None)
+            for s in range(len(scorers))]
+
+
+def _walk_scan(pset: LabeledPointSet, scorers, threads: int = 1):
+    """One pass of the segment walk over a planar set of at least three points
+    in general position (the caller checks all three): the common denominator
+    W, the walk tables, and the best (score, key) of each scorer."""
+    w, tables = _walk_tables([homog(p) for p in pset.points])
+    return w, tables, _scan(_walk_items(pset.n), _walk_visit, tables, threads, scorers)
+
+
+def _checked_max(pset: LabeledPointSet, w, best, witness_limit):
+    """The walk's best (count, key) as a point with its exhaustive
+    ``DepthReport``; InternalError when the two counts differ."""
+    best_count, (x, y, v) = best
+    q = dehomog((x, y, v * w))
+    report = depth_naive(q, pset, witness_limit=witness_limit)
+    if report.count != best_count:
+        raise InternalError(
+            f"segment walk count {best_count} != exhaustive count {report.count}")
+    return q, replace(report, method="candidate_scan")
 
 
 def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
@@ -547,8 +605,9 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
 
     Walks the segment arrangement: the lexicographically least maximizer is a
     data point or a proper crossing of two segments p_i p_j, p_k p_l (upper
-    semicontinuity). Each segment costs one exact count before its first
-    crossing plus integer steps across the crossings, O(n^4 log n) in all.
+    semicontinuity). The n data-point counts and each segment's count before
+    its first crossing come from the orientation table; the rest is integer
+    steps across the crossings, O(n^4 log n) in all.
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
     """
@@ -559,12 +618,5 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     violations = general_position_report(pset.points)
     if violations:
         raise DegeneracyError("point set is not in general position", violations)
-    pts, w, orient, left, scale = _walk_tables([homog(p) for p in pset.points])
-    best_count, (x, y, v) = _scan(_walk_items(pset.n), _walk_visit,
-                                  (pts, orient, left, scale), threads)
-    q = dehomog((x, y, v * w))
-    report = depth_naive(q, pset, witness_limit=witness_limit)
-    if report.count != best_count:
-        raise InternalError(
-            f"segment walk count {best_count} != exhaustive count {report.count}")
-    return q, replace(report, method="candidate_scan")
+    w, _, [best] = _walk_scan(pset, (None,), threads)
+    return _checked_max(pset, w, best, witness_limit)

@@ -107,6 +107,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_command(["unknowncmd"]) == 1
 
 
+@pytest.mark.parametrize("command", ["depth", "dual", "expose"])
+def test_negative_point_value_needs_no_equals_sign(command, tmp_path, capsys):
+    outputs = []
+    for spelling in (["--point", "-1,2"], ["--point=-1,2"]):
+        out = tmp_path / "out.json"
+        assert run_command([command, "--seed", "1", *spelling, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_json_and_svg_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from heavycover.continuity import (
+    ContinuityReport,
     MotionPath,
+    SweepRecord,
     continuity_demo,
     heavy_region_witness,
     sample_path,
@@ -20,6 +22,7 @@ from heavycover.selection import (
     closed_depth_count,
     max_depth_point,
 )
+from heavycover.verification import crafted_jump_path
 
 TRI = LabeledPointSet((Point(0, 0), Point(4, 0), Point(0, 4)))
 
@@ -198,3 +201,50 @@ def test_continuity_demo_witness_consistent_with_argmax():
     tau = rep.fraction  # exactly attainable
     report = continuity_demo(constant_path(ps), 3, tau)
     assert report.all_witnessed
+
+
+def _per_sample_report(path, k, tau, jump_threshold, data_threshold):
+    """The ContinuityReport rebuilt from one max_depth_point and one
+    heavy_region_witness call per sample."""
+    records, events, degenerate, prev = [], [], 0, None
+    for j, pset in enumerate(sample_path(path, k)):
+        t = Fraction(j, k - 1)
+        try:
+            argmax, rep = max_depth_point(pset, witness_limit=0)
+        except DegeneracyError:
+            records.append(SweepRecord(time=t, degenerate=True))
+            degenerate += 1
+            prev = None
+            continue
+        jump = prev is not None and (
+            max(abs(a - b) for a, b in zip(prev[1].coords, argmax.coords)) > jump_threshold
+            and max(abs(a - b) for p, q in zip(prev[3].points, pset.points)
+                    for a, b in zip(p.coords, q.coords)) <= data_threshold)
+        if jump:
+            events.append((prev[0], t, prev[1], argmax, prev[2], rep.count))
+        records.append(SweepRecord(time=t, degenerate=False, argmax=argmax, count=rep.count,
+                                   witness=heavy_region_witness(pset, tau), jump=jump))
+        prev = (t, argmax, rep.count, pset)
+    return ContinuityReport(records=tuple(records), jump_events=tuple(events),
+                            all_witnessed=all(r.witness is not None
+                                              for r in records if not r.degenerate),
+                            degenerate_samples=degenerate)
+
+
+def _taus(n):
+    return Fraction(1, 10), Fraction(2, 9) - Fraction(3, n), Fraction(1, 3)
+
+
+def test_continuity_demo_equals_per_sample_searches():
+    # one walk per sample gives what the two public searches give apart: on
+    # three of the battery's paths (one tau each) and on the crafted orbit
+    half = Fraction(1, 2)
+    for p, tau in enumerate(_taus(10)):
+        path = random_motion_path(10, 42 * 9001 + p)
+        report = continuity_demo(path, 101, tau, jump_threshold=half)
+        assert report == _per_sample_report(path, 101, tau, half, half)
+    # 13/20 * C(5, 3) = 13/2 lies between two counts the orbit reaches
+    for tau in _taus(5) + (Fraction(13, 20),):
+        report = continuity_demo(crafted_jump_path(), 21, tau, half, Fraction(3))
+        assert report.jump_count >= 1 and report.degenerate_samples >= 1
+        assert report == _per_sample_report(crafted_jump_path(), 21, tau, half, Fraction(3))

@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from heavycover.datasets import (
+    Dataset,
     emit_dataset,
     generate,
     parse_dataset,
@@ -99,6 +101,30 @@ def test_generated_lines_in_general_position():
         assert lines_general_position_report(fam.lines) == []
     tangent = random_tangent_family(9, 3)
     assert lines_general_position_report(tangent.lines) == []
+
+
+# (n, seed) pairs whose first MAX_RETRIES line draws all fail; the widened
+# span finds their families
+_WIDENED = ((22, 2), (23, 1), (26, 5))
+
+
+def test_line_family_widens_its_span_only_after_the_first_round():
+    # every family the first round of draws finds stays byte-for-byte
+    digest = hashlib.sha256()
+    for n in range(4, 27):
+        for seed in range(1, 6):
+            fam = random_line_family(n, seed)
+            if (n, seed) not in _WIDENED:
+                digest.update(emit_dataset(Dataset("LINES", lines=fam)).encode())
+    assert digest.hexdigest() == \
+        "6d760669de2185cc5e1d6dd2d345baf71f6aa78cdeb69975525bb79d080181b8"
+
+
+def test_line_family_beyond_the_narrow_span():
+    for n in (28, 40):
+        fam = random_line_family(n, 1)
+        assert fam.n == n
+        assert lines_general_position_report(fam.lines) == []
 
 
 def test_generated_path_shape():

@@ -44,6 +44,15 @@ def rand_q(rng, span=6, denom=11):
                  Fraction(rng.randrange(-span * denom, span * denom + 1), denom))
 
 
+def test_line_family_caches_normals_outside_equality():
+    parallel = LineFamily((Y0, Hyperplane((0, 2), 2), X0))
+    assert parallel.normals == ((0, 1), (0, 1), (1, 0)) and parallel.parallel_pair
+    assert TRIANGLE.normals == ((0, 1), (1, 0), (1, 1)) and not TRIANGLE.parallel_pair
+    again = LineFamily(TRIANGLE.lines)
+    assert again == TRIANGLE and hash(again) == hash(TRIANGLE)
+    assert repr(TRIANGLE) == f"LineFamily(lines={TRIANGLE.lines!r}, provenance=None)"
+
+
 def test_surround_direct_examples():
     assert surround_direct(Point(1, 1), TRIANGLE.lines) is True
     assert surround_direct(Point(5, 5), TRIANGLE.lines) is False

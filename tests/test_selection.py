@@ -10,6 +10,7 @@ from heavycover.exactgeom import Point, dehomog, homog, intersect_lines_homog, l
 from heavycover.selection import (
     FANOUT,
     BoundVariant,
+    _segment_steps,
     _segment_vertices,
     _walk_tables,
     LabeledPointSet,
@@ -260,14 +261,32 @@ def test_segment_walk_counts_every_crossing_exactly():
     sets = [HEXAGON] + [random_point_set(n, 300 + n, near_convex=n % 2 == 0)
                         for n in range(5, 11)]
     for ps in sets:
-        pts, w, orient, left, scale = _walk_tables([homog(p) for p in ps.points])
+        w, tables = _walk_tables([homog(p) for p in ps.points])
         seen = set()
         for i, j in itertools.combinations(range(ps.n), 2):
-            for count, (x, y, v) in _segment_vertices(i, j, pts, orient, left, scale):
+            for count, (x, y, v) in _segment_vertices(i, j, *tables):
                 q = dehomog((x, y, v * w))
                 assert count == closed_depth_count(q, ps.points)
                 seen.add(q)
         assert seen == _proper_crossings(ps)
+
+
+def test_segment_start_count_matches_exact_count_halfway():
+    # the count read off the tables for the open edge just past p_i toward
+    # p_j equals an exact count halfway to the first crossing (or to p_j when
+    # there is none), for every ordered pair; so do the data-point depths
+    rng = random.Random(4711)
+    for n, near_convex in itertools.product(range(5, 15), (False, True)):
+        ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+        w, tables = _walk_tables([homog(p) for p in ps.points])
+        pts, depth = tables[0], tables[-1]
+        assert depth == [closed_depth_count(p, ps.points) for p in ps.points]
+        for i, j in itertools.permutations(range(n), 2):
+            start, steps = _segment_steps(i, j, *tables)
+            (xi, yi, _), (xj, yj, _) = pts[i], pts[j]
+            a, b = steps[min(steps)][2:] if steps else (1, 0)
+            half = ((a + 2 * b) * xi + a * xj, (a + 2 * b) * yi + a * yj, 2 * (a + b) * w)
+            assert start == closed_depth_count(dehomog(half), ps.points)
 
 
 def test_upper_semicontinuity_on_arrangement_edges():
