@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuity import MotionPath
-from .dual import LineFamily, tangent_family
+from .dual import LineFamily, _reduce_dir, tangent_family
 from .errors import (
     DomainError,
     GenerationError,
@@ -244,6 +244,13 @@ def colored_point_set(n, seed, classes=3) -> LabeledPointSet:
     return LabeledPointSet(base.points, colors=colors, provenance=base.provenance)
 
 
+def _line_direction(a, b):
+    """The normal (a, b) of the lines a*x + b*y = c, reduced, with its first
+    nonzero entry positive as in a canonical ``Hyperplane``: parallel lines
+    share it."""
+    return _reduce_dir((a, b) if a > 0 or (a == 0 and b > 0) else (-a, -b))
+
+
 def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     """Seeded general-position line family: random integer normals through
     jittered rational anchor points.
@@ -259,17 +266,19 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     for doublings in range(LINE_SPAN_DOUBLINGS + 1):
         span = coeff_span << doublings
         for _ in range(MAX_RETRIES):
-            lines = []
+            draws = []
             for _ in range(n):
                 a = b = 0
                 while a == 0 and b == 0:
                     a = rng.randrange(-span, span + 1)
                     b = rng.randrange(-span, span + 1)
-                anchor = (_rand_coord(rng, 6), _rand_coord(rng, 6))
-                lines.append(Hyperplane((a, b), a * anchor[0] + b * anchor[1]))
-            if len(set(lines)) != n:
+                draws.append((a, b, _rand_coord(rng, 6), _rand_coord(rng, 6)))
+            if len({_line_direction(a, b) for a, b, _, _ in draws}) < n:
+                # a parallel or coincident pair, which the O(n^3) report
+                # below would reject too
                 continue
-            family = LineFamily(tuple(lines), provenance=f"seed:{seed}")
+            lines = tuple(Hyperplane((a, b), a * x + b * y) for a, b, x, y in draws)
+            family = LineFamily(lines, provenance=f"seed:{seed}")
             if not lines_general_position_report(family.lines):
                 return family
     raise GenerationError("no general-position line family after "

@@ -46,6 +46,7 @@ from .exactgeom import (
     scalar,
 )
 from .selection import (
+    _angle_keys,
     _avoiding_triples,
     _depth_report,
     _homog_lex_cmp,
@@ -428,14 +429,10 @@ def _projection_directions(qh, family):
 
 def _sorted_cyclic(dirs):
     """Distinct directions in cyclic angular order; error on ties/antipodes."""
-    from functools import cmp_to_key
-
-    from .selection import _angle_cmp
-
-    for a, b in itertools.combinations(dirs, 2):
-        if _icross(a, b) == 0:
-            raise DegeneracyError("projection directions are collinear")
-    return sorted(dirs, key=cmp_to_key(_angle_cmp))
+    keys, half = _angle_keys(dirs)
+    if len({k % half for k in keys}) < len(keys):
+        raise DegeneracyError("projection directions are collinear")
+    return [d for _, d in sorted(zip(keys, dirs))]
 
 
 def _arc_counts(sorted_dirs, pair_dirs):

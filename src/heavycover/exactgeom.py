@@ -38,9 +38,14 @@ def scalar(value) -> Fraction:
 
 
 class Point:
-    """Immutable point with Fraction coordinates in R^d, d >= 1."""
+    """Immutable point with Fraction coordinates in R^d, d >= 1.
 
-    __slots__ = ("coords",)
+    ``homog`` caches the point's integer homogeneous coordinates in the
+    ``_homog`` slot on first use; equality, hashing and repr read only
+    ``coords``.
+    """
+
+    __slots__ = ("coords", "_homog")
 
     def __init__(self, *coords):
         if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
@@ -48,9 +53,15 @@ class Point:
         if not coords:
             raise DimensionError("a point needs at least one coordinate")
         object.__setattr__(self, "coords", tuple(scalar(c) for c in coords))
+        object.__setattr__(self, "_homog", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
+
+    def __reduce__(self):
+        # rebuild from the coordinates: the slots cannot be restored through
+        # __setattr__, and the homogeneous cache is rebuilt on demand
+        return (Point, self.coords)
 
     @property
     def dim(self) -> int:
@@ -138,6 +149,10 @@ class Hyperplane:
     def __setattr__(self, name, value):
         raise AttributeError("Hyperplane is immutable")
 
+    def __reduce__(self):
+        # the canonical form is a fixed point of the constructor
+        return (Hyperplane, (self.normal, self.offset))
+
     @property
     def dim(self) -> int:
         return len(self.normal)
@@ -171,12 +186,17 @@ class Hyperplane:
 # ---------------------------------------------------------------------------
 
 def homog(p: Point) -> tuple:
-    """(X0, ..., Xd-1, W) integers with W > 0 and p = (X0/W, ..., Xd-1/W)."""
-    dens = [c.denominator for c in p.coords]
-    w = 1
-    for d in dens:
-        w = w * d // gcd(w, d)
-    return tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
+    """(X0, ..., Xd-1, W) integers with W > 0 and p = (X0/W, ..., Xd-1/W),
+    with W the least common denominator; computed once per point."""
+    h = p._homog
+    if h is None:
+        w = 1
+        for c in p.coords:
+            d = c.denominator
+            w = w * d // gcd(w, d)
+        h = tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
+        object.__setattr__(p, "_homog", h)
+    return h
 
 
 def reduce_homog(h: tuple) -> tuple:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -148,10 +149,16 @@ class DepthReport:
         return self.count - self.strict_count
 
 
-def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naive"):
+@lru_cache(maxsize=None)
+def _report_bounds(n, d):
+    """The GROMOV bound and its small-n slack bound for n points in R^d."""
     bound = selection_bound(d, BoundVariant.GROMOV)
+    return bound, bound - Fraction(SLACK_NUMERATOR, n)
+
+
+def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naive"):
+    bound, slack = _report_bounds(n, d)
     frac = Fraction(count, total)
-    slack = bound - Fraction(SLACK_NUMERATOR, n)
     return DepthReport(
         count=count,
         total=total,
@@ -218,65 +225,70 @@ def _icross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _half(d):
-    # 0 for angles in [0, pi) (positive x-axis included), 1 for [pi, 2pi)
-    x, y = d
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+def _angle_keys(dirs):
+    """Exact integer angle keys of nonzero integer directions, and ``half``,
+    the key distance of a half turn.
 
-
-def _angle_cmp(a, b):
-    ha, hb = _half(a), _half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = _icross(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    With B = 1 + max |coordinate|, s = B^2 and r = B*s + 2, the key is 0 on
+    the +x axis, r - floor(x*s/y) for y > 0, 2r on the -x axis and
+    3r - floor(x*s/y) for y < 0, so keys grow with the angle in [0, 2pi).
+    Distinct ratios x/y of such directions differ by more than 1/s, so equal
+    directions share a key and a direction's opposite lies exactly ``half``
+    = 2r away."""
+    b = 1
+    for x, y in dirs:
+        x, y = abs(x), abs(y)
+        if x >= b:
+            b = x + 1
+        if y >= b:
+            b = y + 1
+    s = b * b
+    r = b * s + 2
+    r3 = 3 * r
+    keys = []
+    for x, y in dirs:
+        if y > 0:
+            keys.append(r - x * s // y)
+        elif y < 0:
+            keys.append(r3 - x * s // y)
+        else:
+            keys.append(0 if x > 0 else 2 * r)
+    return keys, 2 * r
 
 
 def _directions_around(qh, pts_h):
-    """Reduced integer directions from q to each point; drops points equal to q."""
+    """Integer directions from q to each point, not reduced; drops points
+    equal to q."""
     qx, qy, qw = qh
     dirs = []
     for px, py, pw in pts_h:
         ix = px * qw - qx * pw
         iy = py * qw - qy * pw
-        if ix == 0 and iy == 0:
-            continue
-        g = gcd(abs(ix), abs(iy))
-        dirs.append((ix // g, iy // g))
+        if ix or iy:
+            dirs.append((ix, iy))
     return dirs
 
 
 def _avoiding_triples(dirs):
     """Number of 3-subsets of the direction multiset fitting strictly inside an
-    open half-plane through the origin. Ties (equal directions) are broken by
-    charging each triple to its lowest-index member at the minimal angle."""
-    groups = {}
-    for d in dirs:
-        groups[d] = groups.get(d, 0) + 1
-    keys = sorted(groups.keys(), key=cmp_to_key(_angle_cmp))
-    counts = [groups[k] for k in keys]
-    g_count = len(keys)
-    avoiding = 0
-    end = 1
-    insum = 0
-    for a in range(g_count):
-        if end < a + 1:
-            end = a + 1
-            insum = 0
-        while end < a + g_count and _icross(keys[a], keys[end % g_count]) > 0:
-            insum += counts[end % g_count]
-            end += 1
-        c = counts[a]
-        for e in range(c):
-            u = insum + e
-            avoiding += u * (u - 1) // 2
-        if a + 1 < g_count and end > a + 1:
-            insum -= counts[a + 1]
-    return avoiding
+    open half-plane through the origin.
+
+    Each such triple is charged to the member from which the other two lie
+    within the next half turn counterclockwise, ties among equal directions
+    going to the first in sorted order: with the keys sorted, the member at
+    index p with key k is charged C(u, 2), where u counts the members after
+    it, cyclically, with keys in [k, k + half). Bisection finds u."""
+    keys, half = _angle_keys(dirs)
+    keys.sort()
+    n = len(keys)
+    total = 0
+    for p, k in enumerate(keys):
+        if k < half:
+            u = bisect_left(keys, k + half) - p - 1
+        else:
+            u = n - p - 1 + bisect_left(keys, k - half)
+        total += u * (u - 1)
+    return total // 2
 
 
 def _closed_depth_homog(qh, pts_h):
@@ -319,15 +331,9 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     qh = homog(q)
     pts_h = [homog(p) for p in pset.points]
     dirs = _directions_around(qh, pts_h)
-    axes = set()
-    degenerate = False
-    for d in dirs:
-        axis = d if _half(d) == 0 else (-d[0], -d[1])
-        if axis in axes:
-            degenerate = True  # equal or antipodal directions: pair collinear with q
-            break
-        axes.add(axis)
-    if degenerate:
+    keys, half = _angle_keys(dirs)
+    # equal or antipodal directions share a key modulo half: a pair collinear with q
+    if len({k % half for k in keys}) < len(keys):
         rep = depth_naive(q, pset)
         return replace(rep, method="naive_fallback")
     count = math.comb(n, 3) - _avoiding_triples(dirs)

@@ -96,18 +96,15 @@ def emit_svg(report: dict) -> bytes:
         max_count = grid.get("max", 0)
         cell_w = (bbox[2] - bbox[0]) / g
         cell_h = (bbox[3] - bbox[1]) / g
-        for row in range(g):
-            for col in range(g):
-                count = grid["cells"][row][col]
+        xs = [_fmt(m.x(bbox[0] + col * cell_w)) for col in range(g)]
+        ys = [_fmt(m.y(bbox[1] + (row + 1) * cell_h)) for row in range(g)]
+        size = f'width="{_fmt(cell_w * m.scale)}" height="{_fmt(cell_h * m.scale)}"'
+        for y0, counts in zip(ys, grid["cells"]):
+            for x0, count in zip(xs, counts):
                 color = _band(count, max_count)
                 if color == BANDS[0]:
                     continue
-                x0 = m.x(bbox[0] + col * cell_w)
-                y0 = m.y(bbox[1] + (row + 1) * cell_h)
-                parts.append(
-                    f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                    f'width="{_fmt(cell_w * m.scale)}" height="{_fmt(cell_h * m.scale)}" '
-                    f'fill="{color}"/>')
+                parts.append(f'<rect x="{x0}" y="{y0}" {size} fill="{color}"/>')
     for line in report.get("lines", []):
         normal = [scalar(v) for v in line["normal"]]
         offset = scalar(line["offset"])
@@ -159,16 +156,14 @@ def depth_grid(count_at, bbox, resolution):
     diagnostic and never feeds back into any computation.
     """
     xmin, ymin, xmax, ymax = bbox
+    cxs = [xmin + (xmax - xmin) * Fraction(2 * col + 1, 2 * resolution)
+           for col in range(resolution)]
     cells = []
     max_count = 0
     for row in range(resolution):
-        line = []
         cy = ymin + (ymax - ymin) * Fraction(2 * row + 1, 2 * resolution)
-        for col in range(resolution):
-            cx = xmin + (xmax - xmin) * Fraction(2 * col + 1, 2 * resolution)
-            c = count_at(cx, cy)
-            line.append(c)
-            max_count = max(max_count, c)
+        line = [count_at(cx, cy) for cx in cxs]
+        max_count = max(max_count, *line)
         cells.append(line)
     return {"cells": cells, "max": max_count}
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
@@ -20,7 +19,7 @@ from .selection import (
     BoundVariant,
     LabeledPointSet,
     SLACK_NUMERATOR,
-    _angle_cmp,
+    _angle_keys,
     _subsets,
     _tally,
     binom,
@@ -215,7 +214,9 @@ def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
         v = _reduce_dir((-dy, dx))
         criticals.add(v)
         criticals.add((-v[0], -v[1]))
-    ordered = sorted(criticals, key=cmp_to_key(_angle_cmp))
+    criticals = list(criticals)
+    keys, _ = _angle_keys(criticals)
+    ordered = [v for _, v in sorted(zip(keys, criticals))]
     candidates = []
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         candidates.append(_reduce_dir((a[0] + b[0], a[1] + b[1])))

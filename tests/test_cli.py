@@ -217,3 +217,21 @@ def test_canonical_out_is_pinned(name, tmp_path):
     out = tmp_path / "out.json"
     assert run_command(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the --plot SVG at --grid 40 for fixed-seed runs; every landscape
+# cell count, band colour and formatted coordinate shows here
+PINNED_PLOT = {
+    "depth": "c679ca2f350adc54dc156066c9dab3ccb41c65179a14ce26dadf3d46bcc1e5e1",
+    "maxdepth": "eab44964e23abe3c26845d42bd82eed1a9a4baebf982d004a74a84b4b074dc29",
+    "dual": "42388800c190e8045a9ebd069ffef99fdeaacc867dbc6108b733e432acb3be04",
+    "maxdual": "f6a3f6620cb7b78824b0c8e8004758aeccdc1f5c662d76f10ced86bc10bd009b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLOT))
+def test_plot_svg_is_pinned(name, tmp_path):
+    argv, _ = PINNED_OUT[name]
+    plot = tmp_path / "plot.svg"
+    assert run_command(argv + ["--plot", str(plot), "--grid", "40"]) == 0
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == PINNED_PLOT[name]

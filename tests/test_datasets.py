@@ -120,6 +120,18 @@ def test_line_family_widens_its_span_only_after_the_first_round():
         "6d760669de2185cc5e1d6dd2d345baf71f6aa78cdeb69975525bb79d080181b8"
 
 
+def test_line_family_draws_are_pinned_up_to_n_40():
+    # the parallel-pair rejection runs before the O(n^3) report and must
+    # reject exactly the draws the report rejects
+    digest = hashlib.sha256()
+    for n in range(4, 41):
+        for seed in range(1, 6):
+            fam = random_line_family(n, seed)
+            digest.update(emit_dataset(Dataset("LINES", lines=fam)).encode())
+    assert digest.hexdigest() == \
+        "0c29a4a4cbc9aa11bb3858c89776ee9b78e6dc8ea2e8265c12d4dd8d3482d9e6"
+
+
 def test_line_family_beyond_the_narrow_span():
     for n in (28, 40):
         fam = random_line_family(n, 1)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -262,3 +264,33 @@ def test_hyperplane_canonical_form_and_equality():
 def test_homog_roundtrip():
     p = P(Fraction(3, 4), Fraction(-5, 6))
     assert homog(p) == (9, -10, 12)
+
+
+def test_homog_cache_leaves_equality_hash_and_repr_alone():
+    p, q = P(Fraction(3, 4), 2), P(Fraction(3, 4), 2)
+    before = (hash(p), repr(p))
+    assert homog(p) == (3, 8, 4)
+    assert homog(p) is homog(p)
+    assert p == q and (hash(p), repr(p)) == before == (hash(q), repr(q))
+    with pytest.raises(AttributeError):
+        p.coords = (1, 2)
+
+
+def test_exact_objects_pickle_and_copy():
+    from heavycover.dual import LineFamily
+    from heavycover.selection import LabeledPointSet
+
+    p = P(Fraction(-1, 3), 5)
+    homog(p)  # a filled cache must not leak into the copies
+    objects = [
+        p,
+        Hyperplane((Fraction(2, 3), -4), 7),
+        LabeledPointSet((p, P(1, 2), P(3, -1)), colors=(0, 1, 1), provenance="seed:1"),
+        LineFamily((Hyperplane((1, 2), 3), Hyperplane((0, 1), 0)), provenance="x"),
+    ]
+    for obj in objects:
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(clone) is type(obj)
+            assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
+    family = pickle.loads(pickle.dumps(objects[3]))
+    assert family.coeffs == objects[3].coeffs and family.normals == objects[3].normals

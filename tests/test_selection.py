@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from heavycover.exactgeom import Point, dehomog, homog, intersect_lines_homog, l
 from heavycover.selection import (
     FANOUT,
     BoundVariant,
+    _angle_keys,
+    _avoiding_triples,
     _segment_steps,
     _segment_vertices,
     _walk_tables,
@@ -324,3 +327,106 @@ def test_depth_report_slack_fields():
     assert rep.bound == Fraction(2, 9)
     assert rep.slack_bound == Fraction(2, 9) - Fraction(3, 3)
     assert rep.meets_bound and rep.meets_slack_bound
+
+
+# ---------------------------------------------------------------------------
+# The angular kernel against independent references
+# ---------------------------------------------------------------------------
+
+def _reference_angle_cmp(a, b):
+    """Angular order in [0, 2pi) from the +x axis, by half-plane and cross
+    product: the comparator the integer keys replace."""
+    def upper(d):
+        return d[1] > 0 or (d[1] == 0 and d[0] > 0)
+
+    if upper(a) != upper(b):
+        return -1 if upper(a) else 1
+    c = a[0] * b[1] - a[1] * b[0]
+    return (c < 0) - (c > 0)
+
+
+def _in_open_half_plane(a, b, c):
+    """True iff three nonzero vectors fit strictly inside one open half-plane
+    through the origin, i.e. the origin is outside their closed hull: on no
+    segment between two opposite ones, and not strictly inside the triangle
+    (all three cross products of one strict sign)."""
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    for u, v in ((a, b), (b, c), (c, a)):
+        if cross(u, v) == 0 and u[0] * v[0] + u[1] * v[1] < 0:
+            return False
+    signs = {(x > 0) - (x < 0) for x in (cross(a, b), cross(b, c), cross(c, a))}
+    return signs not in ({1}, {-1})
+
+
+def _random_directions(rng, m, span):
+    """At least m nonzero integer directions with repeats, opposite pairs,
+    axis directions and Farey neighbours (ratios x/y as close as span
+    allows) mixed in."""
+    dirs = []
+    while len(dirs) < m:
+        roll = rng.random()
+        if roll < 0.15 and span > 2:
+            y = rng.randrange(max(2, span // 2), span)
+            x = rng.randrange(-y, y)
+            if math.gcd(x, y) == 1:
+                # x * y2 - y * x2 = 1: x/y and x2/y2 differ by 1/(y * y2)
+                y2 = pow(x, -1, y)
+                sign = rng.choice([1, -1])
+                dirs += [(sign * x, sign * y), (x * y2 // y, y2)]
+        elif dirs and roll < 0.3:
+            x, y = rng.choice(dirs)
+            k = rng.randrange(1, 4)
+            dirs.append((k * x, k * y))  # the same direction, rescaled
+        elif dirs and roll < 0.45:
+            x, y = rng.choice(dirs)
+            dirs.append((-x, -y))
+        elif roll < 0.6:
+            v = rng.randrange(1, span + 1)
+            dirs.append(rng.choice([(v, 0), (-v, 0), (0, v), (0, -v)]))
+        else:
+            x, y = rng.randrange(-span, span + 1), rng.randrange(-span, span + 1)
+            if x or y:
+                dirs.append((x, y))
+    return dirs
+
+
+@pytest.mark.parametrize("span", [3, 10 ** 3, 10 ** 12, 10 ** 30])
+def test_angle_keys_order_equals_reference_comparator(span):
+    rng = random.Random(span)
+    for _ in range(150):
+        dirs = _random_directions(rng, rng.randrange(1, 12), span)
+        keys, half = _angle_keys(dirs)
+        assert all(0 <= k < 2 * half for k in keys)
+        for (a, ka), (b, kb) in itertools.product(zip(dirs, keys), repeat=2):
+            assert (ka > kb) - (ka < kb) == _reference_angle_cmp(a, b)
+            opposite = a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] < 0
+            assert opposite == (abs(ka - kb) == half)
+
+
+@pytest.mark.parametrize("span", [2, 10 ** 3, 10 ** 30])
+def test_avoiding_triples_equals_brute_force(span):
+    rng = random.Random(7 * span)
+    for _ in range(120):
+        dirs = _random_directions(rng, rng.randrange(0, 11), span)
+        expected = sum(1 for t in itertools.combinations(dirs, 3)
+                       if _in_open_half_plane(*t))
+        assert _avoiding_triples(dirs) == expected
+
+
+def test_closed_depth_count_equals_naive_on_segments_and_duplicates():
+    # data points, segment midpoints and points on a segment's extension
+    # beyond either end, also with a data point repeated
+    rng = random.Random(2024)
+    for trial in range(12):
+        ps = random_point_set(rng.randrange(4, 9), 500 + trial)
+        pts = ps.points
+        if trial % 2:
+            pts = pts + (pts[0], pts[-1])
+        queries = list(pts)
+        for p, q in itertools.permutations(pts[:5], 2):
+            queries += [(p + q).scale(Fraction(1, 2)), q + (q - p), p + (p - q).scale(3)]
+        oracle = LabeledPointSet(pts)
+        for q in queries:
+            assert closed_depth_count(q, pts) == depth_naive(q, oracle).count
