@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import Point, dehomog, general_position_report, scalar
+from .exactgeom import Point, dehomog, scalar
 from .selection import (
     LabeledPointSet,
     _checked_max,
@@ -87,13 +87,12 @@ def _at_least(tau, n):
     return partial(operator.le, math.ceil(scalar(tau) * binom(n, 3)))
 
 
-def _witness(w, tables, first):
+def _witness(tables, first):
     """The walk's first qualifying (True, key) as (point, count), or None."""
     qualifies, key = first
     if not qualifies:
         return None
-    x, y, v = key
-    return dehomog((x, y, v * w)), _closed_depth_homog(key, tables[0])
+    return dehomog(key), _closed_depth_homog(key, tables[0])
 
 
 def heavy_region_witness(pset: LabeledPointSet, tau):
@@ -107,11 +106,8 @@ def heavy_region_witness(pset: LabeledPointSet, tau):
     lexicographically least data point."""
     if pset.dim != 2:
         raise DimensionError("heavy_region_witness is planar only")
-    violations = general_position_report(pset.points)
-    if violations:
-        raise DegeneracyError("point set is not in general position", violations)
-    w, tables, [first] = _walk_scan(pset, (_at_least(tau, pset.n),))
-    return _witness(w, tables, first)
+    tables, [first] = _walk_scan(pset, (_at_least(tau, pset.n),))
+    return _witness(tables, first)
 
 
 @dataclass(frozen=True)
@@ -186,14 +182,15 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
     prev = None  # (time, argmax, count, pset)
     for j, pset in enumerate(sample_path(path, k)):
         t = Fraction(j, k - 1)
-        if general_position_report(pset.points):
+        try:
+            tables, (best, first) = _walk_scan(pset, scorers)
+        except DegeneracyError:
             records.append(SweepRecord(time=t, degenerate=True))
             degenerate += 1
             prev = None
             continue
-        w, tables, (best, first) = _walk_scan(pset, scorers)
-        argmax, rep = _checked_max(pset, w, best, 0)
-        witness = _witness(w, tables, first)
+        argmax, rep = _checked_max(pset, best, 0)
+        witness = _witness(tables, first)
         if witness is None:
             all_witnessed = False
         jump = False

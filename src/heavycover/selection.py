@@ -7,8 +7,11 @@ global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
 its crossings in O(n^4 log n) integer steps. The n data-point counts and every
 segment's start count are read off the walk's orientation table, so the walk
-makes no angular sort. ``candidate_vertices`` keeps the line-arrangement
-superset as a test oracle.
+makes no angular sort. The table is built on each point's own homogeneous
+coordinates, with no common denominator, so its entries and the crossings'
+sort keys stay as long as a few coordinates even when the points'
+denominators all differ; its zero entries are the general-position gate.
+``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
 heavy-region witness, and ``dual``'s vertex and cell scans) runs through
@@ -26,7 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import (
     DegeneracyError,
@@ -426,31 +428,36 @@ def _better(count_a, key_a, count_b, key_b):
     return _homog_lex_cmp(key_a, key_b) < 0
 
 
-def _walk_tables(pts_h):
-    """The common denominator W and the tables of the segment walk: the points
-    scaled to integers over W (homogeneous, with weight 1), the orientation
-    table ``orient[a][b][c]`` (twice the signed area of p_a p_b p_c, positive
-    iff p_c is left of p_a -> p_b), ``left[a][b]``, the number of points
-    strictly left of p_a -> p_b, an integer above the square of every
-    crossing-parameter denominator (the ``scale`` of the walk's sort key), and
-    the closed depth of each data point.
+def _walk_tables(pts):
+    """The tables of the segment walk over the points' own homogeneous
+    coordinates ``pts`` (weights positive, no common denominator): the points
+    themselves, the orientation table ``orient[a][b][c]`` (the 3x3 homogeneous
+    determinant of p_a, p_b, p_c, positive iff p_c is left of p_a -> p_b),
+    ``left[a][b]``, the number of points strictly left of p_a -> p_b, an
+    integer above the square of every crossing key's denominator (the
+    ``scale`` of the walk's sort key, see ``_segment_vertices``), and the
+    closed depth of each data point.
+
+    Each determinant is xa*(yb*wc - wb*yc) - ya*(xb*wc - wb*xc) + wa*(xb*yc -
+    yb*xc), three multiplies over three n x n tables of 2x2 minors, so an entry
+    is about as long as three coordinates together.
 
     In general position a triangle without vertex i misses p_i iff, for
     exactly one of its vertices k, the other two lie left of p_i -> p_k, so
     depth(p_i) = C(n-1, 2) + C(n-1, 3) - sum over k of C(left[i][k], 2): the
     ``depth_planar_sweep`` identity read off the table, with no sort."""
-    w = 1
-    for _, _, pw in pts_h:
-        w = w * pw // gcd(w, pw)
-    pts = [(x * (w // pw), y * (w // pw), 1) for x, y, pw in pts_h]
-    orient = [[[(bx - ax) * (cy - ay) - (by - ay) * (cx - ax) for cx, cy, _ in pts]
-               for bx, by, _ in pts] for ax, ay, _ in pts]
+    mxy = [[xb * yc - yb * xc for xc, yc, _ in pts] for xb, yb, _ in pts]
+    mxw = [[xb * wc - wb * xc for xc, _, wc in pts] for xb, _, wb in pts]
+    myw = [[yb * wc - wb * yc for _, yc, wc in pts] for _, yb, wb in pts]
+    minors = [list(zip(ryw, rxw, rxy)) for ryw, rxw, rxy in zip(myw, mxw, mxy)]
+    orient = [[[xa * u - ya * v + wa * s for u, v, s in row] for row in minors]
+              for xa, ya, wa in pts]
     left = [[sum(1 for v in row if v > 0) for row in rows] for rows in orient]
-    widest = 2 * max(abs(v) for rows in orient for row in rows for v in row)
+    widest = 2 * max(max(map(abs, row)) for rows in orient for row in rows)
     n = len(pts)
     depth = [math.comb(n - 1, 2) + math.comb(n - 1, 3)
              - sum(u * (u - 1) // 2 for u in row) for row in left]
-    return w, (pts, orient, left, widest * widest + 1, depth)
+    return pts, orient, left, widest * widest + 1, depth
 
 
 def _segment_steps(i, j, pts, orient, left, scale, depth):
@@ -497,7 +504,7 @@ def _segment_steps(i, j, pts, orient, left, scale, depth):
 
 def _segment_vertices(i, j, pts, orient, left, scale, depth):
     """Closed depth at each proper crossing on the open segment p_i p_j, in
-    order from p_i: yields (count, key) with key homogeneous in the scaled
+    order from p_i: yields (count, key) with key the crossing's homogeneous
     coordinates. Needs general position.
 
     Depth on the open segment changes only where it crosses a segment p_k p_m
@@ -508,15 +515,20 @@ def _segment_vertices(i, j, pts, orient, left, scale, depth):
     The count before the first crossing comes from ``_segment_steps``, out of
     the depth of p_i and the orientation table, so the walk is integer steps.
 
-    A crossing sits at t = a / (a + b) with a, b the distances (times a common
-    factor) of p_i and p_j from line km. Distinct such fractions differ by more
-    than 1 / scale, so floor(t * scale) is an exact integer sort and group key.
+    With a = -orient[i][k][m] and b = orient[j][k][m], the homogeneous
+    determinants of p_i and p_j against line km, the crossing is
+    b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j), at parameter
+    a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
+    with a / b, so a / (a + b) orders and groups the crossings of one segment
+    the same way; the weights drop out. Distinct such fractions differ by more
+    than 1 / scale, so floor(scale * a / (a + b)) is an exact integer sort and
+    group key.
     """
     before, steps = _segment_steps(i, j, pts, orient, left, scale, depth)
-    (xi, yi, _), (xj, yj, _) = pts[i], pts[j]
+    (xi, yi, wi), (xj, yj, wj) = pts[i], pts[j]
     for t in sorted(steps):
         at_vertex, past, a, b = steps[t]
-        yield before + at_vertex, (b * xi + a * xj, b * yi + a * yj, a + b)
+        yield before + at_vertex, (b * xi + a * xj, b * yi + a * yj, b * wi + a * wj)
         before += past
 
 
@@ -585,19 +597,36 @@ def _scan(items, visit, shared, threads=1, scorers=(None,)):
             for s in range(len(scorers))]
 
 
+def _general_position(orient):
+    """True iff the walk's orientation table shows no collinear triple and no
+    coincident pair: ``orient[a][a]`` is all zero and ``orient[a][b]``, a != b,
+    is zero at c = a and c = b; any further zero is a degeneracy."""
+    n = len(orient)
+    zeros = sum(row.count(0) for rows in orient for row in rows)
+    return n >= 3 and zeros == n * n + 2 * n * (n - 1)
+
+
 def _walk_scan(pset: LabeledPointSet, scorers, threads: int = 1):
-    """One pass of the segment walk over a planar set of at least three points
-    in general position (the caller checks all three): the common denominator
-    W, the walk tables, and the best (score, key) of each scorer."""
-    w, tables = _walk_tables([homog(p) for p in pset.points])
-    return w, tables, _scan(_walk_items(pset.n), _walk_visit, tables, threads, scorers)
+    """One pass of the segment walk over a planar set: the walk tables and the
+    best (score, key) of each scorer. The caller checks the dimension.
+
+    The general-position gate reads the orientation table; only when it finds
+    a zero beyond those of ``_general_position`` (or n < 3) does
+    ``general_position_report`` run, to locate the violations of the
+    DegeneracyError."""
+    tables = _walk_tables([homog(p) for p in pset.points])
+    if not _general_position(tables[1]):
+        violations = general_position_report(pset.points)
+        if violations:
+            raise DegeneracyError("point set is not in general position", violations)
+    return tables, _scan(_walk_items(pset.n), _walk_visit, tables, threads, scorers)
 
 
-def _checked_max(pset: LabeledPointSet, w, best, witness_limit):
+def _checked_max(pset: LabeledPointSet, best, witness_limit):
     """The walk's best (count, key) as a point with its exhaustive
     ``DepthReport``; InternalError when the two counts differ."""
-    best_count, (x, y, v) = best
-    q = dehomog((x, y, v * w))
+    best_count, key = best
+    q = dehomog(key)
     report = depth_naive(q, pset, witness_limit=witness_limit)
     if report.count != best_count:
         raise InternalError(
@@ -621,8 +650,5 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
         raise DimensionError("max_depth_point is planar only")
     if pset.n < 3:
         raise DomainError("need at least 3 points")
-    violations = general_position_report(pset.points)
-    if violations:
-        raise DegeneracyError("point set is not in general position", violations)
-    w, _, [best] = _walk_scan(pset, (None,), threads)
-    return _checked_max(pset, w, best, witness_limit)
+    _, [best] = _walk_scan(pset, (None,), threads)
+    return _checked_max(pset, best, witness_limit)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from heavycover.cli import UsageError, build_parser, run_command
+from heavycover.datasets import Dataset, emit_dataset, random_point_set
 
 TRIANGLE = '{"kind":"POINTS","points":[["0","0"],["4","0"],["0","4"]]}'
 TRILINES = ('{"kind":"LINES","lines":['
@@ -217,6 +218,23 @@ def test_canonical_out_is_pinned(name, tmp_path):
     out = tmp_path / "out.json"
     assert run_command(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of maxdepth --out on a near-convex set read with --in: its points'
+# denominators differ, which the box sets above (all over 9973) never have
+PINNED_MIXED_DENOMINATORS = \
+    "5823c48c956eccc8d432970d8164844ad4687450ddb4afc75d3805ad4a363c30"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mixed_denominator_out_is_pinned(threads, tmp_path):
+    data = tmp_path / "near_convex.json"
+    pset = random_point_set(14, 14, near_convex=True)
+    data.write_text(emit_dataset(Dataset("POINTS", points=pset)))
+    out = tmp_path / "out.json"
+    assert run_command(["maxdepth", "--in", str(data), "--threads", threads,
+                        "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MIXED_DENOMINATORS
 
 
 # sha256 of the --plot SVG at --grid 40 for fixed-seed runs; every landscape

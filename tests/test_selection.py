@@ -7,12 +7,13 @@ import pytest
 
 from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
-from heavycover.exactgeom import Point, dehomog, homog, intersect_lines_homog, line_through_homog, reduce_homog
+from heavycover.exactgeom import Point, dehomog, general_position_report, homog, intersect_lines_homog, line_through_homog, reduce_homog
 from heavycover.selection import (
     FANOUT,
     BoundVariant,
     _angle_keys,
     _avoiding_triples,
+    _general_position,
     _segment_steps,
     _segment_vertices,
     _walk_tables,
@@ -222,6 +223,12 @@ HEXAGON = LabeledPointSet((Point(1, 0), Point(0, 1), Point(-1, 1), Point(-1, 0),
                            Point(0, -1), Point(1, -1),
                            Point(Fraction(1, 3), Fraction(1, 7))))
 
+# segments 2-3 and 4-5 cross segment 0-1 at x = 13/2 and x = 462/71, closer
+# together than 1 / (2 * max |orient|): a walk key with a scale below the
+# square of the crossing denominators would merge the two crossings
+CLOSE_CROSSINGS = LabeledPointSet((Point(0, 0), Point(14, 0), Point(12, 35),
+                                   Point(1, -35), Point(6, 36), Point(7, -35)))
+
 
 def test_max_depth_point_matches_line_arrangement_oracle():
     # lex-least maximum of closed depth over every line-arrangement vertex
@@ -261,14 +268,14 @@ def _proper_crossings(ps):
 def test_segment_walk_counts_every_crossing_exactly():
     # the hexagon's three long diagonals meet at the origin: the walk must
     # step across all three there at once
-    sets = [HEXAGON] + [random_point_set(n, 300 + n, near_convex=n % 2 == 0)
-                        for n in range(5, 11)]
+    sets = [HEXAGON, CLOSE_CROSSINGS] + [random_point_set(n, 300 + n, near_convex=n % 2 == 0)
+                                         for n in range(5, 11)]
     for ps in sets:
-        w, tables = _walk_tables([homog(p) for p in ps.points])
+        tables = _walk_tables([homog(p) for p in ps.points])
         seen = set()
         for i, j in itertools.combinations(range(ps.n), 2):
-            for count, (x, y, v) in _segment_vertices(i, j, *tables):
-                q = dehomog((x, y, v * w))
+            for count, key in _segment_vertices(i, j, *tables):
+                q = dehomog(key)
                 assert count == closed_depth_count(q, ps.points)
                 seen.add(q)
         assert seen == _proper_crossings(ps)
@@ -281,15 +288,87 @@ def test_segment_start_count_matches_exact_count_halfway():
     rng = random.Random(4711)
     for n, near_convex in itertools.product(range(5, 15), (False, True)):
         ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
-        w, tables = _walk_tables([homog(p) for p in ps.points])
+        tables = _walk_tables([homog(p) for p in ps.points])
         pts, depth = tables[0], tables[-1]
         assert depth == [closed_depth_count(p, ps.points) for p in ps.points]
         for i, j in itertools.permutations(range(n), 2):
             start, steps = _segment_steps(i, j, *tables)
-            (xi, yi, _), (xj, yj, _) = pts[i], pts[j]
+            (xi, yi, wi), (xj, yj, wj) = pts[i], pts[j]
             a, b = steps[min(steps)][2:] if steps else (1, 0)
-            half = ((a + 2 * b) * xi + a * xj, (a + 2 * b) * yi + a * yj, 2 * (a + b) * w)
+            # midway between p_i and the first crossing b*p_i + a*p_j
+            s = b * wi + a * wj
+            half = (xi * s + wi * (b * xi + a * xj), yi * s + wi * (b * yi + a * yj),
+                    2 * wi * s)
             assert start == closed_depth_count(dehomog(half), ps.points)
+
+
+def _walk_vertices(ps):
+    """Every (point, count) the segment walk yields on its segments."""
+    tables = _walk_tables([homog(p) for p in ps.points])
+    return {dehomog(key): count
+            for i, j in itertools.combinations(range(ps.n), 2)
+            for count, key in _segment_vertices(i, j, *tables)}
+
+
+def _projective_image(p):
+    # the denominator stays positive on every fixture below (|x|, |y| <= 36),
+    # so segments map to segments and every incidence and crossing survives
+    den = 1 + p.x / 97 + p.y / 89
+    return Point(p.x / den, p.y / den)
+
+
+def test_walk_on_projective_images_with_distinct_denominators():
+    # the image of a set has a different denominator at every point, so the
+    # walk's per-point homogeneous arithmetic is exercised in full; depth,
+    # the argmax count and the crossings (with the hexagon's three concurrent
+    # diagonals) are those of the original set
+    sets = [HEXAGON, CLOSE_CROSSINGS] + [random_point_set(n, 800 + n, near_convex=n % 2 == 1)
+                                         for n in range(6, 13)]
+    for ps in sets:
+        image = LabeledPointSet(tuple(_projective_image(p) for p in ps.points))
+        denominators = [homog(p)[2] for p in image.points]
+        assert len(set(denominators)) == image.n
+        assert max_depth_point(image)[1].count == max_depth_point(ps)[1].count
+        vertices = _walk_vertices(image)
+        if ps is HEXAGON:
+            assert Point(0, 0) in vertices  # its three long diagonals meet here
+        for q, count in vertices.items():
+            assert count == closed_depth_count(q, image.points)
+        assert vertices == {_projective_image(q): count
+                            for q, count in _walk_vertices(ps).items()}
+
+
+def test_orientation_table_entries_stay_small():
+    # each entry is a 3x3 determinant of the points' own homogeneous
+    # coordinates, so it is about as long as three of them, never carrying a
+    # common denominator of the whole set
+    ps = random_point_set(18, 8, near_convex=True)
+    pts_h = [homog(p) for p in ps.points]
+    orient = _walk_tables(pts_h)[1]
+    longest = sorted((abs(c).bit_length() for h in pts_h for c in h), reverse=True)
+    widest = max(abs(v) for rows in orient for row in rows for v in row)
+    assert widest.bit_length() <= sum(longest[:3]) + 3
+
+
+def test_general_position_gate_reads_the_orientation_table():
+    # a tiny coordinate grid forces collinear triples and coincident points;
+    # the table's verdict agrees with general_position_report, and a rejected
+    # set carries exactly the report's located violations
+    rng = random.Random(505)
+    rejected = 0
+    for _ in range(300):
+        n = rng.randrange(3, 8)
+        ps = LabeledPointSet(tuple(Point(rng.randrange(4), rng.randrange(4))
+                                   for _ in range(n)))
+        violations = general_position_report(ps.points)
+        orient = _walk_tables([homog(p) for p in ps.points])[1]
+        assert _general_position(orient) == (not violations)
+        if violations:
+            rejected += 1
+            with pytest.raises(DegeneracyError) as err:
+                max_depth_point(ps)
+            assert err.value.violations == violations
+    assert 0 < rejected < 300
 
 
 def test_upper_semicontinuity_on_arrangement_edges():
