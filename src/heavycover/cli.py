@@ -32,9 +32,9 @@ from .dual import (
     max_dual_depth_point,
 )
 from .errors import HeavyCoverError, InternalError, ParseError, UnsupportedError
-from .exactgeom import Point, scalar
+from .exactgeom import Point, homog, scalar
 from .selection import (
-    closed_depth_count,
+    _closed_depth_homog,
     colorful_depth,
     depth_naive,
     depth_planar_sweep,
@@ -146,8 +146,14 @@ def _plot_points(args, pset, q=None, argmax=None, witness=None, title=""):
         raise UnsupportedError("only planar datasets can be plotted")
     pts = list(pset.points) + ([q] if q else []) + ([argmax] if argmax else [])
     bbox = bounding_box(pts)
-    grid = depth_grid(lambda x, y: closed_depth_count(Point(x, y), pset.points),
-                      bbox, args.grid)
+    pts_h = [homog(p) for p in pset.points]
+
+    def count_at(x, y):
+        # the cell centre's homogeneous coordinates, straight from its Fractions
+        return _closed_depth_homog((x.numerator * y.denominator, y.numerator * x.denominator,
+                                    x.denominator * y.denominator), pts_h)
+
+    grid = depth_grid(count_at, bbox, args.grid)
     report = {
         "bbox": [str(v) for v in bbox],
         "grid": grid,

@@ -10,8 +10,10 @@ at a point off every line, with no two lines parallel, the dual depth is
 C(n, 3) minus the triples of oriented normals inside an open half-plane: the
 primal angular count fed with integer signs, O(n log n) per point.
 
-``dual_depth_naive`` enumerates the triangles and is the oracle. Every other
-count goes through ``_surrounding``: ``dual_depth_fast``, the closed count at
+``dual_depth_naive`` enumerates every triple and is the oracle: it reads each
+verdict off q's side of every line and each line's side at every arrangement
+vertex, one side vector per query and per vertex. Every other count goes
+through ``_surrounding``: ``dual_depth_fast``, the closed count at
 each arrangement vertex in ``max_dual_depth_point`` and the strict count in
 each cell around a vertex in ``_max_strict_dual``, O(n^3 log n) per search.
 """
@@ -48,11 +50,11 @@ from .exactgeom import (
 from .selection import (
     _angle_keys,
     _avoiding_triples,
+    _count_hits,
     _depth_report,
     _homog_lex_cmp,
     _icross,
     _scan,
-    _tally,
     binom,
     DepthReport,
 )
@@ -135,30 +137,50 @@ def surround_projection(q: Point, lines) -> bool:
     return point_in_simplex(q, feet).in_closed
 
 
-def _triple_triangles(coeffs):
-    """(triple index, triangle) pairs for all 3-subsets with no parallel pair."""
+def _surrounded_hits(qh, coeffs):
+    """(triple, interior) for each 3-subset of the integer lines ``coeffs``
+    with no parallel pair whose closed triangle contains q = ``qh``.
+
+    The closed triangle of lines i, j, k is the intersection of the three
+    closed half-planes of line i holding the opposite corner v_jk, and so on,
+    so q's side of every line is taken once, and each line's side at each
+    arrangement vertex once. A triple is out when q lies strictly on the wrong
+    side of one of its lines; otherwise q is inside, strictly iff it is on none
+    of them. A corner on its opposite line makes the triple concurrent (all
+    three corner sides zero): its triangle is the common point, which holds q
+    only when q is on all three lines."""
     n = len(coeffs)
-    inter = {}
-    for i, j in itertools.combinations(range(n), 2):
-        inter[(i, j)] = intersect_lines_homog(coeffs[i], coeffs[j])
-    triples = []
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, b, c = inter[(i, j)], inter[(i, k)], inter[(j, k)]
-        if a[2] == 0 or b[2] == 0 or c[2] == 0:
+    q_side = _sides(qh, coeffs)
+    corner = {}
+    for j, k in itertools.combinations(range(n), 2):
+        v = intersect_lines_homog(coeffs[j], coeffs[k])
+        if v[2]:
+            corner[j, k] = _sides(v, coeffs)
+    for idx in itertools.combinations(range(n), 3):
+        i, j, k = idx
+        ij, ik, jk = corner.get((i, j)), corner.get((i, k)), corner.get((j, k))
+        if ij is None or ik is None or jk is None:
             continue
-        triples.append(((i, j, k), (a, b, c)))
-    return triples
+        si, sj, sk = q_side[i], q_side[j], q_side[k]
+        ci = jk[i]
+        if ci == 0:
+            if si == sj == sk == 0:
+                yield idx, False
+        elif si * ci >= 0 and sj * ik[j] >= 0 and sk * ij[k] >= 0:
+            yield idx, bool(si and sj and sk)
 
 
 def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> DepthReport:
-    """Exhaustive dual depth: closed surround test on every 3-subset."""
+    """Exhaustive dual depth: every 3-subset of lines with no parallel pair
+    gets a closed surround verdict, read off q's side of each line and each
+    line's side at the opposite corner (``_surrounded_hits``)."""
     if q.dim != 2:
         raise DimensionError("dual depth is planar only")
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    count, strict, witnesses = _tally(homog(q), _triple_triangles(family.coeffs),
-                                      witness_limit)
+    count, strict, witnesses = _count_hits(_surrounded_hits(homog(q), family.coeffs),
+                                           witness_limit)
     return _depth_report(count, binom(n, 3), n, 2,
                          strict=strict, witnesses=witnesses, method="naive")
 

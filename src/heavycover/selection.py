@@ -39,6 +39,7 @@ from .errors import (
 from .exactgeom import (
     ContainmentVerdict,
     Point,
+    _in_closed_hull,
     _simplex_verdict,
     dehomog,
     general_position_report,
@@ -175,37 +176,77 @@ def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naiv
     )
 
 
-def _tally(qh, simplices, witness_limit):
-    """The exhaustive counters' one tally: (count, strict count, witnesses)
-    of q = ``qh`` against each closed simplex of ``simplices``, pairs of an
-    index tuple and its homogeneous vertices. ``witnesses`` holds the first
-    ``witness_limit`` index tuples whose simplex contains q."""
+def _count_hits(hits, witness_limit):
+    """(count, strict count, witnesses) of the (index tuple, interior) pairs
+    ``hits`` of the simplices that contain q; ``witnesses`` holds the first
+    ``witness_limit`` of those index tuples."""
     count = 0
     strict = 0
     witnesses = []
-    for idx, hv in simplices:
-        verdict = _simplex_verdict(qh, hv)
-        if verdict is ContainmentVerdict.OUTSIDE:
-            continue
+    for idx, interior in hits:
         count += 1
-        if verdict is ContainmentVerdict.INTERIOR:
-            strict += 1
+        strict += interior
         if len(witnesses) < witness_limit:
             witnesses.append(idx)
     return count, strict, witnesses
 
 
-def _subsets(points, index_tuples):
-    """(index tuple, homogeneous vertices) for each tuple of indices into
-    ``points``, with every point homogenized once."""
-    pts_h = [homog(p) for p in points]
-    return ((idx, [pts_h[i] for i in idx]) for idx in index_tuples)
+def _planar_hits(qh, pts_h, triples):
+    """(triple, interior) for each closed triangle of ``triples``, index
+    triples into the planar homogeneous points ``pts_h``, that contains q.
+
+    One table per query: T[i][j] = det(q, p_i, p_j) = (q x p_i) . p_j, three
+    multiplies an entry over the 2x2 minors q x p_i. Kept as sign bits (1 for
+    > 0, 2 for < 0), since only signs decide. A triangle (i, j, k), in any
+    vertex order, has barycentric numerators b = (T[j][k], T[k][i], T[i][j]):
+    it is OUTSIDE when one b is > 0 and another < 0, and INTERIOR when all
+    three are nonzero and agree. By w_q * det(p_i, p_j, p_k) = b0*w_i + b1*w_j
+    + b2*w_k with every w > 0, the triangle's own orientation is nonzero when
+    the b agree and one is nonzero (q is then on its boundary), and zero when
+    all b are zero: a flat triangle with q on its line, which keeps the exact
+    ``_in_closed_hull`` test."""
+    qx, qy, qw = qh
+    minors = [(qy * w - qw * y, qw * x - qx * w, qx * y - qy * x) for x, y, w in pts_h]
+    table = [[a * x + b * y + c * w for x, y, w in pts_h] for a, b, c in minors]
+    signs = [[(t > 0) | (t < 0) << 1 for t in row] for row in table]
+    q = None
+    for idx in triples:
+        i, j, k = idx
+        b0, b1, b2 = signs[j][k], signs[k][i], signs[i][j]
+        seen = b0 | b1 | b2  # 3: both signs, 0: all zero
+        if seen == 3:
+            continue
+        if seen == 0:
+            if q is None:
+                q = dehomog(qh)
+            if not _in_closed_hull(q, [dehomog(pts_h[v]) for v in idx]):
+                continue
+        yield idx, bool(b0 and b1 and b2)
+
+
+def _tally(qh, pts_h, index_tuples, witness_limit):
+    """The exhaustive counters' one tally: (count, strict count, witnesses)
+    of q = ``qh`` against the closed simplex of each index tuple into the
+    homogeneous points ``pts_h``, every simplex enumerated. Planar triangles
+    read their verdicts off one sign table per query (``_planar_hits``);
+    other dimensions take ``_simplex_verdict`` per simplex."""
+    if len(qh) == 3:
+        hits = _planar_hits(qh, pts_h, index_tuples)
+    else:
+        verdicts = ((idx, _simplex_verdict(qh, [pts_h[i] for i in idx]))
+                    for idx in index_tuples)
+        hits = ((idx, v is ContainmentVerdict.INTERIOR) for idx, v in verdicts
+                if v is not ContainmentVerdict.OUTSIDE)
+    return _count_hits(hits, witness_limit)
 
 
 def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> DepthReport:
     """Exhaustive closed simplicial depth in any dimension.
 
-    Counts the (d+1)-subsets of the set whose closed simplex contains q.
+    Counts the (d+1)-subsets of the set whose closed simplex contains q,
+    enumerating every one. In the plane each verdict comes from the signs of
+    one table of det(q, p_i, p_j) per query (see ``_planar_hits``); a flat
+    triangle through q goes to the exact hull test.
     """
     d = pset.dim
     if q.dim != d:
@@ -213,8 +254,9 @@ def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> Dept
     n = pset.n
     if n < d + 1:
         raise DomainError(f"depth query needs at least d+1 = {d + 1} points, got {n}")
-    simplices = _subsets(pset.points, itertools.combinations(range(n), d + 1))
-    count, strict, witnesses = _tally(homog(q), simplices, witness_limit)
+    count, strict, witnesses = _tally(homog(q), [homog(p) for p in pset.points],
+                                      itertools.combinations(range(n), d + 1),
+                                      witness_limit)
     return _depth_report(count, binom(n, d + 1), n, d,
                          strict=strict, witnesses=witnesses, method="naive")
 
@@ -356,8 +398,8 @@ def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> D
     total = 1
     for ix in class_indices:
         total *= len(ix)
-    simplices = _subsets(pset.points, itertools.product(*class_indices))
-    count, strict, witnesses = _tally(homog(q), simplices, witness_limit)
+    count, strict, witnesses = _tally(homog(q), [homog(p) for p in pset.points],
+                                      itertools.product(*class_indices), witness_limit)
     return _depth_report(count, total, pset.n, d,
                          strict=strict, witnesses=witnesses, method="colorful")
 

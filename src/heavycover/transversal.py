@@ -20,7 +20,6 @@ from .selection import (
     LabeledPointSet,
     SLACK_NUMERATOR,
     _angle_keys,
-    _subsets,
     _tally,
     binom,
     selection_bound,
@@ -161,9 +160,8 @@ def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
             raise DimensionError("point set dimension mismatch")
         if pset.n < k:
             raise DomainError(f"each set needs at least {k} points")
-        image = [_complement_coords(p, basis) for p in pset.points]
-        simplices = _subsets(image, itertools.combinations(range(pset.n), k))
-        count, _, _ = _tally(target, simplices, 0)
+        image = [homog(_complement_coords(p, basis)) for p in pset.points]
+        count, _, _ = _tally(target, image, itertools.combinations(range(pset.n), k), 0)
         total = binom(pset.n, k)
         frac = Fraction(count, total)
         slack = bound - Fraction(SLACK_NUMERATOR, pset.n)

@@ -11,6 +11,7 @@ from heavycover.exactgeom import (
     Hyperplane,
     Point,
     dehomog,
+    intersect_lines_homog,
     project_onto_hyperplane,
     segment_crosses_ray,
 )
@@ -465,3 +466,58 @@ def test_extremal_report_tangent_30():
     assert dual_depth_naive(rep.max_point, family).strict_count == rep.max_count
     assert dual_depth_naive(rep.closed_max_point, family).count == rep.closed_max_count
     assert rep.distance_to_bound < extremal_report(18).distance_to_bound
+
+
+def _reference_dual_tally(q, lines):
+    """(count, strict count, witnesses) from one surround_direct per triple;
+    a surrounding triple holds q strictly iff q is on none of its lines."""
+    count = strict = 0
+    witnesses = []
+    for idx in itertools.combinations(range(len(lines)), 3):
+        triple = [lines[i] for i in idx]
+        if not surround_direct(q, triple):
+            continue
+        count += 1
+        strict += not any(h.contains(q) for h in triple)
+        witnesses.append(idx)
+    return count, strict, tuple(witnesses)
+
+
+def _line_queries(family):
+    """Every arrangement vertex, the midpoint of every two vertices on one
+    line, a point on each line, and a few generic points."""
+    coeffs = family.coeffs
+    verts = {}
+    for i, j in itertools.combinations(range(len(coeffs)), 2):
+        x, y, w = intersect_lines_homog(coeffs[i], coeffs[j])
+        if w:
+            verts.setdefault(i, []).append(dehomog((x, y, w)))
+            verts.setdefault(j, []).append(dehomog((x, y, w)))
+    queries = {p for on_line in verts.values() for p in on_line}
+    for on_line in verts.values():
+        for p, r in itertools.combinations(on_line, 2):
+            queries.add((p + r).scale(Fraction(1, 2)))
+    for a, b, c in coeffs:
+        queries.add(Point(Fraction(c, a), 0) if a else Point(0, Fraction(c, b)))
+    queries |= {Point(Fraction(1, 3), Fraction(2, 7)), Point(-5, Fraction(7, 2)),
+                Point(40, -31)}
+    return sorted(queries)
+
+
+# parallel pairs, concurrent triples (three lines through the origin, three
+# through (2, 2)), and a family in general position
+DUAL_FAMILIES = (
+    LineFamily((Y0, X0, Hyperplane((1, -1), 0), Hyperplane((0, 1), 2),
+                Hyperplane((1, 1), 4), Hyperplane((1, 0), 2), Hyperplane((2, 1), 5))),
+    LineFamily((Y0, Hyperplane((0, 1), 1), Hyperplane((0, 1), -3), X0, DIAG)),
+    random_line_family(7, 41),
+)
+
+
+@pytest.mark.parametrize("fam", DUAL_FAMILIES)
+def test_dual_depth_naive_equals_per_triple_reference(fam):
+    total = binom(fam.n, 3)
+    for q in _line_queries(fam):
+        rep = dual_depth_naive(q, fam, witness_limit=total)
+        assert (rep.count, rep.strict_count, rep.witnesses) == \
+            _reference_dual_tally(q, fam.lines)

@@ -7,7 +7,17 @@ import pytest
 
 from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
-from heavycover.exactgeom import Point, dehomog, general_position_report, homog, intersect_lines_homog, line_through_homog, reduce_homog
+from heavycover.exactgeom import (
+    ContainmentVerdict,
+    Point,
+    dehomog,
+    general_position_report,
+    homog,
+    intersect_lines_homog,
+    line_through_homog,
+    point_in_simplex,
+    reduce_homog,
+)
 from heavycover.selection import (
     FANOUT,
     BoundVariant,
@@ -509,3 +519,98 @@ def test_closed_depth_count_equals_naive_on_segments_and_duplicates():
         oracle = LabeledPointSet(pts)
         for q in queries:
             assert closed_depth_count(q, pts) == depth_naive(q, oracle).count
+
+
+def _reference_tally(q, pts, index_tuples):
+    """(count, strict count, witnesses) from one point_in_simplex per simplex."""
+    count = strict = 0
+    witnesses = []
+    for idx in index_tuples:
+        verdict = point_in_simplex(q, [pts[i] for i in idx])
+        if verdict is ContainmentVerdict.OUTSIDE:
+            continue
+        count += 1
+        strict += verdict is ContainmentVerdict.INTERIOR
+        witnesses.append(idx)
+    return count, strict, tuple(witnesses)
+
+
+def _tally_of(rep):
+    return rep.count, rep.strict_count, rep.witnesses
+
+
+def _degenerate_queries(pts):
+    """Data points, pair midpoints, points on each pair's line beyond either
+    end, and a few generic points."""
+    queries = list(pts)
+    for p, r in itertools.permutations(pts, 2):
+        queries += [(p + r).scale(Fraction(1, 2)), r + (r - p), p + (p - r).scale(3)]
+    queries += [Point(Fraction(1, 3), Fraction(2, 7)), Point(Fraction(-5, 2), 1),
+                Point(100, -100)]
+    return queries
+
+
+# duplicate points, collinear triples, and flat triangles whose line passes
+# through queries inside and outside their hull
+DEGENERATE_SETS = (
+    (Point(0, 0), Point(0, 0), Point(2, 0), Point(4, 0), Point(1, 3), Point(3, 1)),
+    (Point(0, 0), Point(1, 0), Point(3, 0), Point(1, 1), Point(2, 2), Point(0, 2)),
+    (Point(1, 1), Point(1, 1), Point(1, 1), Point(2, 5)),
+    # mixed denominators
+    (Point(Fraction(1, 3), Fraction(1, 7)), Point(Fraction(5, 2), Fraction(-2, 9)),
+     Point(Fraction(-4, 11), Fraction(3, 5)), Point(Fraction(2, 13), Fraction(9, 4)),
+     Point(Fraction(17, 6), Fraction(7, 3))),
+)
+
+
+@pytest.mark.parametrize("pts", DEGENERATE_SETS)
+def test_depth_naive_equals_per_triangle_reference(pts):
+    pset = LabeledPointSet(pts)
+    triples = list(itertools.combinations(range(len(pts)), 3))
+    for q in _degenerate_queries(pts):
+        assert _tally_of(depth_naive(q, pset, witness_limit=len(triples))) == \
+            _reference_tally(q, pts, triples)
+
+
+def test_depth_naive_equals_per_triangle_reference_seeded():
+    # small integer boxes: many collinear triples and repeated points
+    rng = random.Random(9)
+    for _ in range(8):
+        pts = tuple(Point(rng.randrange(-2, 3), rng.randrange(-2, 3))
+                    for _ in range(rng.randrange(3, 8)))
+        pset = LabeledPointSet(pts)
+        triples = list(itertools.combinations(range(len(pts)), 3))
+        for q in _degenerate_queries(pts[:4]) + [Point(Fraction(rng.randrange(-9, 10), 4),
+                                                       Fraction(rng.randrange(-9, 10), 4))
+                                                 for _ in range(10)]:
+            assert _tally_of(depth_naive(q, pset, witness_limit=len(triples))) == \
+                _reference_tally(q, pts, triples)
+
+
+@pytest.mark.parametrize("pts", DEGENERATE_SETS[:2] + DEGENERATE_SETS[3:])
+def test_colorful_depth_equals_per_triangle_reference(pts):
+    # colors assigned out of index order, so rainbow triples come in arbitrary
+    # vertex order and orientation
+    colors = tuple("cab"[(3 * i + 1) % 3] if i % 2 else "bca"[i % 3]
+                   for i in range(len(pts)))
+    pset = LabeledPointSet(pts, colors=colors)
+    classes = list(pset.color_classes().values())
+    assert len(classes) == 3
+    rainbow = list(itertools.product(*classes))
+    assert any(list(t) != sorted(t) for t in rainbow)
+    for q in _degenerate_queries(pts):
+        assert _tally_of(colorful_depth(q, pset, witness_limit=len(rainbow))) == \
+            _reference_tally(q, pts, rainbow)
+
+
+def test_depth_naive_equals_reference_in_other_dimensions():
+    rng = random.Random(31)
+    pts1 = tuple(Point(rng.randrange(-3, 4)) for _ in range(6))
+    pts3 = tuple(Point(*(rng.randrange(-2, 3) for _ in range(3))) for _ in range(6))
+    for pts in (pts1, pts3):
+        d = pts[0].dim
+        tuples = list(itertools.combinations(range(len(pts)), d + 1))
+        for q in list(pts) + [Point(*(Fraction(rng.randrange(-5, 6), 2) for _ in range(d)))
+                              for _ in range(8)]:
+            rep = depth_naive(q, LabeledPointSet(pts), witness_limit=len(tuples))
+            assert _tally_of(rep) == _reference_tally(q, pts, tuples)

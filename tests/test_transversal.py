@@ -6,7 +6,7 @@ import pytest
 
 from heavycover.datasets import random_point_set
 from heavycover.errors import DegeneracyError, DimensionError, DomainError
-from heavycover.exactgeom import Point
+from heavycover.exactgeom import Point, point_in_simplex
 from heavycover.selection import LabeledPointSet, binom, depth_naive, selection_bound
 from heavycover.transversal import (
     AffineFlat,
@@ -294,3 +294,23 @@ def test_one_dimensional_median_consistency():
         best = max(depth_naive(p, ps).count for p in pts)
         assert best >= (n // 2) * ((n + 1) // 2)
         assert Fraction(best, binom(n, 2)) >= selection_bound(1)
+
+
+def test_verify_transversal_equals_per_triangle_reference_on_planar_images():
+    # points stacked along the flat's direction share an image, and the flat
+    # passes through data points, so images hold duplicates, collinear
+    # triples and the target itself
+    flat = AffineFlat(base=Point(1, 0, 1), directions=(Point(0, 1, 0),))
+    rng = random.Random(12)
+    for _ in range(6):
+        pts = []
+        for _ in range(7):
+            x, z = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            pts.append(Point(x, rng.randrange(-3, 4), z))
+        pts.append(Point(1, 5, 1))
+        pset = LabeledPointSet(tuple(pts))
+        image = project_to_complement(pset, flat).points
+        target = project_to_complement(LabeledPointSet((flat.base,)), flat).points[0]
+        expected = sum(1 for idx in itertools.combinations(range(len(pts)), 3)
+                       if point_in_simplex(target, [image[i] for i in idx]).in_closed)
+        assert verify_transversal(flat, [pset, pset]).per_set[0].count == expected
