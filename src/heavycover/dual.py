@@ -7,15 +7,19 @@ depth. Projecting the query onto each line turns it into a simplicial-depth
 question, and the direction from q to its foot on line k, a·x + b·y = c, is
 the line's normal oriented toward the line, sign(c·w − a·x − b·y)·(a, b). So
 at a point off every line, with no two lines parallel, the dual depth is
-C(n, 3) minus the triples of oriented normals inside an open half-plane: the
-primal angular count fed with integer signs, O(n log n) per point.
+C(n, 3) minus the triples of oriented normals inside an open half-plane.
+
+The normals are fixed per family and a query only picks the sign of each, so
+the family keeps one angular order of its normals over a half turn
+(``LineFamily.order``), and each count is one O(n) integer pass over q's
+sides in that order (``_surrounding``), with no angle keys or sort per query.
 
 ``dual_depth_naive`` enumerates every triple and is the oracle: it reads each
 verdict off q's side of every line and each line's side at every arrangement
 vertex, one side vector per query and per vertex. Every other count goes
 through ``_surrounding``: ``dual_depth_fast``, the closed count at
 each arrangement vertex in ``max_dual_depth_point`` and the strict count in
-each cell around a vertex in ``_max_strict_dual``, O(n^3 log n) per search.
+each cell around a vertex in ``_max_strict_dual``, O(n^3) per search.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .exactgeom import (
 )
 from .selection import (
     _angle_keys,
-    _avoiding_triples,
     _count_hits,
     _depth_report,
     _homog_lex_cmp,
@@ -70,6 +73,8 @@ class LineFamily:
     a·x + b·y = c, index-aligned with ``lines`` and derived once here: every
     count in this module reads them. ``normals`` holds their reduced normals
     (a, b), and ``parallel_pair`` is True iff two of the lines are parallel.
+    ``order`` is the half-turn angular order of the normals every fast count
+    reads (``_half_turn_order``), None when ``parallel_pair`` is set.
     """
 
     lines: tuple
@@ -77,6 +82,7 @@ class LineFamily:
     coeffs: tuple = field(init=False, repr=False, compare=False)
     normals: tuple = field(init=False, repr=False, compare=False)
     parallel_pair: bool = field(init=False, repr=False, compare=False)
+    order: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ls = tuple(self.lines)
@@ -91,7 +97,10 @@ class LineFamily:
         object.__setattr__(self, "coeffs", tuple(line_coeffs_int(h) for h in ls))
         normals = tuple(_normals(self.coeffs))
         object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "parallel_pair", len(set(normals)) < len(normals))
+        parallel_pair = len(set(normals)) < len(normals)
+        object.__setattr__(self, "parallel_pair", parallel_pair)
+        object.__setattr__(self, "order",
+                           None if parallel_pair else _half_turn_order(normals))
 
     @property
     def n(self) -> int:
@@ -215,26 +224,60 @@ def _oriented(normals, sides):
     return [(a, b) if s > 0 else (-a, -b) for (a, b), s in zip(normals, sides) if s]
 
 
-def _surrounding(normals, sides):
+def _half_turn_order(normals):
+    """The lines in the angular order of the signed normals ±(a, b) whose
+    angle lies in [0, π), as (line index, sign g) with g·(a, b) that normal.
+    With no two lines parallel exactly one sign of each line qualifies."""
+    signed = [(g * a, g * b) for a, b in normals for g in (1, -1)]
+    keys, half = _angle_keys(signed)
+    # signed[2i] is +n_i and signed[2i + 1] is −n_i
+    return tuple((p // 2, 1 - 2 * (p % 2))
+                 for _, p in sorted((k, p) for p, k in enumerate(keys) if k < half))
+
+
+def _surrounding(order, sides):
     """Surrounding triples among the lines with a nonzero side, at a point off
-    each of them, given their reduced normals and no two of them parallel:
-    C(m, 3) minus the triples of oriented normals inside an open half-plane."""
-    dirs = _oriented(normals, sides)
-    return math.comb(len(dirs), 3) - _avoiding_triples(dirs)
+    each of them, given the family's half-turn ``order`` (no two lines
+    parallel): C(m, 3) minus the triples of oriented normals inside an open
+    half-plane, O(n).
+
+    Line r's oriented normal s_r·g_r·(a, b) points at its angle θ_r in [0, π)
+    when s_r = g_r·side_r is +1 and at θ_r + π when it is −1. Charging each
+    avoiding triple to its first member counterclockwise, the member r is
+    charged C(u, 2), with u the oriented normals in the open half turn after
+    it: the later +1 lines and the earlier −1 lines when s_r = +1, the later
+    −1 and earlier +1 lines when s_r = −1. With P the running sum of the s
+    before r, that is u = cp − 1 − P or u = cm − 1 + P."""
+    signs = [g * sides[i] for i, g in order]
+    cp = signs.count(1)
+    cm = signs.count(-1)
+    prefix = 0
+    avoiding = 0
+    for s in signs:
+        if s > 0:
+            u = cp - 1 - prefix
+        elif s < 0:
+            u = cm - 1 + prefix
+        else:
+            continue
+        avoiding += u * (u - 1)
+        prefix += s
+    return math.comb(cp + cm, 3) - avoiding // 2
 
 
-def _dual_tables(coeffs):
-    """The integer lines, their reduced normals, and ``turn[i][k]``, the sign
+def _dual_tables(family):
+    """The integer lines, their half-turn order, and ``turn[i][k]``, the sign
     of cross(n_i, n_k): the shared tables of the vertex and cell scans."""
-    normals = _normals(coeffs)
+    normals = family.normals
     turn = [[(c > 0) - (c < 0) for c in (_icross(u, v) for v in normals)]
             for u in normals]
-    return coeffs, normals, turn
+    return family.coeffs, family.order, turn
 
 
 def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     """Dual depth at q from the oriented normals of the lines: C(n, 3) minus
-    the normal triples inside an open half-plane, O(n log n).
+    the normal triples inside an open half-plane, one O(n) pass over q's
+    sides in the family's half-turn order.
 
     q on a line or a parallel pair in the family falls back to the exhaustive
     count; the report's method field records which route ran.
@@ -247,7 +290,7 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     sides = _sides(homog(q), family.coeffs)
     if 0 in sides or family.parallel_pair:
         return replace(dual_depth_naive(q, family), method="naive_fallback")
-    count = _surrounding(family.normals, sides)
+    count = _surrounding(family.order, sides)
     # q off every line means no surrounding triple touches it on its boundary
     return _depth_report(count, binom(n, 3), n, 2, strict=count,
                          method="projection_sweep")
@@ -277,10 +320,10 @@ def _vertex_visit(item, tables):
     of v; the side of L_k is sign(f_k(v))·turn[i][k], so these add l_i·r_i,
     and likewise l_j·r_j."""
     key, (i, j) = item
-    coeffs, normals, turn = tables
+    coeffs, order, turn = tables
     sides = _sides(key, coeffs)
     m = len(coeffs) - 2
-    count = _surrounding(normals, sides) + m
+    count = _surrounding(order, sides) + m
     for row in (turn[i], turn[j]):
         # sides · turn[i] = l_i − r_i, and l_i + r_i = n − 2
         left =(sum(map(operator.mul, sides, row)) + m) // 2
@@ -293,8 +336,8 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     """Global max of closed dual depth over the arrangement vertices of the
     family (complete under closed containment), lexicographic tie-break.
 
-    Each vertex costs one O(n log n) normal count plus two O(n) side tallies
-    (``_vertex_visit``), O(n^3 log n) in all. The winner's count is
+    Each vertex costs one O(n) normal count plus two O(n) side tallies
+    (``_vertex_visit``), O(n^3) in all. The winner's count is
     re-derived by the exhaustive route as an internal consistency check.
     """
     n = family.n
@@ -305,7 +348,7 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = family.coeffs
     [(best_count, best_key)] = _scan(list(_arrangement_vertices(coeffs).items()),
-                                     _vertex_visit, _dual_tables(coeffs), threads)
+                                     _vertex_visit, _dual_tables(family), threads)
     q = dehomog(best_key)
     report = dual_depth_naive(q, family, witness_limit=witness_limit)
     if report.count != best_count:
@@ -724,7 +767,7 @@ def classify_tangents(q: Point, family: LineFamily) -> TangentClassification:
     return TangentClassification(n1, n2, n3)
 
 
-def _cell_counts(coeffs):
+def _cell_counts(family):
     """(strict count, key, i, j, sx, sy) for the cell on side (sx, sy) of each
     arrangement vertex v = L_i ∩ L_j, for a family in general position: the
     four cells around every vertex cover every bounded cell, hence every cell
@@ -733,16 +776,16 @@ def _cell_counts(coeffs):
     Inside such a cell the lines other than i and j keep their side at v, and
     moving from v along sx·u_i + sy·u_j (u = (−b, a), the line's direction)
     puts it on side sy·turn[i][j] of L_i and −sx·turn[i][j] of L_j. The
-    count at a point off every line is strict, so each cell costs one
-    ``_surrounding`` call."""
-    _, normals, turn = _dual_tables(coeffs)
+    count at a point off every line is strict, so each cell costs one O(n)
+    ``_surrounding`` call, O(n^3) in all."""
+    coeffs, order, turn = _dual_tables(family)
     cells = []
     for key, (i, j) in _arrangement_vertices(coeffs).items():
         sides = _sides(key, coeffs)
         t = turn[i][j]
         for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             sides[i], sides[j] = sy * t, -sx * t
-            cells.append((_surrounding(normals, sides), key, i, j, sx, sy))
+            cells.append((_surrounding(order, sides), key, i, j, sx, sy))
     return cells
 
 
@@ -778,13 +821,13 @@ def _max_strict_dual(family: LineFamily):
     """Max over generic points of the strict (open-cell) surround count, with
     the lexicographically least cell point among the maximizers.
 
-    Every cell around every vertex is counted by ``_cell_counts``,
-    O(n^3 log n) in all; only the cells with the top count get their point
+    Every cell around every vertex is counted by ``_cell_counts``, one O(n)
+    count each, O(n^3) in all; only the cells with the top count get their point
     built and go through the scan's tie-break. The winner's count is
     re-derived by the exhaustive route as an internal consistency check.
     """
     coeffs = family.coeffs
-    cells = _cell_counts(coeffs)
+    cells = _cell_counts(family)
     top = max(cell[0] for cell in cells)
     [(best_count, best_key)] = _scan([cell for cell in cells if cell[0] == top],
                                      _cell_visit, coeffs)

@@ -154,22 +154,24 @@ class DepthReport:
 
 @lru_cache(maxsize=None)
 def _report_bounds(n, d):
-    """The GROMOV bound and its small-n slack bound for n points in R^d."""
+    """The GROMOV bound and its small-n slack bound for n points in R^d, and
+    the (numerator, denominator) pair of each for integer comparisons."""
     bound = selection_bound(d, BoundVariant.GROMOV)
-    return bound, bound - Fraction(SLACK_NUMERATOR, n)
+    slack = bound - Fraction(SLACK_NUMERATOR, n)
+    return bound, slack, bound.as_integer_ratio(), slack.as_integer_ratio()
 
 
 def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naive"):
-    bound, slack = _report_bounds(n, d)
-    frac = Fraction(count, total)
+    bound, slack, (bn, bd), (sn, sd) = _report_bounds(n, d)
+    # count/total >= num/den iff count*den >= num*total, as total, den > 0
     return DepthReport(
         count=count,
         total=total,
-        fraction=frac,
+        fraction=Fraction(count, total),
         bound=bound,
-        meets_bound=frac >= bound,
+        meets_bound=count * bd >= bn * total,
         slack_bound=slack,
-        meets_slack_bound=frac >= slack,
+        meets_slack_bound=count * sd >= sn * total,
         strict_count=strict,
         witnesses=tuple(witnesses),
         method=method,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from heavycover.exactgeom import (
     Hyperplane,
     Point,
     dehomog,
+    homog,
     intersect_lines_homog,
     project_onto_hyperplane,
     segment_crosses_ray,
 )
-from heavycover.selection import FANOUT, binom
+from heavycover.selection import FANOUT, _avoiding_triples, binom
 from heavycover.dual import (
     DUAL_BOUND,
     LineFamily,
@@ -159,7 +161,7 @@ def _oracle_families():
 def test_vertex_closed_count_matches_naive_at_every_vertex():
     for fam in _oracle_families():
         coeffs = fam.coeffs
-        tables = dual._dual_tables(coeffs)
+        tables = dual._dual_tables(fam)
         for item in dual._arrangement_vertices(coeffs).items():
             ((count, key),) = dual._vertex_visit(item, tables)
             assert count == dual_depth_naive(dehomog(key), fam).count
@@ -168,11 +170,112 @@ def test_vertex_closed_count_matches_naive_at_every_vertex():
 def test_cell_strict_count_matches_naive_at_every_cell():
     for fam in _oracle_families():
         coeffs = fam.coeffs
-        cells = dual._cell_counts(coeffs)
+        cells = dual._cell_counts(fam)
         assert len(cells) == 4 * binom(fam.n, 2)
         for count, *cell in cells:
             q = dual._cell_point(coeffs, *cell)
             assert count == dual_depth_naive(q, fam).strict_count
+
+
+def _sorted_key_count(fam, sides):
+    """C(m, 3) minus the avoiding triples of the m oriented normals, counted
+    on sorted angle keys: the per-query route the half-turn pass replaced."""
+    dirs = dual._oriented(fam.normals, sides)
+    return math.comb(len(dirs), 3) - _avoiding_triples(dirs)
+
+
+def _off_line_naive(q, fam, sides):
+    """Exhaustive count of the triples among the lines that miss q."""
+    off = [h for h, s in zip(fam.lines, sides) if s]
+    return dual_depth_naive(q, LineFamily(off)).count if len(off) >= 3 else 0
+
+
+def _queries_with_zeros(fam, rng, count):
+    """``count`` each of generic points, points on one line (the foot of a
+    generic point) and arrangement vertices (on two lines)."""
+    coeffs = fam.coeffs
+    out = [rand_q(rng) for _ in range(count)]
+    out += [project_onto_hyperplane(rand_q(rng), rng.choice(fam.lines))
+            for _ in range(count)]
+    pairs = list(itertools.combinations(range(fam.n), 2))
+    for i, j in rng.sample(pairs, min(count, len(pairs))):
+        out.append(dehomog(intersect_lines_homog(coeffs[i], coeffs[j])))
+    return out
+
+
+@pytest.mark.parametrize("fam", [random_line_family(n, 700 + n) for n in range(3, 25)]
+                         + [tangent_family(n) for n in (3, 4, 5, 8, 13, 21, 29, 40)],
+                         ids=lambda fam: fam.provenance or f"n{fam.n}")
+def test_surrounding_equals_sorted_keys_and_naive(fam):
+    rng = random.Random(fam.n)
+    queries = _queries_with_zeros(fam, rng, 2 if fam.n > 24 else 4)
+    zeros = set()
+    for q in queries:
+        sides = dual._sides(homog(q), fam.coeffs)
+        zeros.add(sides.count(0))
+        count = dual._surrounding(fam.order, sides)
+        assert count == _sorted_key_count(fam, sides) == _off_line_naive(q, fam, sides)
+    assert {0, 1, 2} <= zeros
+
+
+@pytest.mark.parametrize("fam", [random_line_family(n, 800 + n) for n in range(3, 25, 3)]
+                         + [tangent_family(n) for n in range(3, 41, 4)],
+                         ids=lambda fam: fam.provenance or f"n{fam.n}")
+def test_surrounding_equals_sorted_keys_on_side_vectors(fam):
+    # any side vector, realizable by a point or not, with up to two zeros as
+    # the vertex and cell scans pass them
+    rng = random.Random(fam.n)
+    for _ in range(60):
+        sides = [rng.choice((1, -1)) for _ in range(fam.n)]
+        for i in rng.sample(range(fam.n), rng.randrange(min(fam.n, 2) + 1)):
+            sides[i] = 0
+        assert dual._surrounding(fam.order, sides) == _sorted_key_count(fam, sides)
+
+
+# normals on the half-turn boundary: x = c has normal (1, 0) at angle 0 and
+# its opposite at angle pi, y = c has (0, 1) at pi/2, x - y = c points below
+# the x axis and is stored with sign -1
+BOUNDARY_FAMILIES = (
+    LineFamily((X0, Y0, DIAG)),
+    LineFamily((Hyperplane((1, -1), 1), Hyperplane((1, 0), 3), Hyperplane((0, 1), -2),
+                Hyperplane((1, 1), 0), Hyperplane((2, -1), 1), Hyperplane((-1, 3), 2))),
+    LineFamily((Hyperplane((0, 1), 5), Hyperplane((-1, 1), 0), Hyperplane((1, 0), -1),
+                Hyperplane((1, 2), 2), Hyperplane((3, -1), -4))),
+)
+
+
+def test_half_turn_order_on_boundary_normals():
+    assert TRIANGLE.order == ((1, 1), (2, 1), (0, 1))  # x, x + y, y: 0, pi/4, pi/2
+    assert LineFamily((Y0, Hyperplane((0, 2), 2), X0)).order is None
+    for fam in BOUNDARY_FAMILIES:
+        assert sorted(i for i, _ in fam.order) == list(range(fam.n))
+        for i, g in fam.order:
+            a, b = fam.normals[i]
+            assert g * b > 0 or (b == 0 and g * a > 0)  # angle in [0, pi)
+        angles = [(g * fam.normals[i][0], g * fam.normals[i][1]) for i, g in fam.order]
+        assert all(dual._icross(u, v) > 0 for u, v in zip(angles, angles[1:]))
+
+
+@pytest.mark.parametrize("fam", BOUNDARY_FAMILIES)
+def test_surrounding_on_boundary_normals(fam):
+    for q in _line_queries(fam):
+        sides = dual._sides(homog(q), fam.coeffs)
+        count = dual._surrounding(fam.order, sides)
+        assert count == _sorted_key_count(fam, sides) == _off_line_naive(q, fam, sides)
+
+
+def test_dual_counts_take_no_angle_keys_per_query(monkeypatch):
+    fam = random_line_family(9, 88)
+    tangent = tangent_family(9)
+    expected = (max_dual_depth_point(fam), dual._max_strict_dual(tangent),
+                dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam))
+
+    def no_keys(dirs):
+        raise AssertionError("angle keys built per query")
+
+    monkeypatch.setattr(dual, "_angle_keys", no_keys)
+    assert (max_dual_depth_point(fam), dual._max_strict_dual(tangent),
+            dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam)) == expected
 
 
 def test_max_dual_depth_point_examples():
@@ -466,6 +569,15 @@ def test_extremal_report_tangent_30():
     assert dual_depth_naive(rep.max_point, family).strict_count == rep.max_count
     assert dual_depth_naive(rep.closed_max_point, family).count == rep.closed_max_count
     assert rep.distance_to_bound < extremal_report(18).distance_to_bound
+
+
+def test_extremal_report_tangent_60():
+    # the tightness corollary at scale: the strict max meets floor(n^3/27)
+    rep = extremal_report(60)
+    family = tangent_family(60)
+    assert rep.max_count == rep.product_bound_floor == 60 ** 3 // 27 == 8000
+    assert dual_depth_naive(rep.max_point, family).strict_count == 8000
+    assert dual_depth_naive(rep.closed_max_point, family).count == rep.closed_max_count
 
 
 def _reference_dual_tally(q, lines):
