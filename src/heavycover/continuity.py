@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import Point, dehomog, scalar
+from .exactgeom import Point, dehomog, homog, scalar
 from .selection import (
     LabeledPointSet,
     _checked_max,
@@ -59,7 +59,11 @@ class MotionPath:
         return self.keyframes[0][1].dim
 
     def at(self, t) -> LabeledPointSet:
-        """Exact per-point linear interpolation at rational time t in [0, 1]."""
+        """Exact per-point linear interpolation at rational time t in [0, 1].
+
+        With lam = (t - t0)/(t1 - t0) = k/m and keyframe points (u, w) and
+        (v, z) in homogeneous coordinates, each coordinate is
+        (u·z·(m - k) + v·w·k) / (w·z·m): integers, then one Fraction."""
         t = scalar(t)
         if t < 0 or t > 1:
             raise DomainError("time must lie in [0, 1]")
@@ -67,11 +71,15 @@ class MotionPath:
         for (t0, ps0), (t1, ps1) in zip(frames, frames[1:]):
             if t0 <= t <= t1:
                 lam = (t - t0) / (t1 - t0)
-                pts = tuple(
-                    Point(*(a + lam * (b - a) for a, b in zip(p.coords, r.coords)))
-                    for p, r in zip(ps0.points, ps1.points)
-                )
-                return LabeledPointSet(pts, provenance=f"path@t={t}")
+                k, m = lam.numerator, lam.denominator
+                pts = []
+                for p, r in zip(ps0.points, ps1.points):
+                    *us, w = homog(p)
+                    *vs, z = homog(r)
+                    fu, fv, den = z * (m - k), w * k, w * z * m
+                    pts.append(Point(*(Fraction(u * fu + v * fv, den)
+                                       for u, v in zip(us, vs))))
+                return LabeledPointSet(tuple(pts), provenance=f"path@t={t}")
         raise InternalError("time not covered by keyframes")
 
 

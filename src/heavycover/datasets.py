@@ -21,7 +21,7 @@ from .errors import (
     HeavyCoverError,
     ParseError,
 )
-from .exactgeom import Hyperplane, Point, general_position_report, lines_general_position_report
+from .exactgeom import Hyperplane, Point, _line_violations, general_position_report
 from .selection import LabeledPointSet
 
 KINDS = ("POINTS", "LINES", "COLORED_POINTS", "PATH")
@@ -279,7 +279,7 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
                 continue
             lines = tuple(Hyperplane((a, b), a * x + b * y) for a, b, x, y in draws)
             family = LineFamily(lines, provenance=f"seed:{seed}")
-            if not lines_general_position_report(family.lines):
+            if not _line_violations(family.coeffs):
                 return family
     raise GenerationError("no general-position line family after "
                           f"{MAX_RETRIES * (LINE_SPAN_DOUBLINGS + 1)} tries")

@@ -40,13 +40,12 @@ from .errors import (
 from .exactgeom import (
     Hyperplane,
     Point,
+    _line_violations,
     _simplex_verdict,
     dehomog,
     homog,
     intersect_lines_homog,
     line_coeffs_int,
-    lines_general_position_report,
-    point_in_simplex,
     project_onto_hyperplane,
     reduce_homog,
     scalar,
@@ -92,9 +91,11 @@ class LineFamily:
         for h in ls:
             if h.dim != 2:
                 raise DimensionError("line families are planar")
-        if len(set(ls)) != len(ls):
+        coeffs = tuple(line_coeffs_int(h) for h in ls)
+        # reduced integer lines are canonical: equal triples, equal lines
+        if len(set(coeffs)) != len(coeffs):
             raise DomainError("line family has coincident members")
-        object.__setattr__(self, "coeffs", tuple(line_coeffs_int(h) for h in ls))
+        object.__setattr__(self, "coeffs", coeffs)
         normals = tuple(_normals(self.coeffs))
         object.__setattr__(self, "normals", normals)
         parallel_pair = len(set(normals)) < len(normals)
@@ -136,14 +137,23 @@ def surround_projection(q: Point, lines) -> bool:
         raise DomainError("surround tests take exactly three lines")
     if q.dim != 2 or any(h.dim != 2 for h in lines):
         raise DimensionError("surround_projection is planar only")
-    for a, b in itertools.combinations(range(3), 2):
-        if lines[a].normal == lines[b].normal:
+    cs = [line_coeffs_int(h) for h in lines]
+    for (a1, b1, _), (a2, b2, _) in itertools.combinations(cs, 2):
+        if a1 * b2 == a2 * b1:
             raise DegeneracyError("parallel pair: projection equivalence needs "
                                   "pairwise nonparallel lines")
-    if any(h.contains(q) for h in lines):
-        raise DegeneracyError("query point lies on a line")
-    feet = [project_onto_hyperplane(q, h) for h in lines]
-    return point_in_simplex(q, feet).in_closed
+    # the foot of q = (x, y, w) on a·x + b·y = c is q + s·(a, b)/(w·N) with
+    # N = a² + b² and s = c·w − a·x − b·y; every weight w·N is positive, so
+    # the feet go to the verdict unreduced
+    x, y, w = homog(q)
+    feet = []
+    for a, b, c in cs:
+        s = c * w - a * x - b * y
+        if s == 0:
+            raise DegeneracyError("query point lies on a line")
+        n2 = a * a + b * b
+        feet.append((x * n2 + s * a, y * n2 + s * b, w * n2))
+    return _simplex_verdict((x, y, w), feet).in_closed
 
 
 def _surrounded_hits(qh, coeffs):
@@ -343,7 +353,7 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     n = family.n
     if n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")
-    violations = lines_general_position_report(family.lines)
+    violations = _line_violations(family.coeffs)
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = family.coeffs
@@ -656,7 +666,7 @@ def find_unexposed_point(family: LineFamily):
     from functools import cmp_to_key
 
     n = family.n
-    violations = lines_general_position_report(family.lines)
+    violations = _line_violations(family.coeffs)
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
     coeffs = family.coeffs

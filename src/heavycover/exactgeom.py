@@ -3,6 +3,13 @@
 Every coordinate is a ``fractions.Fraction`` and every operation is exact; the
 library never rounds. Hot paths clear denominators once and work on integer
 homogeneous coordinates, so determinant signs reduce to big-int arithmetic.
+
+On integers: ``orientation``, ``point_in_simplex`` (``_simplex_verdict``),
+``segment_crosses_ray``, ``general_position_report`` and
+``lines_general_position_report`` (``_line_violations`` on the reduced lines of
+``line_coeffs_int``), with the line helpers ``intersect_lines_homog`` and
+``line_through_homog``. On ``Fraction``s: ``Hyperplane.side``,
+``project_onto_hyperplane``, ``_solve_exact`` and the flat-simplex hull test.
 """
 
 from __future__ import annotations
@@ -384,41 +391,44 @@ def project_onto_hyperplane(q: Point, h: Hyperplane) -> Point:
     return Point(*(c - t * nc for c, nc in zip(q.coords, h.normal)))
 
 
-def _cross2(ax, ay, bx, by):
-    return ax * by - ay * bx
-
-
 def segment_crosses_ray(a: Point, b: Point, q: Point, direction: Point) -> bool:
     """True iff the closed segment [a, b] meets the closed ray {q + t*dir, t >= 0}.
 
     Planar only. q on the segment itself is a caller error (general position).
+    All four points are scaled to integers over their least common
+    denominator; the direction's scale does not change the ray.
     """
     for p in (a, b, q, direction):
         if p.dim != 2:
             raise DimensionError("segment_crosses_ray is planar only")
-    if direction.x == 0 and direction.y == 0:
+    hs = (homog(a), homog(b), homog(q), homog(direction))
+    den = 1
+    for _, _, w in hs:
+        den = den * w // gcd(den, w)
+    (ax, ay), (bx, by), (qx, qy), (dx, dy) = (
+        (x * (den // w), y * (den // w)) for x, y, w in hs)
+    if dx == 0 and dy == 0:
         raise DomainError("ray direction must be nonzero")
-    ab = b - a
-    aq = q - a
-    if _cross2(ab.x, ab.y, aq.x, aq.y) == 0:
+    abx, aby = bx - ax, by - ay
+    aqx, aqy = qx - ax, qy - ay
+    side = abx * aqy - aby * aqx
+    if side == 0:
         # q on the segment's supporting line; on the segment itself is degenerate
-        lo, hi = sorted([Fraction(0), ab.dot(ab)])
-        t = aq.dot(ab)
-        if lo <= t <= hi:
+        t = aqx * abx + aqy * aby
+        if 0 <= t <= abx * abx + aby * aby:
             raise DegeneracyError("query point lies on the segment")
-    det = _cross2(ab.x, ab.y, -direction.x, -direction.y)
-    rhs = q - a
+    det = aby * dx - abx * dy
     if det != 0:
-        s = _cross2(rhs.x, rhs.y, -direction.x, -direction.y) / det
-        t = _cross2(ab.x, ab.y, rhs.x, rhs.y) / det
-        return 0 <= s <= 1 and t >= 0
+        # q - a = s*(b - a) - t*dir by Cramer's rule, both numerators over det
+        s = aqy * dx - aqx * dy
+        t = side
+        if det < 0:
+            det, s, t = -det, -s, -t
+        return 0 <= s <= det and t >= 0
     # Ray parallel to the segment: they meet only if collinear and overlapping.
-    if _cross2(ab.x, ab.y, rhs.x, rhs.y) != 0:
+    if side != 0:
         return False
-    d2 = direction.dot(direction)
-    ta = (a - q).dot(direction) / d2
-    tb = (b - q).dot(direction) / d2
-    return max(ta, tb) >= 0
+    return max((ax - qx) * dx + (ay - qy) * dy, (bx - qx) * dx + (by - qy) * dy) >= 0
 
 
 def general_position_report(points) -> list:
@@ -498,8 +508,13 @@ def lines_general_position_report(lines) -> list:
     for h in ls:
         if h.dim != 2:
             raise DimensionError("lines_general_position_report is planar only")
+    return _line_violations([line_coeffs_int(h) for h in ls])
+
+
+def _line_violations(coeffs) -> list:
+    """``lines_general_position_report`` on reduced integer lines (a, b, c),
+    as ``line_coeffs_int`` gives them."""
     out = []
-    coeffs = [line_coeffs_int(h) for h in ls]
     n = len(coeffs)
     # reduced integer lines are canonical, so parallel lines are coincident
     # exactly when their triples are equal

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
@@ -183,6 +184,16 @@ def _median_interval(vals):
     return s[(n - 1) // 2], s[n // 2]
 
 
+def _cleared(pset):
+    """The set's points as integer pairs over one denominator, the LCM of
+    their weights, and that denominator."""
+    hs = [homog(p) for p in pset.points]
+    den = 1
+    for _, _, w in hs:
+        den = den * w // gcd(den, w)
+    return [(x * (den // w), y * (den // w)) for x, y, w in hs], den
+
+
 def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
     """Transversal line for two planar sets via an exact direction sweep.
 
@@ -193,23 +204,25 @@ def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
     complete scan. The returned line passes through the midpoint of the
     overlap of the two median intervals and is guaranteed to touch at least
     floor((n_i-1)/2) * ceil((n_i-1)/2) of each set's C(n_i, 2) pairs.
+
+    Each set's points are cleared to integers over one denominator (the LCM
+    of their weights) once, so every candidate projects, sorts and takes
+    medians on ints; only the winning line's bounds become Fractions.
     """
     for pset in (set0, set1):
         if pset.dim != 2:
             raise DimensionError("find_transversal_line_2d is planar only")
         if pset.n < 2:
             raise DomainError("each set needs at least 2 points")
-    combined = list(set0.points) + list(set1.points)
+    combined = [homog(p) for p in set0.points + set1.points]
     for i, j in itertools.combinations(range(len(combined)), 2):
         if combined[i] == combined[j]:
             raise DegeneracyError("coincident points across the two sets",
                                   [("duplicate", (i, j))])
     criticals = set()
-    for a, b in itertools.combinations(combined, 2):
-        diff = b - a
-        dx = diff.x.numerator * diff.y.denominator
-        dy = diff.y.numerator * diff.x.denominator
-        v = _reduce_dir((-dy, dx))
+    for (x1, y1, w1), (x2, y2, w2) in itertools.combinations(combined, 2):
+        # the normal of the difference, scaled by w1·w2 > 0
+        v = _reduce_dir((y1 * w2 - y2 * w1, x2 * w1 - x1 * w2))
         criticals.add(v)
         criticals.add((-v[0], -v[1]))
     criticals = list(criticals)
@@ -219,15 +232,17 @@ def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         candidates.append(_reduce_dir((a[0] + b[0], a[1] + b[1])))
     candidates.extend(ordered)
+    pts0, den0 = _cleared(set0)
+    pts1, den1 = _cleared(set1)
     for vx, vy in candidates:
-        proj0 = [vx * p.x + vy * p.y for p in set0.points]
-        proj1 = [vx * p.x + vy * p.y for p in set1.points]
-        lo0, hi0 = _median_interval(proj0)
-        lo1, hi1 = _median_interval(proj1)
-        lo, hi = max(lo0, lo1), min(hi0, hi1)
-        if lo > hi:
+        # projections and medians over den0 and den1, compared crosswise
+        lo0, hi0 = _median_interval([vx * x + vy * y for x, y in pts0])
+        lo1, hi1 = _median_interval([vx * x + vy * y for x, y in pts1])
+        lo = (lo0, den0) if lo0 * den1 >= lo1 * den0 else (lo1, den1)
+        hi = (hi0, den0) if hi0 * den1 <= hi1 * den0 else (hi1, den1)
+        if lo[0] * hi[1] > hi[0] * lo[1]:
             continue
-        c = (lo + hi) / 2
+        c = (Fraction(*lo) + Fraction(*hi)) / 2
         den = vx * vx + vy * vy
         flat = AffineFlat(base=Point(Fraction(vx, den) * c, Fraction(vy, den) * c),
                           directions=(Point(-vy, vx),))

@@ -5,6 +5,7 @@ import pytest
 
 from heavycover.cli import UsageError, build_parser, run_command
 from heavycover.datasets import Dataset, emit_dataset, random_point_set
+from heavycover.selection import LabeledPointSet
 
 TRIANGLE = '{"kind":"POINTS","points":[["0","0"],["4","0"],["0","4"]]}'
 TRILINES = ('{"kind":"LINES","lines":['
@@ -253,3 +254,20 @@ def test_plot_svg_is_pinned(name, tmp_path):
     plot = tmp_path / "plot.svg"
     assert run_command(argv + ["--plot", str(plot), "--grid", "40"]) == 0
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == PINNED_PLOT[name]
+
+
+# sha256 of transversal --out on a near-convex two-class set read with --in:
+# the median sweep projects points whose denominators all differ
+PINNED_TRANSVERSAL_MIXED_DENOMINATORS = \
+    "86604df35581b03e88330cfb83e475bba3aef48bb42b3af7f679317645700cfc"
+
+
+def test_transversal_mixed_denominator_out_is_pinned(tmp_path):
+    data = tmp_path / "near_convex.json"
+    base = random_point_set(16, 15, near_convex=True)
+    pset = LabeledPointSet(base.points, colors=tuple(i % 2 for i in range(16)))
+    data.write_text(emit_dataset(Dataset("COLORED_POINTS", points=pset)))
+    out = tmp_path / "out.json"
+    assert run_command(["transversal", "--in", str(data), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        PINNED_TRANSVERSAL_MIXED_DENOMINATORS

@@ -248,3 +248,33 @@ def test_continuity_demo_equals_per_sample_searches():
         report = continuity_demo(crafted_jump_path(), 21, tau, half, Fraction(3))
         assert report.jump_count >= 1 and report.degenerate_samples >= 1
         assert report == _per_sample_report(crafted_jump_path(), 21, tau, half, Fraction(3))
+
+
+def _reference_at(path, t):
+    """The Fraction interpolation of ``MotionPath.at``, kept as an oracle for
+    the one on homogeneous coordinates."""
+    for (t0, ps0), (t1, ps1) in zip(path.keyframes, path.keyframes[1:]):
+        if t0 <= t <= t1:
+            lam = (t - t0) / (t1 - t0)
+            return tuple(Point(*(a + lam * (b - a) for a, b in zip(p.coords, r.coords)))
+                         for p, r in zip(ps0.points, ps1.points))
+    raise AssertionError("time not covered")
+
+
+def test_motion_path_at_equals_fraction_interpolation():
+    # keyframes at uneven times; near-convex frames give every point its own
+    # denominator, and a frame of integers and a frame of halves mix with them
+    ints = LabeledPointSet(tuple(Point(k, k * k - 3) for k in range(6)))
+    halves = LabeledPointSet(tuple(Point(Fraction(2 * k + 1, 2), -k) for k in range(6)))
+    path = MotionPath(((0, random_point_set(6, 4, near_convex=True)),
+                       (Fraction(1, 7), ints),
+                       (Fraction(2, 3), halves),
+                       (1, random_point_set(6, 5))))
+    times = {Fraction(j, 100) for j in range(101)} | {Fraction(1, 7), Fraction(2, 3)}
+    for t in sorted(times):
+        got = path.at(t)
+        assert got.points == _reference_at(path, t)
+        assert [repr(p) for p in got.points] == [repr(p) for p in _reference_at(path, t)]
+        assert got.provenance == f"path@t={t}"
+    with pytest.raises(DomainError):
+        path.at(Fraction(-1, 9))

@@ -7,13 +7,14 @@ import pytest
 
 from heavycover import dual
 from heavycover.datasets import random_line_family
-from heavycover.errors import DegeneracyError, DomainError
+from heavycover.errors import DegeneracyError, DimensionError, DomainError
 from heavycover.exactgeom import (
     Hyperplane,
     Point,
     dehomog,
     homog,
     intersect_lines_homog,
+    point_in_simplex,
     project_onto_hyperplane,
     segment_crosses_ray,
 )
@@ -633,3 +634,75 @@ def test_dual_depth_naive_equals_per_triple_reference(fam):
         rep = dual_depth_naive(q, fam, witness_limit=total)
         assert (rep.count, rep.strict_count, rep.witnesses) == \
             _reference_dual_tally(q, fam.lines)
+
+
+def _reference_surround_projection(q, lines):
+    """The Fraction-arithmetic projection surround test, kept as an oracle
+    for the integer one."""
+    lines = list(lines)
+    if len(lines) != 3:
+        raise DomainError("surround tests take exactly three lines")
+    if q.dim != 2 or any(h.dim != 2 for h in lines):
+        raise DimensionError("surround_projection is planar only")
+    for a, b in itertools.combinations(range(3), 2):
+        if lines[a].normal == lines[b].normal:
+            raise DegeneracyError("parallel pair")
+    if any(h.contains(q) for h in lines):
+        raise DegeneracyError("query point lies on a line")
+    feet = [project_onto_hyperplane(q, h) for h in lines]
+    return point_in_simplex(q, feet).in_closed
+
+
+def _outcome(f, *args):
+    """The result of f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def test_surround_projection_equals_reference_on_large_denominators():
+    # queries over denominators up to 2^61 - 1 and lines with rational
+    # coefficients; every fourth query is moved onto one of the lines
+    rng = random.Random(29)
+    big = (7, 9973, 2 ** 31 - 1, 2 ** 61 - 1)
+    seen = set()
+    for t in range(3000):
+        fam = random_line_family(3, rng.randrange(10 ** 6))
+        lines = [Hyperplane((Fraction(a, k), Fraction(b, k)), Fraction(c, k))
+                 for (a, b, c), k in zip(fam.coeffs, (1, 3, 7))]
+        den = rng.choice(big)
+        q = Point(Fraction(rng.randrange(-6 * den, 6 * den + 1), den),
+                  Fraction(rng.randrange(-6 * den, 6 * den + 1), den))
+        if t % 4 == 3:
+            q = project_onto_hyperplane(q, lines[t % 3])
+        got = _outcome(surround_projection, q, lines)
+        assert got == _outcome(_reference_surround_projection, q, lines), (q, lines)
+        seen.add(got)
+    assert seen == {True, False, DegeneracyError}
+
+
+def test_surround_projection_errors_equal_reference():
+    plane = Hyperplane((1, 2, 3), 4)
+    cases = [
+        (Point(1, 1), TRIANGLE.lines[:2]),                            # two lines
+        (Point(1, 1, 1), TRIANGLE.lines),                             # 3d query
+        (Point(1, 1), (Y0, X0, plane)),                               # 3d plane
+        (Point(1, 1), (Y0, Hyperplane((0, -3), 6), X0)),              # parallel
+        (Point(0, 0), (Y0, Hyperplane((0, -3), 6), X0)),              # and on one
+        (Point(2, 2), (Y0, X0, DIAG)),                                # on x + y = 4
+        (Point(Fraction(1, 3), Fraction(1, 5)), (Y0, X0, DIAG)),      # inside
+        (Point(Fraction(-1, 3), Fraction(1, 5)), (Y0, X0, DIAG)),     # outside
+    ]
+    outcomes = [_outcome(surround_projection, q, ls) for q, ls in cases]
+    assert outcomes == [_outcome(_reference_surround_projection, q, ls) for q, ls in cases]
+    assert outcomes == [DomainError, DimensionError, DimensionError, DegeneracyError,
+                        DegeneracyError, DegeneracyError, True, False]
+
+
+def test_line_family_rejects_coincident_members():
+    for lines in ((Y0, X0, Hyperplane((0, -2), 0)),
+                  (DIAG, Hyperplane((Fraction(1, 3), Fraction(1, 3)), Fraction(4, 3)))):
+        with pytest.raises(DomainError, match="^line family has coincident members$"):
+            LineFamily(lines)
+    assert LineFamily((Y0, Hyperplane((0, -2), 1))).parallel_pair

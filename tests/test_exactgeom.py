@@ -11,8 +11,10 @@ from heavycover.exactgeom import (
     ContainmentVerdict,
     Hyperplane,
     Point,
+    _line_violations,
     general_position_report,
     homog,
+    line_coeffs_int,
     lines_general_position_report,
     orientation,
     point_in_simplex,
@@ -294,3 +296,146 @@ def test_exact_objects_pickle_and_copy():
             assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
     family = pickle.loads(pickle.dumps(objects[3]))
     assert family.coeffs == objects[3].coeffs and family.normals == objects[3].normals
+
+
+def _reference_segment_crosses_ray(a, b, q, direction):
+    """The Fraction-arithmetic ray-crossing test, kept as an oracle for the
+    integer one."""
+    def cross(ax, ay, bx, by):
+        return ax * by - ay * bx
+
+    for p in (a, b, q, direction):
+        if p.dim != 2:
+            raise DimensionError("segment_crosses_ray is planar only")
+    if direction.x == 0 and direction.y == 0:
+        raise DomainError("ray direction must be nonzero")
+    ab = b - a
+    aq = q - a
+    if cross(ab.x, ab.y, aq.x, aq.y) == 0:
+        lo, hi = sorted([Fraction(0), ab.dot(ab)])
+        t = aq.dot(ab)
+        if lo <= t <= hi:
+            raise DegeneracyError("query point lies on the segment")
+    det = cross(ab.x, ab.y, -direction.x, -direction.y)
+    rhs = q - a
+    if det != 0:
+        s = cross(rhs.x, rhs.y, -direction.x, -direction.y) / det
+        t = cross(ab.x, ab.y, rhs.x, rhs.y) / det
+        return 0 <= s <= 1 and t >= 0
+    if cross(ab.x, ab.y, rhs.x, rhs.y) != 0:
+        return False
+    d2 = direction.dot(direction)
+    ta = (a - q).dot(direction) / d2
+    tb = (b - q).dot(direction) / d2
+    return max(ta, tb) >= 0
+
+
+def _outcome(f, *args):
+    """The result of f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _ray_cases():
+    a, b = P(1, 0), P(3, 2)  # the segment from (1, 0) to (3, 2) on y = x - 1
+    c, e = P(Fraction(1, 3), Fraction(2, 7)), P(Fraction(-5, 11), Fraction(9, 13))
+    f = P(Fraction(1, 17), Fraction(-3, 19))
+    return [
+        (a, b, P(2, 1), P(0, 1)),                   # q on the segment
+        (a, b, a, P(1, 5)),                         # q at an endpoint
+        (a, b, P(5, 4), P(1, 0)),                   # q on the line, beyond b
+        (a, b, P(0, -1), P(0, 1)),                  # q on the line, before a
+        (a, b, P(5, 4), P(-1, -1)),                 # ... ray along the segment
+        (a, b, P(5, 4), P(1, 1)),                   # ... ray away from it
+        (a, b, P(0, 2), P(3, -2)),                  # ray through endpoint b
+        (a, b, P(1, 3), P(0, -1)),                  # ray through endpoint a
+        (a, b, P(0, 0), P(1, 1)),                   # parallel, no overlap
+        (a, b, P(-1, -2), P(1, 1)),                 # collinear, overlapping
+        (a, b, P(-1, -2), P(-1, -1)),               # collinear, pointing away
+        (a, b, P(0, 5), P(0, 0)),                   # zero direction
+        (a, b, P(2, 1), P(0, 0)),                   # zero direction, q on segment
+        (a, a, P(1, 0), P(1, 1)),                   # a point segment through q
+        (a, a, P(0, 0), P(1, 0)),                   # a point segment: always degenerate
+        (c, e, f, (c + e).scale(Fraction(1, 2)) - f),  # mixed denominators,
+        (c, e, f, f - (c + e).scale(Fraction(1, 2))),  # toward and away
+        (P(1, 2, 3), P(0, 1, 1), P(2, 2, 2), P(1, 0, 0)),  # not planar
+        (a, b, P(0, 0), P(1, 0, 0)),                # planar points, 3d direction
+    ]
+
+
+def test_segment_crosses_ray_equals_reference_on_edge_cases():
+    outcomes = []
+    for a, b, q, d in _ray_cases():
+        got = _outcome(segment_crosses_ray, a, b, q, d)
+        assert got == _outcome(_reference_segment_crosses_ray, a, b, q, d), (a, b, q, d)
+        assert _outcome(segment_crosses_ray, b, a, q, d) == got
+        outcomes.append(got)
+    assert outcomes == [
+        DegeneracyError, DegeneracyError, False, False, True, False, True, True,
+        False, True, False, DomainError, DomainError, DegeneracyError, DegeneracyError,
+        True, False, DimensionError, DimensionError]
+
+
+def test_segment_crosses_ray_equals_reference_on_mixed_denominators():
+    # every endpoint, query and direction draws its own denominator, so the
+    # four points share none; small numerators make on-line queries and
+    # parallel rays common
+    rng = random.Random(11)
+    denoms = (1, 2, 3, 7, 9973, 2 ** 40 + 15)
+
+    def coord():
+        den = rng.choice(denoms)
+        return Fraction(rng.randrange(-3 * den, 3 * den + 1), den) if den > 9 \
+            else Fraction(rng.randrange(-4, 5), den)
+
+    seen = set()
+    for _ in range(3000):
+        a, b, q, d = (P(coord(), coord()) for _ in range(4))
+        got = _outcome(segment_crosses_ray, a, b, q, d)
+        assert got == _outcome(_reference_segment_crosses_ray, a, b, q, d), (a, b, q, d)
+        seen.add(got)
+    assert seen == {True, False, DegeneracyError, DomainError}
+
+
+def _reference_line_violations(lines):
+    """Violations read off the Fraction hyperplanes: parallel pairs by their
+    canonical normals, coincident ones by equality, concurrent triples by an
+    exact Fraction intersection."""
+    out = []
+    n = len(lines)
+    for i, j in itertools.combinations(range(n), 2):
+        if lines[i].normal == lines[j].normal:
+            out.append(("coincident" if lines[i] == lines[j] else "parallel", (i, j)))
+    for i, j, k in itertools.combinations(range(n), 3):
+        if len({lines[m].normal for m in (i, j, k)}) < 3:
+            continue
+        (a1, b1), (a2, b2) = lines[i].normal, lines[j].normal
+        c1, c2 = lines[i].offset, lines[j].offset
+        det = a1 * b2 - a2 * b1
+        x = P((c1 * b2 - b1 * c2) / det, (a1 * c2 - c1 * a2) / det)
+        if lines[k].contains(x):
+            out.append(("concurrent", (i, j, k)))
+    return sorted(out, key=lambda v: (len(v[1]), v[1]))
+
+
+def test_line_violations_equal_reference_on_degenerate_families():
+    # coefficients from a tiny range, scaled by rational factors, make
+    # parallel, coincident and concurrent members common
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(300):
+        lines = []
+        size = rng.randrange(3, 9)
+        while len(lines) < size:
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            if a or b:
+                k = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+                lines.append(Hyperplane((k * a, k * b), k * rng.randrange(-2, 3)))
+        report = lines_general_position_report(lines)
+        assert report == _line_violations([line_coeffs_int(h) for h in lines])
+        assert sorted(report, key=lambda v: (len(v[1]), v[1])) == \
+            _reference_line_violations(lines)
+        kinds.update(kind for kind, _ in report)
+    assert kinds == {"parallel", "coincident", "concurrent"}

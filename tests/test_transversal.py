@@ -314,3 +314,106 @@ def test_verify_transversal_equals_per_triangle_reference_on_planar_images():
         expected = sum(1 for idx in itertools.combinations(range(len(pts)), 3)
                        if point_in_simplex(target, [image[i] for i in idx]).in_closed)
         assert verify_transversal(flat, [pset, pset]).per_set[0].count == expected
+
+
+def _reference_find_transversal_line_2d(set0, set1):
+    """The Fraction-arithmetic direction sweep, kept as an oracle for the
+    integer one: the same candidates in the same order, with every
+    projection and median a Fraction."""
+    from heavycover.dual import _reduce_dir
+    from heavycover.selection import _angle_keys
+
+    for pset in (set0, set1):
+        if pset.dim != 2:
+            raise DimensionError("find_transversal_line_2d is planar only")
+        if pset.n < 2:
+            raise DomainError("each set needs at least 2 points")
+    combined = list(set0.points) + list(set1.points)
+    for i, j in itertools.combinations(range(len(combined)), 2):
+        if combined[i] == combined[j]:
+            raise DegeneracyError("coincident points across the two sets",
+                                  [("duplicate", (i, j))])
+    criticals = set()
+    for a, b in itertools.combinations(combined, 2):
+        diff = b - a
+        dx = diff.x.numerator * diff.y.denominator
+        dy = diff.y.numerator * diff.x.denominator
+        v = _reduce_dir((-dy, dx))
+        criticals.add(v)
+        criticals.add((-v[0], -v[1]))
+    criticals = list(criticals)
+    keys, _ = _angle_keys(criticals)
+    ordered = [v for _, v in sorted(zip(keys, criticals))]
+    candidates = [_reduce_dir((a[0] + b[0], a[1] + b[1]))
+                  for a, b in zip(ordered, ordered[1:] + ordered[:1])]
+    candidates.extend(ordered)
+    for vx, vy in candidates:
+        s0 = sorted(vx * p.x + vy * p.y for p in set0.points)
+        s1 = sorted(vx * p.x + vy * p.y for p in set1.points)
+        lo = max(s0[(len(s0) - 1) // 2], s1[(len(s1) - 1) // 2])
+        hi = min(s0[len(s0) // 2], s1[len(s1) // 2])
+        if lo > hi:
+            continue
+        c = (lo + hi) / 2
+        den = vx * vx + vy * vy
+        flat = AffineFlat(base=Point(Fraction(vx, den) * c, Fraction(vy, den) * c),
+                          directions=(Point(-vy, vx),))
+        return flat, verify_transversal(flat, [set0, set1])
+    raise AssertionError("no median overlap")
+
+
+def _outcome(sweep, set0, set1):
+    """(base, direction, per-set counts) of the sweep's line, or the type of
+    the exception it raises."""
+    try:
+        flat, rep = sweep(set0, set1)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return flat.base, flat.directions, [(r.count, r.total) for r in rep.per_set]
+
+
+def _outcomes(set0, set1):
+    """The library's outcome and the reference sweep's."""
+    return (_outcome(find_transversal_line_2d, set0, set1),
+            _outcome(_reference_find_transversal_line_2d, set0, set1))
+
+
+@pytest.mark.parametrize("near_convex", [False, True])
+def test_find_transversal_line_equals_reference(near_convex):
+    # box sets share the denominator 9973; near-convex sets have a different
+    # denominator at nearly every point, and odd/even sizes mix
+    for t in range(14):
+        n0, n1 = 2 + t % 9, 2 + (3 * t) % 10
+        a = random_point_set(n0, 500 + 2 * t, near_convex=near_convex)
+        b = random_point_set(n1, 501 + 2 * t, near_convex=near_convex)
+        got, expected = _outcomes(a, b)
+        assert got == expected
+        assert isinstance(got, tuple)
+
+
+def test_find_transversal_line_equals_reference_on_small_grids():
+    # integer and small-denominator grids: projections tie, medians coincide,
+    # and some pairs share a point across the sets
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(60):
+        pts = [Point(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))),
+                     Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 5))))
+               for _ in range(rng.randrange(4, 11))]
+        k = rng.randrange(2, len(pts) - 1)
+        a, b = LabeledPointSet(tuple(pts[:k])), LabeledPointSet(tuple(pts[k:]))
+        got, expected = _outcomes(a, b)
+        assert got == expected
+        seen.add(got if isinstance(got, type) else tuple)
+    assert seen == {tuple, DegeneracyError}
+
+
+def test_find_transversal_line_errors_equal_reference():
+    two = LabeledPointSet((Point(0, 0), Point(1, 1)))
+    cases = [
+        (LabeledPointSet((Point(0, 0, 0), Point(1, 1, 1))), two),   # 3d set
+        (two, LabeledPointSet((Point(5, 5),))),                     # one point
+        (two, LabeledPointSet((Point(2, 2), Point(1, 1)))),         # shared point
+    ]
+    for (a, b), expected in zip(cases, (DimensionError, DomainError, DegeneracyError)):
+        assert _outcomes(a, b) == (expected, expected)
