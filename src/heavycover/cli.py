@@ -415,8 +415,8 @@ def build_parser() -> _Parser:
                            help="query point, e.g. 1,1 or 1/2,3/4")
         if threads:
             p.add_argument("--threads", type=_threads, default=1,
-                           help="parallel scan width, at most the CPU count "
-                                "(default 1)")
+                           help="accepted and has no effect: the search runs "
+                                "in one process (at least 1, default 1)")
         if tangent:
             p.add_argument("--tangent", action="store_true",
                            help="generate a tangent family instead of random lines")
@@ -450,7 +450,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_count, default=50,
                    help="seeded-instance count knob (default 50 = full battery)")
     p.add_argument("--threads", type=_threads, default=1,
-                   help="parallel scan width, at most the CPU count (default 1)")
+                   help="accepted and has no effect: the battery runs in one "
+                        "process (at least 1, default 1)")
     p.add_argument("--out", help="machine-readable JSON report path")
     return parser
 

@@ -320,9 +320,10 @@ def _arrangement_vertices(coeffs):
     return seen
 
 
-def _vertex_visit(item, tables):
+def _vertex_pair(item, tables):
     """Closed dual depth at the vertex v = L_i ∩ L_j of a family in general
-    position, as one (count, key) pair.
+    position, for the ``_arrangement_vertices`` item (v, (i, j)), as one
+    (count, key) pair.
 
     The n − 2 other lines miss v, so their triples count as at any generic
     point. The n − 2 triples {i, j, k} have v as a corner. A triple {i, k, m}
@@ -336,9 +337,9 @@ def _vertex_visit(item, tables):
     count = _surrounding(order, sides) + m
     for row in (turn[i], turn[j]):
         # sides · turn[i] = l_i − r_i, and l_i + r_i = n − 2
-        left =(sum(map(operator.mul, sides, row)) + m) // 2
+        left = (sum(map(operator.mul, sides, row)) + m) // 2
         count += left * (m - left)
-    return ((count, key),)
+    return count, key
 
 
 def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
@@ -347,8 +348,10 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     family (complete under closed containment), lexicographic tie-break.
 
     Each vertex costs one O(n) normal count plus two O(n) side tallies
-    (``_vertex_visit``), O(n^3) in all. The winner's count is
+    (``_vertex_pair``), O(n^3) in all. The winner's count is
     re-derived by the exhaustive route as an internal consistency check.
+    ``threads`` is accepted and has no effect: the scan runs in the calling
+    process.
     """
     n = family.n
     if n < 3:
@@ -356,9 +359,10 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     violations = _line_violations(family.coeffs)
     if violations:
         raise DegeneracyError("line family is not in general position", violations)
-    coeffs = family.coeffs
-    [(best_count, best_key)] = _scan(list(_arrangement_vertices(coeffs).items()),
-                                     _vertex_visit, _dual_tables(family), threads)
+    tables = _dual_tables(family)
+    [(best_count, best_key)] = _scan(
+        _vertex_pair(item, tables)
+        for item in _arrangement_vertices(family.coeffs).items())
     q = dehomog(best_key)
     report = dual_depth_naive(q, family, witness_limit=witness_limit)
     if report.count != best_count:
@@ -820,11 +824,11 @@ def _cell_point(coeffs, key, i, j, sx, sy):
     return Point(Fraction(vx, vw) + t * w[0], Fraction(vy, vw) + t * w[1])
 
 
-def _cell_visit(cell, coeffs):
+def _cell_pair(cell, coeffs):
     """A ``_cell_counts`` entry as one (count, key) pair keyed by its cell
     point."""
     count, key, i, j, sx, sy = cell
-    return ((count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))),)
+    return count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))
 
 
 def _max_strict_dual(family: LineFamily):
@@ -839,8 +843,8 @@ def _max_strict_dual(family: LineFamily):
     coeffs = family.coeffs
     cells = _cell_counts(family)
     top = max(cell[0] for cell in cells)
-    [(best_count, best_key)] = _scan([cell for cell in cells if cell[0] == top],
-                                     _cell_visit, coeffs)
+    [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs)
+                                     for cell in cells if cell[0] == top)
     q = dehomog(best_key)
     strict = dual_depth_naive(q, family).strict_count
     if strict != best_count:

@@ -15,9 +15,10 @@ denominators all differ; its zero entries are the general-position gate.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
 heavy-region witness, and ``dual``'s vertex and cell scans) runs through
-``_scan``, which alone owns the tie-break (higher score, then lexicographically
-least point), the chunking and the process pool. It can score one stream of
-counts several ways at once, so ``continuity`` walks each sample once.
+``_scan``, one in-process loop over a stream of (count, key) pairs that alone
+owns the tie-break (higher score, then lexicographically least point). It can
+score one stream several ways at once, so ``continuity`` walks each sample
+once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -367,7 +367,9 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     Requires q distinct from the data and no data pair collinear with q; any
     collinearity falls back to the exhaustive count (method "naive_fallback").
     """
-    if pset.dim != 2 or q.dim != 2:
+    if q.dim != pset.dim:
+        raise DimensionError(f"query dimension {q.dim} != data dimension {pset.dim}")
+    if pset.dim != 2:
         raise DimensionError("depth_planar_sweep is planar only")
     n = pset.n
     if n < 3:
@@ -576,69 +578,32 @@ def _segment_vertices(i, j, pts, orient, left, scale, depth):
         before += past
 
 
-def _walk_visit(item, tables):
-    """Closed depth at data point p_i for item (i, i), or at each proper
-    crossing on segment p_i p_j for item (i, j), i < j: (count, key) pairs."""
-    i, j = item
-    if i == j:
-        pts, depth = tables[0], tables[-1]
-        return ((depth[i], pts[i]),)
-    return _segment_vertices(i, j, *tables)
+def _walk_pairs(tables):
+    """The walk's (count, key) stream: the closed depth at each data point p_i,
+    followed by that at each proper crossing of every segment p_i p_j, j > i,
+    in order from p_i."""
+    pts, depth = tables[0], tables[-1]
+    n = len(pts)
+    for i in range(n):
+        yield depth[i], pts[i]
+        for j in range(i + 1, n):
+            yield from _segment_vertices(i, j, *tables)
 
 
-def _walk_items(n):
-    """The walk's items: every data point (i, i) and every segment (i, j)."""
-    return list(itertools.combinations_with_replacement(range(n), 2))
-
-
-# Fewest items a scan sends to a process pool; below it, start-up outweighs
-# the split.
-FANOUT = 64
-
-
-def _best(pairs):
-    """The best (score, key) pair by ``_better``; None when there is none."""
-    best = None
-    for score, key in pairs:
-        if best is None or _better(score, key, *best):
-            best = (score, key)
-    return best
-
-
-def _scan_chunk(args):
-    items, visit, shared, scorers = args
-    bests = [None] * len(scorers)
-    for item in items:
-        for count, key in visit(item, shared):
-            for s, scorer in enumerate(scorers):
-                score = count if scorer is None else scorer(count)
-                best = bests[s]
-                if best is None or _better(score, key, *best):
-                    bests[s] = (score, key)
-    return bests
-
-
-def _scan(items, visit, shared, threads=1, scorers=(None,)):
-    """The max-search engine over the (count, key) pairs that
-    ``visit(item, shared)`` returns for each item: for each scorer, the best
+def _scan(pairs, scorers=(None,)):
+    """The max-search engine: one pass over the (count, key) pairs ``pairs``,
+    key a point's homogeneous coordinates, giving for each scorer the best
     (score, key) pair, highest score first, then the lexicographically least
     point; None when there are no pairs. A scorer maps a count to its score;
-    None scores a count as itself.
-
-    With ``threads > 1`` and at least ``FANOUT`` items, contiguous chunks of
-    the items go to a process pool (``visit`` and the scorers must then be
-    picklable, and ``shared`` too); the per-chunk winners merge by the same
-    tie-break, so the result does not depend on ``threads``.
-    """
-    if threads <= 1 or len(items) < FANOUT:
-        return _scan_chunk((items, visit, shared, scorers))
-    chunk = (len(items) + threads - 1) // threads
-    payloads = [(items[s:s + chunk], visit, shared, scorers)
-                for s in range(0, len(items), chunk)]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        chunks = list(ex.map(_scan_chunk, payloads))
-    return [_best(bests[s] for bests in chunks if bests[s] is not None)
-            for s in range(len(scorers))]
+    None scores a count as itself."""
+    bests = [None] * len(scorers)
+    for count, key in pairs:
+        for s, scorer in enumerate(scorers):
+            score = count if scorer is None else scorer(count)
+            best = bests[s]
+            if best is None or _better(score, key, *best):
+                bests[s] = (score, key)
+    return bests
 
 
 def _general_position(orient):
@@ -650,7 +615,7 @@ def _general_position(orient):
     return n >= 3 and zeros == n * n + 2 * n * (n - 1)
 
 
-def _walk_scan(pset: LabeledPointSet, scorers, threads: int = 1):
+def _walk_scan(pset: LabeledPointSet, scorers):
     """One pass of the segment walk over a planar set: the walk tables and the
     best (score, key) of each scorer. The caller checks the dimension.
 
@@ -663,7 +628,7 @@ def _walk_scan(pset: LabeledPointSet, scorers, threads: int = 1):
         violations = general_position_report(pset.points)
         if violations:
             raise DegeneracyError("point set is not in general position", violations)
-    return tables, _scan(_walk_items(pset.n), _walk_visit, tables, threads, scorers)
+    return tables, _scan(_walk_pairs(tables), scorers)
 
 
 def _checked_max(pset: LabeledPointSet, best, witness_limit):
@@ -689,10 +654,12 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     steps across the crossings, O(n^4 log n) in all.
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
+    ``threads`` is accepted and has no effect: the search runs in the calling
+    process.
     """
     if pset.dim != 2:
         raise DimensionError("max_depth_point is planar only")
     if pset.n < 3:
         raise DomainError("need at least 3 points")
-    _, [best] = _walk_scan(pset, (None,), threads)
+    _, [best] = _walk_scan(pset, (None,))
     return _checked_max(pset, best, witness_limit)

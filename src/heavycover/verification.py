@@ -137,7 +137,8 @@ def check_oracle_equivalence(seed, planar_sets=200, dual_sets=200, triples=10_00
 
 def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
     """max_depth_point fraction >= 2/9 - 3/n on every seeded general-position
-    set. The slack constant 3 was calibrated at n <= 12 before freezing."""
+    set. The slack constant 3 was calibrated at n <= 12 before freezing.
+    ``threads`` is passed on to the search, which ignores it."""
     failures = []
     worst = None
     for t in range(trials):
@@ -165,7 +166,8 @@ def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
 # ---------------------------------------------------------------------------
 
 def check_dual_bound(seed, trials=50, sizes=(8, 10, 12), threads=1):
-    """max_dual_depth_point fraction >= 2/9 - 3/n on seeded line families."""
+    """max_dual_depth_point fraction >= 2/9 - 3/n on seeded line families.
+    ``threads`` is passed on to the search, which ignores it."""
     failures = []
     worst = None
     for t in range(trials):
@@ -536,9 +538,9 @@ def battery_json(report: dict) -> str:
 def check_determinism(seed, trials=2, samples=11):
     """The battery (all check families) serializes byte-identically across
     repeated runs and across thread counts, and the dual vertex scan of a
-    seeded n = 12 family (66 vertices, enough to reach the process pool, which
-    the battery's small dual sizes do not) gives the same result at threads 1
-    and 2."""
+    seeded n = 12 family gives the same result at threads 1 and 2. Every
+    search runs in the calling process whatever ``threads`` says, so this
+    guards the public keyword's contract: it never changes a result."""
     runs = [
         battery_json(run_battery(seed=seed, trials=trials, threads=1,
                                  include_determinism=False,
@@ -552,13 +554,13 @@ def check_determinism(seed, trials=2, samples=11):
     ]
     fam = random_line_family(12, seed)
     serial = max_dual_depth_point(fam, threads=1)
-    pooled = max_dual_depth_point(fam, threads=2)
+    two = max_dual_depth_point(fam, threads=2)
     failures = []
     if runs[0] != runs[1]:
         failures.append("repeat run with identical arguments differed")
     if runs[0] != runs[2]:
         failures.append("thread count changed the report bytes")
-    if serial != pooled:
+    if serial != two:
         failures.append("thread count changed the dual vertex scan's result")
     return _check(
         "determinism",
@@ -571,7 +573,8 @@ def check_determinism(seed, trials=2, samples=11):
 def run_battery(seed=42, trials=50, threads=1, include_determinism=True,
                 continuity_samples=101):
     """Run every check family; ``trials`` scales the seeded-instance counts
-    (the defaults reproduce the acceptance-criteria counts exactly)."""
+    (the defaults reproduce the acceptance-criteria counts exactly).
+    ``threads`` is accepted and has no effect on the work or the report."""
     checks = [
         check_oracle_equivalence(seed, planar_sets=4 * trials,
                                  dual_sets=4 * trials, triples=200 * trials),

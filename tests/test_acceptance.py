@@ -8,8 +8,7 @@ frozen acceptance values, not tunables.
 
 from fractions import Fraction
 
-from heavycover import dual, verification
-from heavycover.selection import FANOUT
+from heavycover import verification
 from heavycover.verification import (
     check_base_cut_identity,
     check_continuity,
@@ -114,23 +113,12 @@ def test_criterion_9_determinism():
     _report(9, check)
 
 
-def test_determinism_check_reaches_the_dual_pool(monkeypatch):
-    # the battery's dual families (n = 8, 10) stay below FANOUT vertices; the
-    # check's own n = 12 comparison must hand the dual vertex scan FANOUT or
-    # more items at threads=2. The battery and the pool are stubbed out.
-    calls = []
-    scan = dual._scan
-
-    def serial_scan(items, visit, shared, threads=1):
-        calls.append((len(items), threads))
-        return scan(items, visit, shared)
-
-    monkeypatch.setattr(dual, "_scan", serial_scan)
+def test_determinism_check_fails_a_thread_dependent_scan(monkeypatch):
+    # the battery is stubbed out; a dual scan whose result depends on the
+    # thread count fails the check
     monkeypatch.setattr(verification, "run_battery", lambda **kwargs: {})
     check = check_determinism(SEED)
     assert check["passed"] and check["trials"] == 3
-    assert any(size >= FANOUT and threads == 2 for size, threads in calls)
-    # a scan whose result depends on the thread count fails the check
     monkeypatch.setattr(verification, "max_dual_depth_point",
                         lambda fam, threads=1: threads)
     check = check_determinism(SEED)

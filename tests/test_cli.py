@@ -1,11 +1,18 @@
 import hashlib
 import json
+import multiprocessing.process
 
 import pytest
 
 from heavycover.cli import UsageError, build_parser, run_command
-from heavycover.datasets import Dataset, emit_dataset, random_point_set
-from heavycover.selection import LabeledPointSet
+from heavycover.datasets import (
+    Dataset,
+    emit_dataset,
+    random_line_family,
+    random_point_set,
+)
+from heavycover.dual import max_dual_depth_point
+from heavycover.selection import LabeledPointSet, max_depth_point
 
 TRIANGLE = '{"kind":"POINTS","points":[["0","0"],["4","0"],["0","4"]]}'
 TRILINES = ('{"kind":"LINES","lines":['
@@ -132,6 +139,37 @@ def test_cli_json_and_svg_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("point", ["1", "1,2,3"])
+def test_depth_query_of_wrong_dimension_is_located(point, capsys):
+    # the sweep route reports the dimension mismatch, not "planar only"
+    assert run_command(["depth", "--seed", "1", "--point", point]) == 1
+    err = capsys.readouterr().err
+    dim = len(point.split(","))
+    assert err == f"error: query dimension {dim} != data dimension 2\n"
+
+
+def test_no_search_starts_a_process(tmp_path, monkeypatch):
+    # --threads 2 survives the CPU clamp, and every search still runs in the
+    # calling process with the threads=1 result
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+    def searches(threads):
+        out = tmp_path / f"t{threads}.json"
+        code = run_command(["maxdepth", "--seed", "1", "--n", "14",
+                            "--threads", str(threads), "--out", str(out)])
+        return (max_depth_point(random_point_set(18, 5), threads=threads),
+                max_dual_depth_point(random_line_family(12, 5), threads=threads),
+                code, out.read_bytes())
+
+    serial = searches(1)
+
+    def refuse(process):
+        raise AssertionError("a search started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert searches(2) == serial
+
+
 def test_cli_threads_do_not_change_artifacts(tmp_path):
     reports = []
     for threads in ("1", "2"):
@@ -149,7 +187,7 @@ COUNT_FLAGS = {"maxdepth": ("--n", "--grid"), "maxdual": ("--n", "--grid"),
 
 @pytest.mark.parametrize("command", ["maxdepth", "maxdual", "verify"])
 def test_threads_below_one_is_a_usage_error(command, tmp_path, capsys):
-    # rejected while parsing, before any dataset, plot or worker pool exists
+    # rejected while parsing, before any dataset or plot exists
     plot = tmp_path / "x.svg"
     for flag in ("--threads",) + COUNT_FLAGS[command]:
         argv = [command, "--seed", "1", flag, "0"]

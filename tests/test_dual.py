@@ -18,7 +18,7 @@ from heavycover.exactgeom import (
     project_onto_hyperplane,
     segment_crosses_ray,
 )
-from heavycover.selection import FANOUT, _avoiding_triples, binom
+from heavycover.selection import _avoiding_triples, binom
 from heavycover.dual import (
     DUAL_BOUND,
     LineFamily,
@@ -164,7 +164,7 @@ def test_vertex_closed_count_matches_naive_at_every_vertex():
         coeffs = fam.coeffs
         tables = dual._dual_tables(fam)
         for item in dual._arrangement_vertices(coeffs).items():
-            ((count, key),) = dual._vertex_visit(item, tables)
+            count, key = dual._vertex_pair(item, tables)
             assert count == dual_depth_naive(dehomog(key), fam).count
 
 
@@ -301,8 +301,6 @@ def test_max_dual_depth_vertex_scan_matches_naive_oracle():
 
 
 def test_max_dual_depth_threads_match_serial():
-    # n = 12 has 66 arrangement vertices, enough for the scan to use workers
-    assert binom(12, 2) >= FANOUT
     fam = random_line_family(12, 31)
     q1, r1 = max_dual_depth_point(fam, threads=1)
     q2, r2 = max_dual_depth_point(fam, threads=2)

@@ -19,11 +19,11 @@ from heavycover.exactgeom import (
     reduce_homog,
 )
 from heavycover.selection import (
-    FANOUT,
     BoundVariant,
     _angle_keys,
     _avoiding_triples,
     _general_position,
+    _scan,
     _segment_steps,
     _segment_vertices,
     _walk_tables,
@@ -221,12 +221,30 @@ def test_max_depth_dominates_every_candidate():
 
 
 def test_max_depth_threads_match_serial():
-    # n = 12 has 66 segments, enough for the walk to split them over workers
-    assert binom(12, 2) >= FANOUT
     for ps in (random_point_set(8, 55), random_point_set(12, 56, near_convex=True)):
         q1, r1 = max_depth_point(ps, threads=1)
         q2, r2 = max_depth_point(ps, threads=2)
         assert (q1, r1.count) == (q2, r2.count)
+
+
+def test_scan_contract_over_one_pass():
+    # keys are homogeneous (x, y, w); (2, 4, 2) and (1, 2, 1) are one point
+    stream = [(3, (4, 0, 2)), (5, (2, 6, 2)), (5, (2, 4, 2)), (5, (1, 2, 1)),
+              (5, (1, 3, 1)), (4, (0, 9, 1)), (2, (-1, 7, 1))]
+    scorers = (None, lambda count: count >= 4)
+    expected = [(5, Point(1, 2)), (True, Point(0, 9))]
+    for perm in itertools.permutations(stream):
+        pairs = (pair for pair in perm)
+        bests = _scan(pairs, scorers)
+        assert next(pairs, None) is None
+        assert [(score, dehomog(key)) for score, key in bests] == expected
+    # equal points tie whatever their scaling: the first one seen stays
+    assert _scan(iter([(5, (2, 4, 2)), (5, (1, 2, 1))])) == [(5, (2, 4, 2))]
+    assert _scan(iter([(5, (1, 2, 1)), (5, (2, 4, 2))])) == [(5, (1, 2, 1))]
+    # a lexicographically smaller point wins a tie in either order
+    for pair in ([(5, (1, 3, 1)), (5, (1, 2, 1))], [(5, (1, 2, 1)), (5, (1, 3, 1))]):
+        assert _scan(iter(pair)) == [(5, (1, 2, 1))]
+    assert _scan(iter(())) == [None]
 
 
 HEXAGON = LabeledPointSet((Point(1, 0), Point(0, 1), Point(-1, 1), Point(-1, 0),
