@@ -4,8 +4,9 @@ The maximizing point is not a continuous function of the data: tracking it
 along a piecewise-linear motion exhibits jumps. What persists is the heavy
 region itself, witnessed here by a point of depth at least tau * C(n, 3) at
 every sampled time. The argmax and the witness both come from one pass of the
-segment-arrangement walk of ``selection``, scored twice by its scan engine;
-this module holds no scan of its own.
+segment-arrangement walk of ``selection``, which hands its scan engine each
+segment's best crossing for either score (at most two per segment); this
+module holds no scan of its own.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> De
     gets a closed surround verdict, read off q's side of each line and each
     line's side at the opposite corner (``_surrounded_hits``)."""
     if q.dim != 2:
-        raise DimensionError("dual depth is planar only")
+        raise DimensionError(f"query dimension {q.dim} != data dimension 2")
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
@@ -293,7 +293,7 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     count; the report's method field records which route ran.
     """
     if q.dim != 2:
-        raise DimensionError("dual depth is planar only")
+        raise DimensionError(f"query dimension {q.dim} != data dimension 2")
     n = family.n
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
@@ -546,7 +546,7 @@ def _arc_counts(sorted_dirs, pair_dirs):
 def exposure_profile(q: Point, family: LineFamily) -> ExposureProfile:
     """Crossing-count profile of q against every pair of lines in the family."""
     if q.dim != 2:
-        raise DimensionError("exposure_profile is planar only")
+        raise DimensionError(f"query dimension {q.dim} != data dimension 2")
     n = family.n
     if n < 2:
         raise DomainError("exposure needs at least 2 lines")

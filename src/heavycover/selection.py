@@ -18,7 +18,11 @@ heavy-region witness, and ``dual``'s vertex and cell scans) runs through
 ``_scan``, one in-process loop over a stream of (count, key) pairs that alone
 owns the tie-break (higher score, then lexicographically least point). It can
 score one stream several ways at once, so ``continuity`` walks each sample
-once.
+once. The walk counts every crossing but hands ``_scan`` only each segment's
+best crossing per scorer: points along a segment are in monotone
+lexicographic order, so that is the first (or last) crossing of the
+segment's top score. Only those O(n^2) crossings get homogeneous keys;
+``_segment_vertices`` still yields every crossing, as a test oracle.
 """
 
 from __future__ import annotations
@@ -481,7 +485,7 @@ def _walk_tables(pts):
     determinant of p_a, p_b, p_c, positive iff p_c is left of p_a -> p_b),
     ``left[a][b]``, the number of points strictly left of p_a -> p_b, an
     integer above the square of every crossing key's denominator (the
-    ``scale`` of the walk's sort key, see ``_segment_vertices``), and the
+    ``scale`` of the walk's sort key, see ``_segment_counts``), and the
     closed depth of each data point.
 
     Each determinant is xa*(yb*wc - wb*yc) - ya*(xb*wc - wb*xc) + wa*(xb*yc -
@@ -509,7 +513,7 @@ def _walk_tables(pts):
 def _segment_steps(i, j, pts, orient, left, scale, depth):
     """The closed depth on the open segment p_i p_j just past p_i, and its
     proper crossings: ``floor(t * scale) -> [sum |B|, sum (|B| - |A|), a, b]``
-    (see ``_segment_vertices``). Needs general position.
+    (see ``_segment_counts``). Needs general position.
 
     Near p_i, a triangle without vertex i contains the point iff it contains
     p_i, and one of the C(n-1, 2) triangles i k m iff the direction to p_j
@@ -548,10 +552,10 @@ def _segment_steps(i, j, pts, orient, left, scale, depth):
     return depth[i] - math.comb(n - 1, 2) + (n - 2) + cone, steps
 
 
-def _segment_vertices(i, j, pts, orient, left, scale, depth):
+def _segment_counts(i, j, pts, orient, left, scale, depth):
     """Closed depth at each proper crossing on the open segment p_i p_j, in
-    order from p_i: yields (count, key) with key the crossing's homogeneous
-    coordinates. Needs general position.
+    order from p_i, and each crossing's (a, b): two aligned lists, no keys
+    built. Needs general position.
 
     Depth on the open segment changes only where it crosses a segment p_k p_m
     with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
@@ -563,7 +567,7 @@ def _segment_vertices(i, j, pts, orient, left, scale, depth):
 
     With a = -orient[i][k][m] and b = orient[j][k][m], the homogeneous
     determinants of p_i and p_j against line km, the crossing is
-    b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j), at parameter
+    b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j) (``_crossing_key``), at parameter
     a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
     with a / b, so a / (a + b) orders and groups the crossings of one segment
     the same way; the weights drop out. Distinct such fractions differ by more
@@ -571,23 +575,69 @@ def _segment_vertices(i, j, pts, orient, left, scale, depth):
     group key.
     """
     before, steps = _segment_steps(i, j, pts, orient, left, scale, depth)
-    (xi, yi, wi), (xj, yj, wj) = pts[i], pts[j]
+    counts = []
+    crossings = []
     for t in sorted(steps):
         at_vertex, past, a, b = steps[t]
-        yield before + at_vertex, (b * xi + a * xj, b * yi + a * yj, b * wi + a * wj)
+        counts.append(before + at_vertex)
+        crossings.append((a, b))
         before += past
+    return counts, crossings
 
 
-def _walk_pairs(tables):
-    """The walk's (count, key) stream: the closed depth at each data point p_i,
-    followed by that at each proper crossing of every segment p_i p_j, j > i,
-    in order from p_i."""
+def _crossing_key(pi, pj, a, b):
+    """Homogeneous coordinates of the crossing b * p_i + a * p_j."""
+    (xi, yi, wi), (xj, yj, wj) = pi, pj
+    return b * xi + a * xj, b * yi + a * yj, b * wi + a * wj
+
+
+def _segment_vertices(i, j, *tables):
+    """Every proper crossing on the open segment p_i p_j, in order from p_i,
+    as (count, key) with key its homogeneous coordinates (see
+    ``_segment_counts``). The walk yields only each segment's best few of
+    these; the full stream is the all-vertex oracle for tests."""
+    counts, crossings = _segment_counts(i, j, *tables)
+    pi, pj = tables[0][i], tables[0][j]
+    for count, (a, b) in zip(counts, crossings):
+        yield count, _crossing_key(pi, pj, a, b)
+
+
+def _segment_best(counts, scorer, forward):
+    """Index of the best vertex of one segment for ``scorer``: the first of
+    its top score when the segment runs lexicographically ``forward``, else
+    the last. Points along a segment are in monotone lexicographic order, so
+    that vertex is the one ``_scan``'s tie-break would keep."""
+    scores = counts if scorer is None else list(map(scorer, counts))
+    top = max(scores)
+    if forward:
+        return scores.index(top)
+    return len(scores) - 1 - scores[::-1].index(top)
+
+
+def _walk_pairs(tables, scorers):
+    """The walk's (count, key) stream for ``scorers``: the closed depth at
+    each data point p_i, followed, for every segment p_i p_j, j > i, by that
+    segment's best crossing for each scorer (``_segment_best``), each
+    crossing once and in order from p_i.
+
+    The counts of every crossing are still walked, but keys are built only
+    for the yielded ones, at most len(scorers) per segment. Each pair is a
+    true vertex with its true count, and each scorer's overall best is the
+    best of every segment it lies on, so ``_scan`` over this stream returns
+    what it returns over every vertex."""
     pts, depth = tables[0], tables[-1]
     n = len(pts)
     for i in range(n):
-        yield depth[i], pts[i]
+        pi = pts[i]
+        yield depth[i], pi
         for j in range(i + 1, n):
-            yield from _segment_vertices(i, j, *tables)
+            counts, crossings = _segment_counts(i, j, *tables)
+            if not counts:
+                continue
+            pj = pts[j]
+            forward = _homog_lex_cmp(pi, pj) < 0
+            for v in sorted({_segment_best(counts, scorer, forward) for scorer in scorers}):
+                yield counts[v], _crossing_key(pi, pj, *crossings[v])
 
 
 def _scan(pairs, scorers=(None,)):
@@ -628,7 +678,7 @@ def _walk_scan(pset: LabeledPointSet, scorers):
         violations = general_position_report(pset.points)
         if violations:
             raise DegeneracyError("point set is not in general position", violations)
-    return tables, _scan(_walk_pairs(tables), scorers)
+    return tables, _scan(_walk_pairs(tables, scorers), scorers)
 
 
 def _checked_max(pset: LabeledPointSet, best, witness_limit):
@@ -651,7 +701,8 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     data point or a proper crossing of two segments p_i p_j, p_k p_l (upper
     semicontinuity). The n data-point counts and each segment's count before
     its first crossing come from the orientation table; the rest is integer
-    steps across the crossings, O(n^4 log n) in all.
+    steps across the crossings, O(n^4 log n) in all. Keys are built only for
+    each segment's best crossing, O(n^2) of them (see ``_walk_pairs``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
     ``threads`` is accepted and has no effect: the search runs in the calling

@@ -148,6 +148,16 @@ def test_depth_query_of_wrong_dimension_is_located(point, capsys):
     assert err == f"error: query dimension {dim} != data dimension 2\n"
 
 
+@pytest.mark.parametrize("command", ["dual", "expose"])
+@pytest.mark.parametrize("point", ["1", "1,2,3"])
+def test_line_query_of_wrong_dimension_is_located(command, point, capsys):
+    # a query against planar lines names its own dimension, not "planar only"
+    assert run_command([command, "--seed", "1", "--point", point]) == 1
+    err = capsys.readouterr().err
+    dim = len(point.split(","))
+    assert err == f"error: query dimension {dim} != data dimension 2\n"
+
+
 def test_no_search_starts_a_process(tmp_path, monkeypatch):
     # --threads 2 survives the CPU clamp, and every search still runs in the
     # calling process with the threads=1 result

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heavycover.continuity import _at_least
 from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import (
@@ -24,8 +25,10 @@ from heavycover.selection import (
     _avoiding_triples,
     _general_position,
     _scan,
+    _segment_counts,
     _segment_steps,
     _segment_vertices,
+    _walk_pairs,
     _walk_tables,
     LabeledPointSet,
     binom,
@@ -364,6 +367,76 @@ def test_walk_on_projective_images_with_distinct_denominators():
             assert count == closed_depth_count(q, image.points)
         assert vertices == {_projective_image(q): count
                             for q, count in _walk_vertices(ps).items()}
+
+
+# pairs of points share an x coordinate, so some segments are vertical; the
+# lower point of each such pair comes second, so those segments run backwards
+VERTICALS = LabeledPointSet((Point(0, 3), Point(0, -2), Point(4, 5), Point(4, -1),
+                             Point(-3, 1), Point(2, 2), Point(-3, -4),
+                             Point(Fraction(3, 2), Fraction(-9, 2))))
+
+
+def _every_vertex_pair(tables):
+    """The unpruned stream: every data point, then every crossing of every
+    segment, each with its count."""
+    pts, depth = tables[0], tables[-1]
+    yield from zip(depth, pts)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        yield from _segment_vertices(i, j, *tables)
+
+
+def _walk_test_sets():
+    sets = [HEXAGON, CLOSE_CROSSINGS, VERTICALS]
+    rng = random.Random(1313)
+    for n, near_convex in itertools.product(range(5, 15), (False, True)):
+        sets.append(random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex))
+    images = [LabeledPointSet(tuple(_projective_image(p) for p in ps.points))
+              for ps in sets[:3] + sets[3::4]]
+    for image in images:
+        assert len({homog(p)[2] for p in image.points}) == image.n
+    return sets + images
+
+
+def test_pruned_walk_bests_equal_scan_over_every_vertex():
+    # per segment the walk yields only each scorer's first (or, on a segment
+    # running lexicographically backwards, last) vertex of top score; the
+    # bests must be those of _scan over every vertex, for monotone scorers,
+    # the witness threshold at every kind of level, and a scorer that is not
+    # monotone in the count
+    backward_ties = 0
+    for ps in _walk_test_sets():
+        assert not general_position_report(ps.points)
+        n = ps.n
+        tables = _walk_tables([homog(p) for p in ps.points])
+        every = list(_every_vertex_pair(tables))
+        attained = sorted({count for count, _ in every})
+        levels = [Fraction(-1), Fraction(0), Fraction(attained[len(attained) // 2], binom(n, 3)),
+                  Fraction(attained[-1], binom(n, 3)), Fraction(attained[-1] + 1, binom(n, 3))]
+        scorers = (None, lambda count: count % 3 == 0) + tuple(_at_least(t, n) for t in levels)
+        truth = {(count, dehomog(key)) for count, key in every}
+        pruned = list(_walk_pairs(tables, scorers))
+        assert {(count, dehomog(key)) for count, key in pruned} <= truth
+        expected = [(score, dehomog(key)) for score, key in _scan(every, scorers)]
+        got = [(score, dehomog(key)) for score, key in _scan(pruned, scorers)]
+        assert got == expected
+        assert expected[-1][0] is False and expected[2][0] is True
+        for i, j in itertools.combinations(range(n), 2):
+            counts = _segment_counts(i, j, *tables)[0]
+            if counts and ps.points[j].coords < ps.points[i].coords:
+                backward_ties += counts.count(max(counts)) > 1
+    assert backward_ties > 0  # the "last vertex of top score" branch decides
+
+
+def test_walk_yields_at_most_one_key_per_segment_and_scorer():
+    # a walk yielding every crossing would exceed this by far
+    ps = random_point_set(12, 1212, near_convex=True)
+    n = ps.n
+    tables = _walk_tables([homog(p) for p in ps.points])
+    assert sum(1 for _ in _every_vertex_pair(tables)) > n + 3 * binom(n, 2)
+    for scorers in ((None,), (None, _at_least(Fraction(1, 5), n)),
+                    (None, _at_least(0, n), lambda count: count % 2 == 1)):
+        pairs = sum(1 for _ in _walk_pairs(tables, scorers))
+        assert n < pairs <= n + len(scorers) * binom(n, 2)
 
 
 def test_orientation_table_entries_stay_small():
