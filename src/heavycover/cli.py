@@ -31,7 +31,13 @@ from .dual import (
     extremal_report,
     max_dual_depth_point,
 )
-from .errors import HeavyCoverError, InternalError, ParseError, UnsupportedError
+from .errors import (
+    DegeneracyError,
+    HeavyCoverError,
+    InternalError,
+    ParseError,
+    UnsupportedError,
+)
 from .exactgeom import Point, homog, scalar
 from .selection import (
     _closed_depth_homog,
@@ -469,6 +475,16 @@ _COMMANDS = {
 }
 
 
+def _first_violation(violations) -> str:
+    """The first general-position violation, its kind and its 0-based input
+    indices, and how many more there are; empty when none is located."""
+    if not violations:
+        return ""
+    kind, idx = violations[0]
+    more = len(violations) - 1
+    return f": {kind} {idx}" + (f" and {more} more" if more else "")
+
+
 def run_command(argv) -> int:
     parser = build_parser()
     try:
@@ -480,6 +496,9 @@ def run_command(argv) -> int:
     except InternalError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except DegeneracyError as exc:
+        print(f"error: {exc}{_first_violation(exc.violations)}", file=sys.stderr)
+        return EXIT_USAGE
     except HeavyCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -174,8 +174,8 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
     A jump is flagged when the argmax moves farther (in max-coordinate
     distance) than ``jump_threshold`` between consecutive non-degenerate
     samples while no data point moved farther than ``data_threshold``
-    (defaulting to the jump threshold itself). Degenerate samples are marked
-    and skipped, never perturbed.
+    (defaulting to the jump threshold itself); a negative threshold is a
+    DomainError. Degenerate samples are marked and skipped, never perturbed.
     """
     if path.dim != 2:
         raise DimensionError("continuity_demo is planar only")
@@ -184,6 +184,10 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
     scorers = (None, _at_least(tau, path.n))
     jump_threshold = scalar(jump_threshold)
     data_threshold = jump_threshold if data_threshold is None else scalar(data_threshold)
+    for name, value in (("jump_threshold", jump_threshold),
+                        ("data_threshold", data_threshold)):
+        if value < 0:
+            raise DomainError(f"{name} must be at least 0, got {value}")
     records = []
     jump_events = []
     all_witnessed = True

@@ -16,10 +16,17 @@ sides in that order (``_surrounding``), with no angle keys or sort per query.
 
 ``dual_depth_naive`` enumerates every triple and is the oracle: it reads each
 verdict off q's side of every line and each line's side at every arrangement
-vertex, one side vector per query and per vertex. Every other count goes
-through ``_surrounding``: ``dual_depth_fast``, the closed count at
-each arrangement vertex in ``max_dual_depth_point`` and the strict count in
-each cell around a vertex in ``_max_strict_dual``, O(n^3) per search.
+vertex. Every other count goes through ``_surrounding``: ``dual_depth_fast``,
+the closed count at each arrangement vertex in ``max_dual_depth_point`` and
+the strict count in each cell around a vertex in ``_max_strict_dual``, O(n^3)
+per search.
+
+Each search builds one vertex table (``_vertex_table``): every vertex
+L_i ∩ L_j with the side of every line there, C(n, 2) side vectors. The
+general-position gate, the vertex and cell scans, the exhaustive re-check of
+each winner and ``find_unexposed_point`` all read that one table;
+``extremal_report`` shares it between its strict and closed searches. The
+public ``dual_depth_naive`` builds its own per query.
 """
 
 from __future__ import annotations
@@ -156,28 +163,26 @@ def surround_projection(q: Point, lines) -> bool:
     return _simplex_verdict((x, y, w), feet).in_closed
 
 
-def _surrounded_hits(qh, coeffs):
-    """(triple, interior) for each 3-subset of the integer lines ``coeffs``
-    with no parallel pair whose closed triangle contains q = ``qh``.
+def _surrounded_hits(q_side, vertices, n):
+    """(triple, interior) for each 3-subset of n lines with no parallel pair
+    whose closed triangle contains q, from q's side of every line ``q_side``
+    and the lines' vertex table ``vertices`` (``_vertex_table``).
 
     The closed triangle of lines i, j, k is the intersection of the three
     closed half-planes of line i holding the opposite corner v_jk, and so on,
-    so q's side of every line is taken once, and each line's side at each
-    arrangement vertex once. A triple is out when q lies strictly on the wrong
-    side of one of its lines; otherwise q is inside, strictly iff it is on none
-    of them. A corner on its opposite line makes the triple concurrent (all
-    three corner sides zero): its triangle is the common point, which holds q
-    only when q is on all three lines."""
-    n = len(coeffs)
-    q_side = _sides(qh, coeffs)
-    corner = {}
-    for j, k in itertools.combinations(range(n), 2):
-        v = intersect_lines_homog(coeffs[j], coeffs[k])
-        if v[2]:
-            corner[j, k] = _sides(v, coeffs)
+    so every verdict reads q's side of each line and each line's side at each
+    arrangement vertex, both taken once. A triple is out when q lies strictly
+    on the wrong side of one of its lines; otherwise q is inside, strictly iff
+    it is on none of them. A corner on its opposite line makes the triple
+    concurrent (all three corner sides zero): its triangle is the common
+    point, which holds q only when q is on all three lines. A parallel pair
+    has no row in the table, so its triples are skipped."""
+    corner = [[None] * n for _ in range(n)]
+    for j, k, _, sides in vertices:
+        corner[j][k] = sides
     for idx in itertools.combinations(range(n), 3):
         i, j, k = idx
-        ij, ik, jk = corner.get((i, j)), corner.get((i, k)), corner.get((j, k))
+        ij, ik, jk = corner[i][j], corner[i][k], corner[j][k]
         if ij is None or ik is None or jk is None:
             continue
         si, sj, sk = q_side[i], q_side[j], q_side[k]
@@ -189,19 +194,25 @@ def _surrounded_hits(qh, coeffs):
             yield idx, bool(si and sj and sk)
 
 
+def _naive_report(q, family, vertices, witness_limit=0):
+    """``dual_depth_naive`` at q on the family's vertex table ``vertices``."""
+    n = family.n
+    count, strict, witnesses = _count_hits(
+        _surrounded_hits(_sides(homog(q), family.coeffs), vertices, n), witness_limit)
+    return _depth_report(count, binom(n, 3), n, 2,
+                         strict=strict, witnesses=witnesses, method="naive")
+
+
 def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> DepthReport:
     """Exhaustive dual depth: every 3-subset of lines with no parallel pair
     gets a closed surround verdict, read off q's side of each line and each
-    line's side at the opposite corner (``_surrounded_hits``)."""
+    line's side at the opposite corner (``_surrounded_hits``), on a vertex
+    table built for this query."""
     if q.dim != 2:
         raise DimensionError(f"query dimension {q.dim} != data dimension 2")
-    n = family.n
-    if n < 3:
+    if family.n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    count, strict, witnesses = _count_hits(_surrounded_hits(homog(q), family.coeffs),
-                                           witness_limit)
-    return _depth_report(count, binom(n, 3), n, 2,
-                         strict=strict, witnesses=witnesses, method="naive")
+    return _naive_report(q, family, _vertex_table(family.coeffs), witness_limit)
 
 
 def _reduce_dir(d):
@@ -275,13 +286,41 @@ def _surrounding(order, sides):
     return math.comb(cp + cm, 3) - avoiding // 2
 
 
+def _vertex_table(coeffs):
+    """The arrangement vertices of the integer lines ``coeffs``: for each pair
+    i < j of nonparallel lines, in combination order, (i, j, v, sides) with
+    v = L_i ∩ L_j as ``intersect_lines_homog`` gives it (weight positive) and
+    ``sides`` the side of every line at v (``_sides``), zero at i, j and any
+    other line through v. One O(n^3) table per search, read by every vertex
+    scan and re-check."""
+    table = []
+    for i, j in itertools.combinations(range(len(coeffs)), 2):
+        v = intersect_lines_homog(coeffs[i], coeffs[j])
+        if v[2]:
+            table.append((i, j, v, _sides(v, coeffs)))
+    return table
+
+
 def _dual_tables(family):
-    """The integer lines, their half-turn order, and ``turn[i][k]``, the sign
-    of cross(n_i, n_k): the shared tables of the vertex and cell scans."""
+    """The shared tables of one dual search: the integer lines, their
+    half-turn order, ``turn[i][k]``, the sign of cross(n_i, n_k), and the
+    vertex table (``_vertex_table``).
+
+    The general-position gate reads the vertex table: each row's sides are
+    zero at its own two lines, so a further zero is a concurrent triple, and
+    ``family.parallel_pair`` covers parallel lines. Only when the gate fails
+    does ``_line_violations`` run, to locate the violations of the
+    DegeneracyError."""
+    coeffs = family.coeffs
+    vertices = _vertex_table(coeffs)
+    if (family.parallel_pair
+            or sum(row[3].count(0) for row in vertices) != 2 * len(vertices)):
+        raise DegeneracyError("line family is not in general position",
+                              _line_violations(coeffs))
     normals = family.normals
     turn = [[(c > 0) - (c < 0) for c in (_icross(u, v) for v in normals)]
             for u in normals]
-    return family.coeffs, family.order, turn
+    return coeffs, family.order, turn, vertices
 
 
 def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
@@ -306,40 +345,38 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
                          method="projection_sweep")
 
 
-def _arrangement_vertices(coeffs):
-    """Reduced homogeneous arrangement vertices, deduplicated, with the index
-    pair of one generating line pair each."""
-    seen = {}
-    for i, j in itertools.combinations(range(len(coeffs)), 2):
-        x, y, w = intersect_lines_homog(coeffs[i], coeffs[j])
-        if w == 0:
-            continue
-        key = reduce_homog((x, y, w))
-        if key not in seen:
-            seen[key] = (i, j)
-    return seen
-
-
-def _vertex_pair(item, tables):
+def _vertex_pair(row, tables):
     """Closed dual depth at the vertex v = L_i ∩ L_j of a family in general
-    position, for the ``_arrangement_vertices`` item (v, (i, j)), as one
-    (count, key) pair.
+    position, for the vertex-table row (i, j, v, sides), as one (count, key)
+    pair.
 
     The n − 2 other lines miss v, so their triples count as at any generic
     point. The n − 2 triples {i, j, k} have v as a corner. A triple {i, k, m}
     holds v on its edge along L_i iff L_k and L_m cross L_i on opposite sides
     of v; the side of L_k is sign(f_k(v))·turn[i][k], so these add l_i·r_i,
     and likewise l_j·r_j."""
-    key, (i, j) = item
-    coeffs, order, turn = tables
-    sides = _sides(key, coeffs)
-    m = len(coeffs) - 2
+    i, j, key, sides = row
+    _, order, turn, _ = tables
+    m = len(sides) - 2
     count = _surrounding(order, sides) + m
-    for row in (turn[i], turn[j]):
+    for turn_row in (turn[i], turn[j]):
         # sides · turn[i] = l_i − r_i, and l_i + r_i = n − 2
-        left = (sum(map(operator.mul, sides, row)) + m) // 2
+        left = (sum(map(operator.mul, sides, turn_row)) + m) // 2
         count += left * (m - left)
     return count, key
+
+
+def _max_closed_dual(family, tables, witness_limit):
+    """``max_dual_depth_point`` on the family's ``_dual_tables``: the vertex
+    scan, then the exhaustive re-check of the winner on the same vertex
+    table."""
+    [(best_count, best_key)] = _scan(_vertex_pair(row, tables) for row in tables[3])
+    q = dehomog(best_key)
+    report = _naive_report(q, family, tables[3], witness_limit)
+    if report.count != best_count:
+        raise InternalError(
+            f"vertex scan count {best_count} != exhaustive count {report.count}")
+    return q, replace(report, method="vertex_scan")
 
 
 def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
@@ -348,27 +385,14 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     family (complete under closed containment), lexicographic tie-break.
 
     Each vertex costs one O(n) normal count plus two O(n) side tallies
-    (``_vertex_pair``), O(n^3) in all. The winner's count is
-    re-derived by the exhaustive route as an internal consistency check.
-    ``threads`` is accepted and has no effect: the scan runs in the calling
-    process.
+    (``_vertex_pair``), O(n^3) in all, on side vectors built once per call
+    (``_vertex_table``). The winner's count is re-derived by the exhaustive
+    route on the same table as an internal consistency check. ``threads`` is
+    accepted and has no effect: the scan runs in the calling process.
     """
-    n = family.n
-    if n < 3:
+    if family.n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")
-    violations = _line_violations(family.coeffs)
-    if violations:
-        raise DegeneracyError("line family is not in general position", violations)
-    tables = _dual_tables(family)
-    [(best_count, best_key)] = _scan(
-        _vertex_pair(item, tables)
-        for item in _arrangement_vertices(family.coeffs).items())
-    q = dehomog(best_key)
-    report = dual_depth_naive(q, family, witness_limit=witness_limit)
-    if report.count != best_count:
-        raise InternalError(
-            f"vertex scan count {best_count} != exhaustive count {report.count}")
-    return q, replace(report, method="vertex_scan")
+    return _max_closed_dual(family, _dual_tables(family), witness_limit)
 
 
 def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
@@ -644,15 +668,16 @@ def almost_exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
     return _mask_to_arcset(almost, profile.directions, "ALMOST_EXPOSED")
 
 
-def _unexposed_at(candidate_h, coeffs, normals, full_pair_total):
-    """Conservative unexposedness certificate at a candidate point.
+def _unexposed_at(sides, normals, full_pair_total):
+    """Conservative unexposedness certificate at a candidate point, from the
+    side of every line there (``_sides``).
 
     Lines through the candidate contribute no well-defined projection
     direction; their pairs are counted as never crossing, which only lowers
     counts and so can only under-certify. A certificate here still implies the
     2/9 depth consequence.
     """
-    dirs = _oriented(normals, _sides(candidate_h, coeffs))
+    dirs = _oriented(normals, sides)
     if len(dirs) < 2:
         return False
     try:
@@ -666,37 +691,37 @@ def _unexposed_at(candidate_h, coeffs, normals, full_pair_total):
 
 def find_unexposed_point(family: LineFamily):
     """First candidate (arrangement vertices in lexicographic order, then edge
-    midpoints) with an empty exposed set; None when no candidate certifies."""
+    midpoints) with an empty exposed set; None when no candidate certifies.
+
+    The vertices, the lines through each and their side vectors come from the
+    vertex table (``_dual_tables``)."""
     from functools import cmp_to_key
 
     n = family.n
-    violations = _line_violations(family.coeffs)
-    if violations:
-        raise DegeneracyError("line family is not in general position", violations)
-    coeffs = family.coeffs
+    coeffs, _, _, vertices = _dual_tables(family)
     normals = family.normals
     pair_total = binom(n, 2) if n >= 2 else 0
-    verts = list(_arrangement_vertices(coeffs))
-    verts.sort(key=cmp_to_key(_homog_lex_cmp))
+    on_line = [[] for _ in coeffs]
+    for i, j, key, _ in vertices:
+        on_line[i].append(key)
+        on_line[j].append(key)
     midpoints = []
-    for i, (a, b, c) in enumerate(coeffs):
-        on_line = []
-        for key in verts:
-            x, y, w = key
-            if a * x + b * y == c * w:
-                on_line.append(Fraction(-b * x + a * y, w))
-        on_line.sort()
+    for (a, b, c), keys in zip(coeffs, on_line):
+        params = sorted(Fraction(-b * x + a * y, w) for x, y, w in keys)
         den = a * a + b * b
-        for s1, s2 in zip(on_line, on_line[1:]):
+        for s1, s2 in zip(params, params[1:]):
             mid = (s1 + s2) / 2
             # the line point whose signed parameter along (-b, a) equals mid
             px = Fraction(a * c, den) - b * mid / den
             py = Fraction(b * c, den) + a * mid / den
             midpoints.append(Point(px, py))
-    mid_keys = sorted({reduce_homog(homog(p)) for p in midpoints},
-                      key=cmp_to_key(_homog_lex_cmp))
-    for key in verts + mid_keys:
-        if _unexposed_at(key, coeffs, normals, pair_total):
+    lex = cmp_to_key(_homog_lex_cmp)
+    mid_keys = sorted({reduce_homog(homog(p)) for p in midpoints}, key=lex)
+    rows = sorted(vertices, key=lambda row: lex(row[2]))
+    candidates = itertools.chain(((key, sides) for _, _, key, sides in rows),
+                                 ((key, _sides(key, coeffs)) for key in mid_keys))
+    for key, sides in candidates:
+        if _unexposed_at(sides, normals, pair_total):
             return dehomog(key)
     return None
 
@@ -781,21 +806,21 @@ def classify_tangents(q: Point, family: LineFamily) -> TangentClassification:
     return TangentClassification(n1, n2, n3)
 
 
-def _cell_counts(family):
+def _cell_counts(tables):
     """(strict count, key, i, j, sx, sy) for the cell on side (sx, sy) of each
-    arrangement vertex v = L_i ∩ L_j, for a family in general position: the
-    four cells around every vertex cover every bounded cell, hence every cell
-    where the strict surround count can be positive.
+    arrangement vertex v = L_i ∩ L_j, from the ``_dual_tables`` of a family in
+    general position: the four cells around every vertex cover every bounded
+    cell, hence every cell where the strict surround count can be positive.
 
     Inside such a cell the lines other than i and j keep their side at v, and
     moving from v along sx·u_i + sy·u_j (u = (−b, a), the line's direction)
     puts it on side sy·turn[i][j] of L_i and −sx·turn[i][j] of L_j. The
     count at a point off every line is strict, so each cell costs one O(n)
-    ``_surrounding`` call, O(n^3) in all."""
-    coeffs, order, turn = _dual_tables(family)
+    ``_surrounding`` call on a copy of the vertex's row, O(n^3) in all."""
+    _, order, turn, vertices = tables
     cells = []
-    for key, (i, j) in _arrangement_vertices(coeffs).items():
-        sides = _sides(key, coeffs)
+    for i, j, key, row in vertices:
+        sides = list(row)
         t = turn[i][j]
         for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             sides[i], sides[j] = sy * t, -sx * t
@@ -831,22 +856,24 @@ def _cell_pair(cell, coeffs):
     return count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))
 
 
-def _max_strict_dual(family: LineFamily):
+def _max_strict_dual(family: LineFamily, tables):
     """Max over generic points of the strict (open-cell) surround count, with
-    the lexicographically least cell point among the maximizers.
+    the lexicographically least cell point among the maximizers, on the
+    family's ``_dual_tables``.
 
     Every cell around every vertex is counted by ``_cell_counts``, one O(n)
     count each, O(n^3) in all; only the cells with the top count get their point
     built and go through the scan's tie-break. The winner's count is
-    re-derived by the exhaustive route as an internal consistency check.
+    re-derived by the exhaustive route on the same vertex table as an internal
+    consistency check.
     """
     coeffs = family.coeffs
-    cells = _cell_counts(family)
+    cells = _cell_counts(tables)
     top = max(cell[0] for cell in cells)
     [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs)
                                      for cell in cells if cell[0] == top)
     q = dehomog(best_key)
-    strict = dual_depth_naive(q, family).strict_count
+    strict = _naive_report(q, family, tables[3]).strict_count
     if strict != best_count:
         raise InternalError(
             f"cell scan count {best_count} != exhaustive strict count {strict}")
@@ -879,14 +906,16 @@ class ExtremalReport:
 
 def extremal_report(n: int) -> ExtremalReport:
     """Run the max searches on tangent_family(n) and compare against the
-    product bound n^3/27 and the 2/9 floor."""
+    product bound n^3/27 and the 2/9 floor. The strict and the closed search
+    read one set of ``_dual_tables``."""
     family = tangent_family(n)
-    strict_max, strict_point = _max_strict_dual(family)
+    tables = _dual_tables(family)
+    strict_max, strict_point = _max_strict_dual(family, tables)
     floor = n ** 3 // 27
     if strict_max > floor:
         raise InternalError(
             f"strict surround count {strict_max} exceeds the product bound {floor}")
-    closed_point, closed_rep = max_dual_depth_point(family)
+    closed_point, closed_rep = _max_closed_dual(family, tables, 3)
     total = binom(n, 3)
     fraction = Fraction(strict_max, total)
     return ExtremalReport(

@@ -158,6 +158,41 @@ def test_line_query_of_wrong_dimension_is_located(command, point, capsys):
     assert err == f"error: query dimension {dim} != data dimension 2\n"
 
 
+def _lines_json(*lines):
+    return json.dumps({"kind": "LINES", "lines": [
+        {"normal": [str(a), str(b)], "offset": str(c)} for a, b, c in lines]})
+
+
+@pytest.mark.parametrize("command, text, err", [
+    # four lines through the origin: C(4, 3) concurrent triples
+    ("maxdual", _lines_json((0, 1, 0), (1, 0, 0), (1, 1, 0), (1, -1, 0), (1, 2, 5)),
+     "error: line family is not in general position: concurrent (0, 1, 2) "
+     "and 3 more\n"),
+    # y = 0 and y = 2, x = 0 and x = 2, and y = 2, x = 2, x + y = 4 through (2, 2)
+    ("maxdual", _lines_json((0, 1, 0), (1, 0, 0), (0, 1, 2), (1, 0, 2), (1, 1, 4)),
+     "error: line family is not in general position: parallel (0, 2) and 2 more\n"),
+    ("maxdepth", '{"kind":"POINTS","points":[["0","0"],["4","0"],["0","4"],'
+                 '["2","0"],["5","7"]]}',
+     "error: point set is not in general position: collinear (0, 1, 3)\n"),
+], ids=["concurrent", "parallel", "collinear"])
+def test_general_position_errors_name_the_first_violation(command, text, err,
+                                                          tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run_command([command, "--in", str(path)]) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--jump-threshold", "-1", "--data-threshold", "100"],
+     "error: jump_threshold must be at least 0, got -1\n"),
+    (["--data-threshold", "-1"], "error: data_threshold must be at least 0, got -1\n"),
+], ids=["jump", "data"])
+def test_sweep_rejects_negative_thresholds(flags, err, capsys):
+    assert run_command(["sweep", "--seed", "1", "--n", "6", *flags]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_no_search_starts_a_process(tmp_path, monkeypatch):
     # --threads 2 survives the CPU clamp, and every search still runs in the
     # calling process with the threads=1 result

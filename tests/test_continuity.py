@@ -162,6 +162,25 @@ def test_continuity_demo_translation_equivariance():
         assert not rec.jump
 
 
+@pytest.mark.parametrize("jump, data, name", [(-1, 100, "jump_threshold"),
+                                              (Fraction(1, 2), Fraction(-1, 9),
+                                               "data_threshold"),
+                                              (Fraction(-1, 2), None, "jump_threshold")],
+                         ids=["jump", "data", "jump-as-data"])
+def test_continuity_demo_rejects_negative_thresholds(jump, data, name):
+    # a negative jump threshold flags samples where the argmax did not move,
+    # and a negative data threshold can flag nothing
+    path = random_motion_path(6, 1)
+    with pytest.raises(DomainError, match=f"^{name} must be at least 0, got "):
+        continuity_demo(path, 5, 0, jump_threshold=jump, data_threshold=data)
+
+
+def test_continuity_demo_accepts_zero_thresholds():
+    path = random_motion_path(6, 1)
+    report = continuity_demo(path, 5, 0, jump_threshold=0, data_threshold=0)
+    assert len(report.records) == 5
+
+
 def test_continuity_demo_crafted_orbit_jumps():
     records = continuity_demo(orbit_fixture(), 21, Fraction(0), Fraction(1, 2),
                               Fraction(3)).records

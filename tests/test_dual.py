@@ -11,9 +11,11 @@ from heavycover.errors import DegeneracyError, DimensionError, DomainError
 from heavycover.exactgeom import (
     Hyperplane,
     Point,
+    _line_violations,
     dehomog,
     homog,
     intersect_lines_homog,
+    line_coeffs_int,
     point_in_simplex,
     project_onto_hyperplane,
     segment_crosses_ray,
@@ -161,17 +163,98 @@ def _oracle_families():
 
 def test_vertex_closed_count_matches_naive_at_every_vertex():
     for fam in _oracle_families():
-        coeffs = fam.coeffs
         tables = dual._dual_tables(fam)
-        for item in dual._arrangement_vertices(coeffs).items():
-            count, key = dual._vertex_pair(item, tables)
+        assert len(tables[3]) == binom(fam.n, 2)
+        for row in tables[3]:
+            count, key = dual._vertex_pair(row, tables)
             assert count == dual_depth_naive(dehomog(key), fam).count
+
+
+# three lines through the origin; and y = 0 parallel to y = 2
+CONCURRENT = LineFamily((Y0, X0, Hyperplane((1, -1), 0), DIAG, Hyperplane((1, 2), 5)))
+PARALLEL = LineFamily((Y0, X0, Hyperplane((0, 1), 2), DIAG))
+
+
+def test_general_position_gate_reads_the_vertex_table(monkeypatch):
+    # the table's verdict agrees with _line_violations on seeded families in
+    # general position and on small-coefficient families full of concurrent
+    # triples and parallel pairs; a rejected family carries exactly the
+    # located violations, on every search that reads the table, and a family
+    # the gate passes never runs _line_violations
+    def unlocated(coeffs):
+        raise AssertionError("_line_violations ran on a family in general position")
+
+    for fam in _oracle_families() + [random_line_family(3, 303)]:
+        assert _line_violations(fam.coeffs) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(dual, "_line_violations", unlocated)
+            dual._dual_tables(fam)
+    rng = random.Random(606)
+    rejected = 0
+    for _ in range(300):
+        n = rng.randrange(3, 8)
+        lines = {}
+        while len(lines) < n:
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            if a or b:
+                h = Hyperplane((a, b), rng.randrange(-2, 3))
+                lines[line_coeffs_int(h)] = h
+        fam = LineFamily(tuple(lines.values()))
+        violations = _line_violations(fam.coeffs)
+        try:
+            dual._dual_tables(fam)
+        except DegeneracyError as err:
+            assert err.violations == violations != []
+            rejected += 1
+        else:
+            assert violations == []
+    assert 0 < rejected < 300
+    for fam in (CONCURRENT, PARALLEL):
+        # extremal_report searches the family it is given in place of the tangent one
+        monkeypatch.setattr(dual, "tangent_family", lambda n, fam=fam: fam)
+        violations = _line_violations(fam.coeffs)
+        assert {kind for kind, _ in violations} == (
+            {"concurrent"} if fam is CONCURRENT else {"parallel"})
+        for search in (max_dual_depth_point, find_unexposed_point,
+                       lambda fam: extremal_report(fam.n)):
+            with pytest.raises(DegeneracyError) as err:
+                search(fam)
+            assert err.value.violations == violations
+
+
+def test_each_vertex_side_vector_is_built_once_per_search(monkeypatch):
+    # one vertex table per search: C(n, 2) side vectors, plus q's own side
+    # vector in each exhaustive re-check
+    sides = dual._sides
+    calls = []
+
+    def counted(qh, coeffs):
+        calls.append(qh)
+        return sides(qh, coeffs)
+
+    monkeypatch.setattr(dual, "_sides", counted)
+    for n in (3, 9, 12):
+        calls.clear()
+        extremal_report(n)
+        assert len(calls) == binom(n, 2) + 2
+    for fam in (TRIANGLE, random_line_family(8, 48), random_line_family(13, 53)):
+        calls.clear()
+        max_dual_depth_point(fam)
+        assert len(calls) == binom(fam.n, 2) + 1
+    for fam in _oracle_families():
+        coeffs = fam.coeffs
+        table = dual._dual_tables(fam)[3]
+        assert [(i, j) for i, j, _, _ in table] == list(
+            itertools.combinations(range(fam.n), 2))
+        for i, j, v, row in table:
+            assert v == intersect_lines_homog(coeffs[i], coeffs[j])
+            assert row == sides(v, coeffs)
 
 
 def test_cell_strict_count_matches_naive_at_every_cell():
     for fam in _oracle_families():
         coeffs = fam.coeffs
-        cells = dual._cell_counts(fam)
+        cells = dual._cell_counts(dual._dual_tables(fam))
         assert len(cells) == 4 * binom(fam.n, 2)
         for count, *cell in cells:
             q = dual._cell_point(coeffs, *cell)
@@ -268,14 +351,15 @@ def test_surrounding_on_boundary_normals(fam):
 def test_dual_counts_take_no_angle_keys_per_query(monkeypatch):
     fam = random_line_family(9, 88)
     tangent = tangent_family(9)
-    expected = (max_dual_depth_point(fam), dual._max_strict_dual(tangent),
+    tables = dual._dual_tables(tangent)
+    expected = (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
                 dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam))
 
     def no_keys(dirs):
         raise AssertionError("angle keys built per query")
 
     monkeypatch.setattr(dual, "_angle_keys", no_keys)
-    assert (max_dual_depth_point(fam), dual._max_strict_dual(tangent),
+    assert (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
             dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam)) == expected
 
 
