@@ -60,17 +60,21 @@ class UsageError(HeavyCoverError):
     pass
 
 
+_SIGNED_OPTIONS = ("--point", "--tau", "--jump-threshold", "--data-threshold")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse takes a value such as "-1,2" for an option, not for
-        # --point; glue it on, so "--point -1,2" reads as "--point=-1,2"
+        # argparse takes a value such as "-1,2" or "-1/5" for an option, not
+        # for the option before it; glue it on, so "--point -1,2" reads as
+        # "--point=-1,2"
         args = list(sys.argv[1:] if args is None else args)
         for k in range(len(args) - 2, -1, -1):
-            if args[k] == "--point" and args[k + 1].startswith("-"):
-                args[k:k + 2] = [f"--point={args[k + 1]}"]
+            if args[k] in _SIGNED_OPTIONS and args[k + 1].startswith("-"):
+                args[k:k + 2] = [f"{args[k]}={args[k + 1]}"]
         return super().parse_known_args(args, namespace)
 
 

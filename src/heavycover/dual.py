@@ -27,6 +27,9 @@ general-position gate, the vertex and cell scans, the exhaustive re-check of
 each winner and ``find_unexposed_point`` all read that one table;
 ``extremal_report`` shares it between its strict and closed searches. The
 public ``dual_depth_naive`` builds its own per query.
+
+Exposure profiles read the same order: the arc counts around a point are one
+O(n) pass (``_arc_profile``), with no per-query sort.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .selection import (
     _angle_keys,
     _count_hits,
     _depth_report,
-    _homog_lex_cmp,
     _icross,
     _scan,
     binom,
@@ -237,12 +239,6 @@ def _sides(qh, coeffs):
         v = c * w - a * x - b * y
         out.append((v > 0) - (v < 0))
     return out
-
-
-def _oriented(normals, sides):
-    """The normals of the lines with a nonzero side, each turned toward its
-    line: the directions from the point to its feet on those lines."""
-    return [(a, b) if s > 0 else (-a, -b) for (a, b), s in zip(normals, sides) if s]
 
 
 def _half_turn_order(normals):
@@ -521,65 +517,63 @@ class ExposureProfile:
         return out
 
 
-def _projection_directions(qh, family):
-    """Reduced integer directions from q = ``qh`` to its projections on the
-    family's lines, index-aligned: each line's normal oriented toward it."""
-    sides = _sides(qh, family.coeffs)
-    if 0 in sides:
-        raise DegeneracyError("query point lies on a line")
-    return _oriented(family.normals, sides)
+def _arc_profile(order, normals, sides):
+    """(direction, count) in cyclic order from angle 0 for each line with a
+    nonzero side: the direction side·(a, b) to the point's foot on it, and
+    the pairs whose closed wedge, narrower than π, covers the open arc after
+    it. One O(n) pass over the half-turn ``order`` (no two lines parallel).
 
-
-def _sorted_cyclic(dirs):
-    """Distinct directions in cyclic angular order; error on ties/antipodes."""
-    keys, half = _angle_keys(dirs)
-    if len({k % half for k in keys}) < len(keys):
-        raise DegeneracyError("projection directions are collinear")
-    return [d for _, d in sorted(zip(keys, dirs))]
-
-
-def _arc_counts(sorted_dirs, pair_dirs):
-    """Wedge accumulation: each pair of directions covers the open arcs inside
-    its width-<pi closed wedge; counts collected by a cyclic diff sweep."""
-    n = len(sorted_dirs)
-    pos = {d: p for p, d in enumerate(sorted_dirs)}
-    diff = [0] * (n + 1)
-
-    def cover(lo, hi):
-        if lo < hi:
-            diff[lo] += 1
-            diff[hi] -= 1
+    Line r at position t of ``order`` has s = g·side; its direction sits at
+    full-turn slot t when s = +1 and t + n when s = −1, so slot order is
+    cyclic order. Its u, the directions in the open half turn after it,
+    follows ``_surrounding``'s rule. The arc after direction D counts Σ u_x
+    over the w directions x with slot in (slot(D) − n, slot(D)], less the
+    C(w, 2) pairs among them. That window holds, at slot t < n, the +1 lines
+    up to t and the −1 lines after it, and at slot t + n the rest."""
+    lines = [(i, g * sides[i]) for i, g in order if sides[i]]
+    m = len(lines)
+    cp = sum(s > 0 for _, s in lines)
+    cm = m - cp
+    # _surrounding's u, restated: a shared helper would slow the scans' loop
+    us = []
+    prefix = 0
+    for _, s in lines:
+        us.append(cp - 1 - prefix if s > 0 else cm - 1 + prefix)
+        prefix += s
+    total = sum(us)
+    # the window of slot t, before the line at position t moves across it
+    window = sum(u for (_, s), u in zip(lines, us) if s < 0)
+    w = cm
+    first, second = [], []
+    for (i, s), u in zip(lines, us):
+        a, b = normals[i]
+        d = (a, b) if sides[i] > 0 else (-a, -b)
+        if s > 0:
+            window += u
+            w += 1
+            first.append((d, window - w * (w - 1) // 2))
         else:
-            diff[lo] += 1
-            diff[n] -= 1
-            diff[0] += 1
-            diff[hi] -= 1
-
-    for a, b in pair_dirs:
-        if _icross(a, b) < 0:
-            a, b = b, a
-        cover(pos[a], pos[b])
-    counts = []
-    acc = 0
-    for i in range(n):
-        acc += diff[i]
-        counts.append(acc)
-    return counts
+            window -= u
+            w -= 1
+            second.append((d, total - window - (m - w) * (m - w - 1) // 2))
+    return first + second
 
 
 def exposure_profile(q: Point, family: LineFamily) -> ExposureProfile:
-    """Crossing-count profile of q against every pair of lines in the family."""
+    """Crossing-count profile of q against every pair of lines in the family,
+    one O(n) pass in the family's half-turn order (``_arc_profile``)."""
     if q.dim != 2:
         raise DimensionError(f"query dimension {q.dim} != data dimension 2")
     n = family.n
     if n < 2:
         raise DomainError("exposure needs at least 2 lines")
-    dirs = _projection_directions(homog(q), family)
-    sorted_dirs = _sorted_cyclic(dirs)
-    pairs = list(itertools.combinations(dirs, 2))
-    counts = _arc_counts(sorted_dirs, pairs)
-    return ExposureProfile(directions=tuple(sorted_dirs),
-                           arc_counts=tuple(counts),
+    sides = _sides(homog(q), family.coeffs)
+    if 0 in sides:
+        raise DegeneracyError("query point lies on a line")
+    if family.parallel_pair:
+        raise DegeneracyError("projection directions are collinear")
+    directions, counts = zip(*_arc_profile(family.order, family.normals, sides))
+    return ExposureProfile(directions=directions, arc_counts=counts,
                            pair_total=binom(n, 2))
 
 
@@ -668,61 +662,57 @@ def almost_exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
     return _mask_to_arcset(almost, profile.directions, "ALMOST_EXPOSED")
 
 
-def _unexposed_at(sides, normals, full_pair_total):
+def _unexposed_at(sides, order, normals, full_pair_total):
     """Conservative unexposedness certificate at a candidate point, from the
-    side of every line there (``_sides``).
+    side of every line there (``_sides``) and the family's half-turn
+    ``order``.
 
     Lines through the candidate contribute no well-defined projection
     direction; their pairs are counted as never crossing, which only lowers
     counts and so can only under-certify. A certificate here still implies the
     2/9 depth consequence.
     """
-    dirs = _oriented(normals, sides)
-    if len(dirs) < 2:
-        return False
-    try:
-        sorted_dirs = _sorted_cyclic(dirs)
-    except DegeneracyError:
-        return False  # cannot certify a degenerate direction configuration
-    counts = _arc_counts(sorted_dirs, list(itertools.combinations(dirs, 2)))
-    threshold = DUAL_BOUND * full_pair_total
-    return all(c >= threshold for c in counts)
+    counts = [c for _, c in _arc_profile(order, normals, sides)]
+    return len(counts) >= 2 and min(counts) >= DUAL_BOUND * full_pair_total
+
+
+def _edge_midpoints(tables, n):
+    """The midpoint of every edge of the arrangement, from the
+    ``_dual_tables`` of n lines in general position: the homogeneous average
+    (x1·w2 + x2·w1, y1·w2 + y2·w1, 2·w1·w2), reduced, of each two consecutive
+    vertices on a line. The vertex L_i ∩ L_j ranks along L_i by the lines
+    that cross L_i before it in direction (−b, a): the k with
+    sides[k]·turn[i][k] = −1, as in ``_vertex_pair``."""
+    _, _, turn, vertices = tables
+    m = n - 2
+    on_line = [[None] * (n - 1) for _ in range(n)]
+    for i, j, v, sides in vertices:
+        for k in (i, j):
+            on_line[k][(m - sum(map(operator.mul, sides, turn[k]))) // 2] = v
+    for row in on_line:
+        for (x1, y1, w1), (x2, y2, w2) in zip(row, row[1:]):
+            yield reduce_homog((x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2))
 
 
 def find_unexposed_point(family: LineFamily):
-    """First candidate (arrangement vertices in lexicographic order, then edge
-    midpoints) with an empty exposed set; None when no candidate certifies.
+    """The lexicographically least arrangement vertex with an empty exposed
+    set, else the least such edge midpoint (``_edge_midpoints``); None when
+    no candidate certifies.
 
-    The vertices, the lines through each and their side vectors come from the
+    Two ``_scan`` passes score each candidate by its certificate
+    (``_unexposed_at``). The vertices and their side vectors come from the
     vertex table (``_dual_tables``)."""
-    from functools import cmp_to_key
-
-    n = family.n
-    coeffs, _, _, vertices = _dual_tables(family)
+    tables = _dual_tables(family)
+    coeffs, order, _, vertices = tables
     normals = family.normals
-    pair_total = binom(n, 2) if n >= 2 else 0
-    on_line = [[] for _ in coeffs]
-    for i, j, key, _ in vertices:
-        on_line[i].append(key)
-        on_line[j].append(key)
-    midpoints = []
-    for (a, b, c), keys in zip(coeffs, on_line):
-        params = sorted(Fraction(-b * x + a * y, w) for x, y, w in keys)
-        den = a * a + b * b
-        for s1, s2 in zip(params, params[1:]):
-            mid = (s1 + s2) / 2
-            # the line point whose signed parameter along (-b, a) equals mid
-            px = Fraction(a * c, den) - b * mid / den
-            py = Fraction(b * c, den) + a * mid / den
-            midpoints.append(Point(px, py))
-    lex = cmp_to_key(_homog_lex_cmp)
-    mid_keys = sorted({reduce_homog(homog(p)) for p in midpoints}, key=lex)
-    rows = sorted(vertices, key=lambda row: lex(row[2]))
-    candidates = itertools.chain(((key, sides) for _, _, key, sides in rows),
-                                 ((key, _sides(key, coeffs)) for key in mid_keys))
-    for key, sides in candidates:
-        if _unexposed_at(sides, normals, pair_total):
-            return dehomog(key)
+    pair_total = math.comb(family.n, 2)
+    phases = (((v, sides) for _, _, v, sides in vertices),
+              ((v, _sides(v, coeffs)) for v in _edge_midpoints(tables, family.n)))
+    for candidates in phases:
+        [best] = _scan((_unexposed_at(sides, order, normals, pair_total), v)
+                       for v, sides in candidates)
+        if best is not None and best[0]:
+            return dehomog(best[1])
     return None
 
 

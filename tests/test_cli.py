@@ -116,14 +116,28 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_command(["unknowncmd"]) == 1
 
 
-@pytest.mark.parametrize("command", ["depth", "dual", "expose"])
-def test_negative_point_value_needs_no_equals_sign(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, option, value", [
+    (["depth"], "--point", "-1,2"),
+    (["dual"], "--point", "-1,2"),
+    (["expose"], "--point", "-1,2"),
+    (["sweep", "--n", "6", "--samples", "3"], "--tau", "-1/5"),
+], ids=["depth", "dual", "expose", "sweep"])
+def test_negative_point_value_needs_no_equals_sign(command, option, value, tmp_path,
+                                                   capsys):
     outputs = []
-    for spelling in (["--point", "-1,2"], ["--point=-1,2"]):
+    for spelling in ([option, value], [f"{option}={value}"]):
         out = tmp_path / "out.json"
-        assert run_command([command, "--seed", "1", *spelling, "--out", str(out)]) == 0
+        assert run_command([*command, "--seed", "1", *spelling, "--out", str(out)]) == 0
         outputs.append((capsys.readouterr().out, out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_expose_on_a_parallel_family_is_an_error(tmp_path, capsys):
+    # y = 0 and y = 2 are parallel; the query between them is off every line
+    path = tmp_path / "in.json"
+    path.write_text(_lines_json((0, 1, 0), (0, 1, 2), (1, 0, 0)))
+    assert run_command(["expose", "--in", str(path), "--point", "1,1"]) == 1
+    assert capsys.readouterr().err == "error: projection directions are collinear\n"
 
 
 def test_cli_json_and_svg_determinism(tmp_path):
@@ -187,7 +201,10 @@ def test_general_position_errors_name_the_first_violation(command, text, err,
     (["--jump-threshold", "-1", "--data-threshold", "100"],
      "error: jump_threshold must be at least 0, got -1\n"),
     (["--data-threshold", "-1"], "error: data_threshold must be at least 0, got -1\n"),
-], ids=["jump", "data"])
+    (["--jump-threshold", "-1/2", "--data-threshold", "100"],
+     "error: jump_threshold must be at least 0, got -1/2\n"),
+    (["--data-threshold", "-1/3"], "error: data_threshold must be at least 0, got -1/3\n"),
+], ids=["jump", "data", "jump-fraction", "data-fraction"])
 def test_sweep_rejects_negative_thresholds(flags, err, capsys):
     assert run_command(["sweep", "--seed", "1", "--n", "6", *flags]) == 1
     assert capsys.readouterr().err == err

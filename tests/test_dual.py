@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -264,7 +265,7 @@ def test_cell_strict_count_matches_naive_at_every_cell():
 def _sorted_key_count(fam, sides):
     """C(m, 3) minus the avoiding triples of the m oriented normals, counted
     on sorted angle keys: the per-query route the half-turn pass replaced."""
-    dirs = dual._oriented(fam.normals, sides)
+    dirs = [(a, b) if s > 0 else (-a, -b) for (a, b), s in zip(fam.normals, sides) if s]
     return math.comb(len(dirs), 3) - _avoiding_triples(dirs)
 
 
@@ -352,15 +353,21 @@ def test_dual_counts_take_no_angle_keys_per_query(monkeypatch):
     fam = random_line_family(9, 88)
     tangent = tangent_family(9)
     tables = dual._dual_tables(tangent)
-    expected = (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
-                dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam))
+    q = Point(Fraction(1, 3), Fraction(2, 7))
+    found = random_line_family(18, 1)
+
+    def routes():
+        return (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
+                dual_depth_fast(q, fam), exposure_profile(q, fam), exposed_arcs(q, fam),
+                almost_exposed_arcs(q, fam), find_unexposed_point(found))
+
+    expected = routes()
 
     def no_keys(dirs):
         raise AssertionError("angle keys built per query")
 
     monkeypatch.setattr(dual, "_angle_keys", no_keys)
-    assert (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
-            dual_depth_fast(Point(Fraction(1, 3), Fraction(2, 7)), fam)) == expected
+    assert routes() == expected
 
 
 def test_max_dual_depth_point_examples():
@@ -463,9 +470,10 @@ def test_exposure_wedge_bookkeeping():
     # each pair contributes exactly to the arcs inside its wedge: summing the
     # per-arc counts reproduces the total number of (pair, arc) incidences
     rng = random.Random(57)
+    sizes = (2, 3, 4, 5, 6, 7, 9, 12, 16, 20)
     checked = 0
-    while checked < 8:
-        fam = random_line_family(4 + checked % 4, 1234 + checked)
+    while checked < len(sizes):
+        fam = random_line_family(sizes[checked], 1234 + checked)
         q = rand_q(rng)
         if any(h.contains(q) for h in fam.lines):
             continue
@@ -484,6 +492,39 @@ def test_exposure_wedge_bookkeeping():
             incidences += inside
         assert sum(profile.arc_counts) == incidences
         checked += 1
+
+
+def _cyclic(dirs):
+    """Nonzero directions sorted by angle in [0, 2pi), by half plane and then
+    by cross product: independent of the half-turn order."""
+    def cmp(u, v):
+        hu = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+        hv = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+        if hu != hv:
+            return 1 if hu else -1
+        return -dual._icross(u, v)
+
+    return sorted(dirs, key=functools.cmp_to_key(cmp))
+
+
+@pytest.mark.parametrize("fam", [random_line_family(n, 1300 + n) for n in range(4, 13)]
+                         + [tangent_family(9), tangent_family(12)],
+                         ids=lambda fam: fam.provenance)
+def test_arc_counts_at_vertices_match_the_wedge_enumeration(fam):
+    # at each vertex two lines give no direction; the n - 2 others are the
+    # oriented normals in cyclic order, and each open arc counts the pairs
+    # whose closed wedge covers a direction strictly inside it
+    tables = dual._dual_tables(fam)
+    for i, j, _, sides in tables[3]:
+        arcs = dual._arc_profile(fam.order, fam.normals, sides)
+        dirs = [d for d, _ in arcs]
+        assert dirs == _cyclic((a, b) if s > 0 else (-a, -b)
+                               for (a, b), s in zip(fam.normals, sides) if s)
+        assert len(dirs) == fam.n - 2
+        for k, (d, count) in enumerate(arcs):
+            rep = dual._arc_representative(d, dirs[(k + 1) % len(dirs)])
+            assert count == sum(1 for a, b in itertools.combinations(dirs, 2)
+                                if dual._in_closed_cone(a, b, rep))
 
 
 def test_exposure_count_at_critical_directions():
@@ -559,6 +600,34 @@ def test_find_unexposed_point_success_implies_dual_bound():
     assert q is not None
     rep = dual_depth_naive(q, fam)
     assert rep.fraction >= DUAL_BOUND
+
+
+@pytest.mark.parametrize("fam, expected", [
+    (random_line_family(12, 1), None),
+    (random_line_family(18, 1), Point(Fraction(378821, 8487023), Fraction(-40359715, 16974046))),
+    (random_line_family(30, 2), Point(Fraction(-107862531, 62809954), Fraction(1757915, 62809954))),
+    (tangent_family(15), None),
+], ids=["random12-1", "random18-1", "random30-2", "tangent15"])
+def test_find_unexposed_point_is_pinned(fam, expected):
+    # the points the vertex-then-midpoint search returned when pinned
+    q = find_unexposed_point(fam)
+    assert q == expected
+    if q is not None:
+        assert dual_depth_naive(q, fam).fraction >= DUAL_BOUND
+
+
+def test_exposure_errors_on_lines_and_parallel_pairs():
+    # y = 0 and y = 2 are parallel: a query below, between or above them has
+    # two collinear projection directions; a query on a line is named first,
+    # in a parallel family too
+    for q in (Point(1, -1), Point(1, 1), Point(2, 3)):
+        for route in (exposure_profile, exposed_arcs, almost_exposed_arcs):
+            with pytest.raises(DegeneracyError, match="^projection directions are collinear$"):
+                route(q, PARALLEL)
+    for q, fam in ((Point(1, 0), PARALLEL), (Point(1, 2), PARALLEL), (Point(0, 1), PARALLEL),
+                   (Point(1, 0), TRIANGLE), (Point(0, 0), TRIANGLE)):
+        with pytest.raises(DegeneracyError, match="^query point lies on a line$"):
+            exposure_profile(q, fam)
 
 
 def test_find_unexposed_point_tangent_conditional():
