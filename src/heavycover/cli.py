@@ -25,8 +25,6 @@ from .dual import (
     DUAL_BOUND,
     dual_depth_fast,
     dual_depth_naive,
-    exposed_arcs,
-    almost_exposed_arcs,
     exposure_profile,
     extremal_report,
     max_dual_depth_point,
@@ -258,8 +256,8 @@ def _cmd_expose(args):
     ds = _load_dataset(args, ("LINES",), "LINES")
     q = _parse_point(args.point)
     profile = exposure_profile(q, ds.lines)
-    exp = exposed_arcs(q, ds.lines)
-    almost = almost_exposed_arcs(q, ds.lines)
+    exp = profile.exposed()
+    almost = profile.almost_exposed()
     threshold = DUAL_BOUND * profile.pair_total
 
     def arcs_json(arcset):

@@ -498,6 +498,16 @@ class ExposureProfile:
                 c += 1
         return c
 
+    def exposed(self) -> DirectionArcSet:
+        """The arcs crossed by fewer than 2/9 of projection pairs
+        (``exposed_arcs``)."""
+        return _mask_to_arcset(_exposed_mask(self), self.directions, "EXPOSED")
+
+    def almost_exposed(self) -> DirectionArcSet:
+        """The exposed arcs extended as ``almost_exposed_arcs`` describes."""
+        return _mask_to_arcset(_almost_exposed_mask(_exposed_mask(self)),
+                               self.directions, "ALMOST_EXPOSED")
+
     def directions_inside_arc(self, i: int, count: int = 3):
         """``count`` distinct exact directions strictly inside open arc i,
         found by repeated arc bisection."""
@@ -635,31 +645,39 @@ def _mask_to_arcset(mask, directions, flag):
     return DirectionArcSet(arcs=tuple(arcs), full_circle=False)
 
 
+def _exposed_mask(profile):
+    """Per arc of ``profile``: crossed by fewer than 2/9 of projection pairs."""
+    threshold = DUAL_BOUND * profile.pair_total
+    return [c < threshold for c in profile.arc_counts]
+
+
+def _almost_exposed_mask(mask):
+    """The exposed ``mask`` with every sector filled in that runs
+    counterclockwise from an exposed arc i to an exposed arc j and holds
+    fewer than n/3 projections, (j - i) mod n, strictly inside. Every gap
+    between cyclically consecutive exposed arcs inside such a sector is
+    itself such a sector, so one cyclic pass over those gaps fills the
+    same arcs."""
+    n = len(mask)
+    exposed = [i for i, m in enumerate(mask) if m]
+    almost = list(mask)
+    for i, j in zip(exposed, exposed[1:] + exposed[:1]):
+        inside = (j - i) % n
+        if 3 * inside < n:
+            for t in range(i + 1, i + inside):
+                almost[t % n] = True
+    return almost
+
+
 def exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
     """Arcs of ray directions crossed by fewer than 2/9 of projection pairs."""
-    profile = exposure_profile(q, family)
-    threshold = DUAL_BOUND * profile.pair_total
-    mask = [c < threshold for c in profile.arc_counts]
-    return _mask_to_arcset(mask, profile.directions, "EXPOSED")
+    return exposure_profile(q, family).exposed()
 
 
 def almost_exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
     """Exposed arcs extended by every direction whose ray lies in a region
     bounded by two exposed rays holding fewer than one third of the projections."""
-    profile = exposure_profile(q, family)
-    threshold = DUAL_BOUND * profile.pair_total
-    n = profile.n_arcs
-    mask = [c < threshold for c in profile.arc_counts]
-    exposed_idx = [i for i in range(n) if mask[i]]
-    almost = list(mask)
-    third = Fraction(n, 3)
-    for i in exposed_idx:
-        for j in exposed_idx:
-            inside = (j - i) % n  # projections strictly inside the ccw sector
-            if inside < third:
-                for t in range(inside + 1):
-                    almost[(i + t) % n] = True
-    return _mask_to_arcset(almost, profile.directions, "ALMOST_EXPOSED")
+    return exposure_profile(q, family).almost_exposed()
 
 
 def _unexposed_at(sides, order, normals, full_pair_total):

@@ -7,10 +7,12 @@ global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
 its crossings in O(n^4 log n) integer steps. The n data-point counts and every
 segment's start count are read off the walk's orientation table, so the walk
-makes no angular sort. The table is built on each point's own homogeneous
-coordinates, with no common denominator, so its entries and the crossings'
-sort keys stay as long as a few coordinates even when the points'
-denominators all differ; its zero entries are the general-position gate.
+makes no angular sort. The table holds one determinant per triple, C(n, 3)
+in all, on each point's own homogeneous coordinates with no common
+denominator, so its entries stay as long as a few coordinates even when the
+points' denominators all differ; a zero among them fails the
+general-position gate. Crossings along a segment are sorted by one correctly
+rounded float each, checked exactly where two of them round to one key.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
@@ -483,37 +485,60 @@ def _walk_tables(pts):
     coordinates ``pts`` (weights positive, no common denominator): the points
     themselves, the orientation table ``orient[a][b][c]`` (the 3x3 homogeneous
     determinant of p_a, p_b, p_c, positive iff p_c is left of p_a -> p_b),
-    ``left[a][b]``, the number of points strictly left of p_a -> p_b, an
-    integer above the square of every crossing key's denominator (the
-    ``scale`` of the walk's sort key, see ``_segment_counts``), and the
+    ``left[a][b]``, the number of points strictly left of p_a -> p_b, and the
     closed depth of each data point.
 
-    Each determinant is xa*(yb*wc - wb*yc) - ya*(xb*wc - wb*xc) + wa*(xb*yc -
-    yb*xc), three multiplies over three n x n tables of 2x2 minors, so an entry
-    is about as long as three coordinates together.
+    A determinant only changes sign under a permutation of its points, so it
+    is computed once per triple a < b < c, C(n, 3) in all, and written with
+    its sign into the six slots of the triple (zero where two indices meet).
+    Each is xa*(yb*wc - wb*yc) - ya*(xb*wc - wb*xc) + wa*(xb*yc - yb*xc),
+    three multiplies over three n x n tables of 2x2 minors, so an entry is
+    about as long as three coordinates together.
 
     In general position a triangle without vertex i misses p_i iff, for
     exactly one of its vertices k, the other two lie left of p_i -> p_k, so
     depth(p_i) = C(n-1, 2) + C(n-1, 3) - sum over k of C(left[i][k], 2): the
     ``depth_planar_sweep`` identity read off the table, with no sort."""
+    n = len(pts)
     mxy = [[xb * yc - yb * xc for xc, yc, _ in pts] for xb, yb, _ in pts]
     mxw = [[xb * wc - wb * xc for xc, _, wc in pts] for xb, _, wb in pts]
     myw = [[yb * wc - wb * yc for _, yc, wc in pts] for _, yb, wb in pts]
-    minors = [list(zip(ryw, rxw, rxy)) for ryw, rxw, rxy in zip(myw, mxw, mxy)]
-    orient = [[[xa * u - ya * v + wa * s for u, v, s in row] for row in minors]
-              for xa, ya, wa in pts]
-    left = [[sum(1 for v in row if v > 0) for row in rows] for rows in orient]
-    widest = 2 * max(max(map(abs, row)) for rows in orient for row in rows)
-    n = len(pts)
+    orient = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, (xa, ya, wa) in enumerate(pts):
+        oa = orient[a]
+        for b in range(a + 1, n):
+            oab, ob = oa[b], orient[b]
+            oba = ob[a]
+            ryw, rxw, rxy = myw[b], mxw[b], mxy[b]
+            for c in range(b + 1, n):
+                d = xa * ryw[c] - ya * rxw[c] + wa * rxy[c]
+                oc = orient[c]
+                oab[c] = ob[c][a] = oc[a][b] = d
+                oba[c] = oa[c][b] = oc[b][a] = -d
+    left = [[len([v for v in row if v > 0]) for row in rows] for rows in orient]
     depth = [math.comb(n - 1, 2) + math.comb(n - 1, 3)
              - sum(u * (u - 1) // 2 for u in row) for row in left]
-    return pts, orient, left, widest * widest + 1, depth
+    return pts, orient, left, depth
 
 
-def _segment_steps(i, j, pts, orient, left, scale, depth):
+def _exact_step(steps, step):
+    """File the step ``step`` = [far, past, a, b] of ``_segment_steps`` under
+    its exact key, the fraction a / (a + b), adding it to the step of a
+    concurrent crossing already filed there."""
+    key = Fraction(step[2], step[2] + step[3])
+    filed = steps.get(key)
+    if filed is None:
+        steps[key] = step
+    else:
+        filed[0] += step[0]
+        filed[1] += step[1]
+
+
+def _segment_steps(i, j, pts, orient, left, depth):
     """The closed depth on the open segment p_i p_j just past p_i, and its
-    proper crossings: ``floor(t * scale) -> [sum |B|, sum (|B| - |A|), a, b]``
-    (see ``_segment_counts``). Needs general position.
+    proper crossings: ``key -> [sum |B|, sum (|B| - |A|), a, b]``, key the
+    crossing's place along the segment (see ``_segment_counts``). Needs
+    general position.
 
     Near p_i, a triangle without vertex i contains the point iff it contains
     p_i, and one of the C(n-1, 2) triangles i k m iff the direction to p_j
@@ -522,6 +547,13 @@ def _segment_steps(i, j, pts, orient, left, scale, depth):
     sides of p_i -> p_j with orient(p_i, p_k, p_m) < 0 for p_k the left one.
     Those are the pairs with a > 0 in the crossing loop, so the start count
     costs no sort.
+
+    A crossing is keyed by the float a / (a + b). Two crossings on one key
+    are the same point when a * b' == a' * b, and their steps add up;
+    otherwise they are a clash, two points that round to one double, and
+    every crossing on that float is filed under its exact ``Fraction``
+    instead (``_exact_step``). Correct rounding is monotone, so a fraction
+    and a float key compare exactly as their crossings do.
     """
     n = len(pts)
     oi, oj = orient[i], orient[j]
@@ -530,6 +562,7 @@ def _segment_steps(i, j, pts, orient, left, scale, depth):
     rights = [k for k in range(n) if side[k] < 0]
     cone = 0
     steps = {}
+    clashes = []
     for k in lefts:
         oik, ojk, lk = oi[k], oj[k], left[k]
         for m in rights:
@@ -542,17 +575,27 @@ def _segment_steps(i, j, pts, orient, left, scale, depth):
             if b <= 0:
                 continue
             far = lk[m]
-            t = a * scale // (a + b)
+            t = a / (a + b)
             step = steps.get(t)
             if step is None:
                 steps[t] = [far, 2 * far - (n - 2), a, b]
-            else:
+            elif a * step[3] == step[2] * b:
                 step[0] += far
                 step[1] += 2 * far - (n - 2)
+            else:
+                del steps[t]
+                _exact_step(steps, step)
+                _exact_step(steps, [far, 2 * far - (n - 2), a, b])
+                clashes.append(t)
+    for t in clashes:
+        # a later crossing on a clash's float was filed there alone
+        step = steps.pop(t, None)
+        if step is not None:
+            _exact_step(steps, step)
     return depth[i] - math.comb(n - 1, 2) + (n - 2) + cone, steps
 
 
-def _segment_counts(i, j, pts, orient, left, scale, depth):
+def _segment_counts(i, j, pts, orient, left, depth):
     """Closed depth at each proper crossing on the open segment p_i p_j, in
     order from p_i, and each crossing's (a, b): two aligned lists, no keys
     built. Needs general position.
@@ -570,11 +613,11 @@ def _segment_counts(i, j, pts, orient, left, scale, depth):
     b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j) (``_crossing_key``), at parameter
     a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
     with a / b, so a / (a + b) orders and groups the crossings of one segment
-    the same way; the weights drop out. Distinct such fractions differ by more
-    than 1 / scale, so floor(scale * a / (a + b)) is an exact integer sort and
-    group key.
+    the same way; the weights drop out. The steps are sorted by their keys:
+    correctly rounded floats a / (a + b), and exact fractions for a clash
+    (see ``_segment_steps``), so the order is exact.
     """
-    before, steps = _segment_steps(i, j, pts, orient, left, scale, depth)
+    before, steps = _segment_steps(i, j, pts, orient, left, depth)
     counts = []
     crossings = []
     for t in sorted(steps):
@@ -658,19 +701,20 @@ def _scan(pairs, scorers=(None,)):
 
 def _general_position(orient):
     """True iff the walk's orientation table shows no collinear triple and no
-    coincident pair: ``orient[a][a]`` is all zero and ``orient[a][b]``, a != b,
-    is zero at c = a and c = b; any further zero is a degeneracy."""
+    coincident pair: n >= 3 and none of the C(n, 3) determinants
+    ``orient[a][b][c]``, a < b < c, is zero (two coincident points make
+    every triple through them zero)."""
     n = len(orient)
-    zeros = sum(row.count(0) for rows in orient for row in rows)
-    return n >= 3 and zeros == n * n + 2 * n * (n - 1)
+    return n >= 3 and all(all(row[b + 1:]) for a, rows in enumerate(orient)
+                          for b, row in enumerate(rows[a + 1:], a + 1))
 
 
 def _walk_scan(pset: LabeledPointSet, scorers):
     """One pass of the segment walk over a planar set: the walk tables and the
     best (score, key) of each scorer. The caller checks the dimension.
 
-    The general-position gate reads the orientation table; only when it finds
-    a zero beyond those of ``_general_position`` (or n < 3) does
+    The general-position gate reads the orientation table's C(n, 3)
+    determinants; only when one is zero (or n < 3) does
     ``general_position_report`` run, to locate the violations of the
     DegeneracyError."""
     tables = _walk_tables([homog(p) for p in pset.points])
@@ -700,8 +744,10 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     Walks the segment arrangement: the lexicographically least maximizer is a
     data point or a proper crossing of two segments p_i p_j, p_k p_l (upper
     semicontinuity). The n data-point counts and each segment's count before
-    its first crossing come from the orientation table; the rest is integer
-    steps across the crossings, O(n^4 log n) in all. Keys are built only for
+    its first crossing come from the orientation table, C(n, 3) determinants;
+    the rest is integer steps across the crossings, sorted along each segment
+    by the float a / (a + b), checked exactly where two crossings share one
+    (see ``_segment_steps``), O(n^4 log n) in all. Keys are built only for
     each segment's best crossing, O(n^2) of them (see ``_walk_pairs``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.

@@ -4,6 +4,7 @@ import multiprocessing.process
 
 import pytest
 
+from heavycover import dual
 from heavycover.cli import UsageError, build_parser, run_command
 from heavycover.datasets import (
     Dataset,
@@ -74,6 +75,20 @@ def test_expose_command(lines_file, tmp_path):
     report = json.loads(out.read_text())
     assert report["arc_counts"] == [1, 1, 1]
     assert report["exposed"]["arcs"] == []
+
+
+def test_expose_builds_one_profile(monkeypatch):
+    # the exposed and almost-exposed arcs come from the one profile printed
+    calls = []
+    arc_profile = dual._arc_profile
+
+    def counted(*args):
+        calls.append(args)
+        return arc_profile(*args)
+
+    monkeypatch.setattr(dual, "_arc_profile", counted)
+    assert run_command(["expose", "--seed", "1", "--point", "1,2"]) == 0
+    assert len(calls) == 1
 
 
 def test_extremal_command(tmp_path):

@@ -587,6 +587,48 @@ def test_almost_exposed_arcs():
         assert almost.contains_direction(arc.start) and almost.contains_direction(arc.end)
 
 
+def _almost_exposed_fill(mask):
+    """The almost-exposed fill by definition: for every two exposed arcs i, j
+    with fewer than n/3 projections strictly inside the sector from i to j,
+    fill that sector; O(k^2 n) for k exposed arcs."""
+    n = len(mask)
+    exposed_idx = [i for i in range(n) if mask[i]]
+    almost = list(mask)
+    third = Fraction(n, 3)
+    for i in exposed_idx:
+        for j in exposed_idx:
+            inside = (j - i) % n
+            if inside < third:
+                for t in range(inside + 1):
+                    almost[(i + t) % n] = True
+    return almost
+
+
+def test_almost_exposed_pass_matches_the_sector_fill():
+    # every mask of up to 10 arcs, then the profiles of a grid of query
+    # points against random and tangent families
+    filled = 0
+    for n in range(1, 11):
+        for mask in itertools.product((False, True), repeat=n):
+            almost = dual._almost_exposed_mask(list(mask))
+            assert almost == _almost_exposed_fill(mask)
+            filled += almost != list(mask)
+    assert filled > 0
+    families = [random_line_family(n, 40 + n) for n in (6, 9, 14, 20)]
+    families += [tangent_family(9), tangent_family(15)]
+    for fam in families:
+        for x, y in itertools.product(range(-30, 31, 6), repeat=2):
+            q = Point(Fraction(x, 7), Fraction(y, 5))
+            try:
+                profile = exposure_profile(q, fam)
+            except DegeneracyError:
+                continue
+            mask = dual._exposed_mask(profile)
+            expected = dual._mask_to_arcset(_almost_exposed_fill(mask), profile.directions,
+                                            "ALMOST_EXPOSED")
+            assert almost_exposed_arcs(q, fam) == expected
+
+
 def test_find_unexposed_point_absent_cases():
     assert find_unexposed_point(TRIANGLE) is None
     two = LineFamily((Y0, X0))

@@ -255,10 +255,18 @@ HEXAGON = LabeledPointSet((Point(1, 0), Point(0, 1), Point(-1, 1), Point(-1, 0),
                            Point(Fraction(1, 3), Fraction(1, 7))))
 
 # segments 2-3 and 4-5 cross segment 0-1 at x = 13/2 and x = 462/71, closer
-# together than 1 / (2 * max |orient|): a walk key with a scale below the
-# square of the crossing denominators would merge the two crossings
+# together than 1 / (2 * max |orient|): a walk key rounded that coarsely
+# would merge the two crossings
 CLOSE_CROSSINGS = LabeledPointSet((Point(0, 0), Point(14, 0), Point(12, 35),
                                    Point(1, -35), Point(6, 36), Point(7, -35)))
+
+# coordinates near N = 2^60: six segments cross segment 0-1 at distinct
+# points a few 2^-60 apart, a third of the way along it, so their float keys
+# a / (a + b) all round to one double; the walk must keep them apart and order
+# them exactly. Other segments carry clashes of two and of three crossings.
+_N = 2 ** 60
+FLOAT_CLASH = LabeledPointSet((Point(0, 0), Point(3 * _N, 1), Point(_N, -1), Point(_N, 1),
+                               Point(_N + 1, -2), Point(_N + 1, 3), Point(_N + 2, -1)))
 
 
 def test_max_depth_point_matches_line_arrangement_oracle():
@@ -298,9 +306,9 @@ def _proper_crossings(ps):
 
 def test_segment_walk_counts_every_crossing_exactly():
     # the hexagon's three long diagonals meet at the origin: the walk must
-    # step across all three there at once
-    sets = [HEXAGON, CLOSE_CROSSINGS] + [random_point_set(n, 300 + n, near_convex=n % 2 == 0)
-                                         for n in range(5, 11)]
+    # step across all three there at once; FLOAT_CLASH's crossings share keys
+    sets = [HEXAGON, CLOSE_CROSSINGS, FLOAT_CLASH]
+    sets += [random_point_set(n, 300 + n, near_convex=n % 2 == 0) for n in range(5, 11)]
     for ps in sets:
         tables = _walk_tables([homog(p) for p in ps.points])
         seen = set()
@@ -310,6 +318,16 @@ def test_segment_walk_counts_every_crossing_exactly():
                 assert count == closed_depth_count(q, ps.points)
                 seen.add(q)
         assert seen == _proper_crossings(ps)
+
+
+def test_float_clash_fixture_shares_one_key():
+    # the six crossings on segment 0-1 are distinct but share one float key,
+    # so the exact crossing check above walks a real clash
+    assert not general_position_report(FLOAT_CLASH.points)
+    tables = _walk_tables([homog(p) for p in FLOAT_CLASH.points])
+    steps = _segment_steps(0, 1, *tables)[1]
+    assert len(steps) == 6
+    assert len({a / (a + b) for _, _, a, b in steps.values()}) == 1
 
 
 def test_segment_start_count_matches_exact_count_halfway():
