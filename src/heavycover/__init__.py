@@ -17,7 +17,6 @@ from .exactgeom import (
     Hyperplane,
     Point,
     general_position_report,
-    lines_general_position_report,
     orientation,
     point_in_simplex,
     project_onto_hyperplane,

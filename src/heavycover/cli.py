@@ -201,9 +201,8 @@ def _cmd_depth(args):
     pset = ds.points
     if pset.colors is not None and len(set(pset.colors)) == pset.dim + 1:
         rep = colorful_depth(q, pset, witness_limit=3)
-    elif pset.dim == 2 and all(q != p for p in pset.points):
+    elif pset.dim == 2:
         rep = depth_planar_sweep(q, pset)
-        rep = depth_naive(q, pset, witness_limit=3) if rep.method != "sweep" else rep
     else:
         rep = depth_naive(q, pset, witness_limit=3)
     print(f"depth {rep.count} of {rep.total} (fraction {rep.fraction}, "
@@ -230,8 +229,9 @@ def _cmd_dual(args):
     q = _parse_point(args.point)
     fast = dual_depth_fast(q, ds.lines)
     naive = dual_depth_naive(q, ds.lines, witness_limit=3)
-    if fast.count != naive.count:
-        raise InternalError(f"fast {fast.count} != naive {naive.count}")
+    if (fast.count, fast.strict_count) != (naive.count, naive.strict_count):
+        raise InternalError(f"fast {fast.count} (strict {fast.strict_count}) != "
+                            f"naive {naive.count} (strict {naive.strict_count})")
     print(f"dual depth {naive.count} of {naive.total} "
           f"(fraction {naive.fraction}, fast method {fast.method})")
     _emit_report(args, {"command": "dual", "fast_method": fast.method,

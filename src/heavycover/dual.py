@@ -16,10 +16,13 @@ sides in that order (``_surrounding``), with no angle keys or sort per query.
 
 ``dual_depth_naive`` enumerates every triple and is the oracle: it reads each
 verdict off q's side of every line and each line's side at every arrangement
-vertex. Every other count goes through ``_surrounding``: ``dual_depth_fast``,
-the closed count at each arrangement vertex in ``max_dual_depth_point`` and
-the strict count in each cell around a vertex in ``_max_strict_dual``, O(n^3)
-per search.
+vertex. The other counts go through ``_surrounding``: ``dual_depth_fast`` off
+the lines of a family with no parallel pair, the closed count at each
+arrangement vertex in ``max_dual_depth_point`` and the strict count in each
+cell around a vertex in ``_max_strict_dual``, O(n^3) per search. Where q is
+on a line or two lines are parallel, ``dual_depth_fast`` counts with the
+primal engine, on the oriented normals and both signs of each line through q
+(``selection._strict_surrounding``).
 
 Each search builds one vertex table (``_vertex_table``): every vertex
 L_i ∩ L_j with the side of every line there, C(n, 2) side vectors. The
@@ -66,6 +69,7 @@ from .selection import (
     _depth_report,
     _icross,
     _scan,
+    _strict_surrounding,
     binom,
     DepthReport,
 )
@@ -320,12 +324,25 @@ def _dual_tables(family):
 
 
 def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
-    """Dual depth at q from the oriented normals of the lines: C(n, 3) minus
-    the normal triples inside an open half-plane, one O(n) pass over q's
-    sides in the family's half-turn order.
+    """Dual depth at q, closed and strict, by one angular count at any query
+    point; equals ``dual_depth_naive`` on (count, strict_count).
 
-    q on a line or a parallel pair in the family falls back to the exhaustive
-    count; the report's method field records which route ran.
+    Off every line of a family with no parallel pair, it is C(n, 3) minus the
+    triples of oriented normals inside an open half-plane, one O(n) pass over
+    q's sides in the family's half-turn order (``_surrounding``), and no
+    triple touches q on its boundary.
+
+    Otherwise it counts the triples of a direction list D that hold the origin
+    strictly inside, C(|D|, 3) − A − O (``selection._strict_surrounding``).
+    D holds the oriented normal of each line off q, and both signs ±(a, b) of
+    the normal of each of the z lines through q. A triple with both signs of
+    one line, or with a parallel pair, holds an opposite pair and drops out.
+    A triple holding q on its edge along one line through q is completed by
+    exactly one sign of that normal; with two lines through q, q is a corner
+    and one of the four sign choices completes it; three lines through q meet
+    there and are completed by two of their eight sign choices, so C(z, 3) is
+    subtracted once. The strict count is the same count over the normals of
+    the lines off q alone.
     """
     if q.dim != 2:
         raise DimensionError(f"query dimension {q.dim} != data dimension 2")
@@ -333,11 +350,17 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
     sides = _sides(homog(q), family.coeffs)
-    if 0 in sides or family.parallel_pair:
-        return replace(dual_depth_naive(q, family), method="naive_fallback")
-    count = _surrounding(family.order, sides)
-    # q off every line means no surrounding triple touches it on its boundary
-    return _depth_report(count, binom(n, 3), n, 2, strict=count,
+    if 0 not in sides and not family.parallel_pair:
+        count = _surrounding(family.order, sides)
+        strict = count
+    else:
+        off = [(s * a, s * b) for s, (a, b) in zip(sides, family.normals) if s]
+        on = [d for s, (a, b) in zip(sides, family.normals) if not s
+              for d in ((a, b), (-a, -b))]
+        keys, half = _angle_keys(off + on)
+        strict = _strict_surrounding(keys[:len(off)], half)
+        count = _strict_surrounding(keys, half) - math.comb(len(on) // 2, 3)
+    return _depth_report(count, binom(n, 3), n, 2, strict=strict,
                          method="projection_sweep")
 
 

@@ -5,11 +5,11 @@ library never rounds. Hot paths clear denominators once and work on integer
 homogeneous coordinates, so determinant signs reduce to big-int arithmetic.
 
 On integers: ``orientation``, ``point_in_simplex`` (``_simplex_verdict``),
-``segment_crosses_ray``, ``general_position_report`` and
-``lines_general_position_report`` (``_line_violations`` on the reduced lines of
-``line_coeffs_int``), with the line helpers ``intersect_lines_homog`` and
-``line_through_homog``. On ``Fraction``s: ``Hyperplane.side``,
-``project_onto_hyperplane``, ``_solve_exact`` and the flat-simplex hull test.
+``segment_crosses_ray``, ``general_position_report`` and ``_line_violations``
+(on the reduced lines of ``line_coeffs_int``), with the line helpers
+``intersect_lines_homog`` and ``line_through_homog``. On ``Fraction``s:
+``Hyperplane.side``, ``project_onto_hyperplane``, ``_solve_exact`` and the
+flat-simplex hull test.
 """
 
 from __future__ import annotations
@@ -501,19 +501,10 @@ def line_through_homog(p: tuple, q: tuple) -> tuple:
     return (a, b, c)
 
 
-def lines_general_position_report(lines) -> list:
-    """Violations for a planar line family: parallel or coincident pairs and
-    concurrent triples. Empty list iff in general position."""
-    ls = list(lines)
-    for h in ls:
-        if h.dim != 2:
-            raise DimensionError("lines_general_position_report is planar only")
-    return _line_violations([line_coeffs_int(h) for h in ls])
-
-
 def _line_violations(coeffs) -> list:
-    """``lines_general_position_report`` on reduced integer lines (a, b, c),
-    as ``line_coeffs_int`` gives them."""
+    """Violations for a planar line family given as reduced integer lines
+    (a, b, c), as ``line_coeffs_int`` gives them: parallel or coincident
+    pairs and concurrent triples. Empty list iff in general position."""
     out = []
     n = len(coeffs)
     # reduced integer lines are canonical, so parallel lines are coincident

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -323,14 +324,19 @@ def _directions_around(qh, pts_h):
 
 def _avoiding_triples(dirs):
     """Number of 3-subsets of the direction multiset fitting strictly inside an
-    open half-plane through the origin.
+    open half-plane through the origin (``_avoiding_keys`` on their keys)."""
+    return _avoiding_keys(*_angle_keys(dirs))
+
+
+def _avoiding_keys(keys, half):
+    """``_avoiding_triples`` on the angle keys of ``_angle_keys``, which it
+    sorts in place.
 
     Each such triple is charged to the member from which the other two lie
     within the next half turn counterclockwise, ties among equal directions
     going to the first in sorted order: with the keys sorted, the member at
     index p with key k is charged C(u, 2), where u counts the members after
     it, cyclically, with keys in [k, k + half). Bisection finds u."""
-    keys, half = _angle_keys(dirs)
     keys.sort()
     n = len(keys)
     total = 0
@@ -341,6 +347,32 @@ def _avoiding_triples(dirs):
             u = n - p - 1 + bisect_left(keys, k - half)
         total += u * (u - 1)
     return total // 2
+
+
+def _opposite_triples(keys, half):
+    """Number of 3-subsets of the keyed directions holding two exactly
+    opposite directions: those lie in a closed half-plane but in no open one.
+
+    Opposite keys lie exactly ``half`` apart. Two opposite pairs in one triple
+    put all three on one line, so each line through the origin with a
+    directions on one ray and b on the other adds, once per triple,
+    a·b·(m − a − b) + a·C(b, 2) + b·C(a, 2) over the m directions."""
+    m = len(keys)
+    mult = Counter(keys)
+    total = 0
+    for k, a in mult.items():
+        b = mult.get(k + half, 0) if k < half else 0
+        if b:
+            total += a * b * (m - a - b) + a * math.comb(b, 2) + b * math.comb(a, 2)
+    return total
+
+
+def _strict_surrounding(keys, half):
+    """Triples of the keyed directions that hold the origin strictly inside
+    their triangle, in no closed half-plane: C(m, 3) minus the avoiding and
+    the opposite triples. Sorts ``keys`` in place."""
+    m = len(keys)
+    return math.comb(m, 3) - _opposite_triples(keys, half) - _avoiding_keys(keys, half)
 
 
 def _closed_depth_homog(qh, pts_h):
@@ -354,8 +386,8 @@ def _closed_depth_homog(qh, pts_h):
 def closed_depth_count(q: Point, points) -> int:
     """Closed planar simplicial depth by rotational counting, O(n log n).
 
-    Equals depth_naive's count for every planar input; unlike the restricted
-    sweep it needs no general-position assumptions about q.
+    Equals depth_naive's count for every planar input, with no general-position
+    assumption about q.
     """
     pts = list(points)
     if q.dim != 2 or any(p.dim != 2 for p in pts):
@@ -366,12 +398,17 @@ def closed_depth_count(q: Point, points) -> int:
 
 
 def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
-    """Planar depth via the angular-sweep identity count = C(n,3) - sum C(u_i, 2),
-    where u_i counts points strictly left of the directed line from q through
-    point i.
+    """Planar closed and strict depth at any query point by one angular count,
+    O(n log n); equals ``depth_naive`` on (count, strict_count).
 
-    Requires q distinct from the data and no data pair collinear with q; any
-    collinearity falls back to the exhaustive count (method "naive_fallback").
+    Over the directions from q to the m data points other than q, let A count
+    the triples inside an open half-plane and O those holding two exactly
+    opposite directions. A triangle holds q in its closed hull unless its
+    vertices' directions avoid q in an open half-plane, and a triangle with a
+    vertex at q always holds it, so count = C(n, 3) − A. It holds q strictly
+    inside only when its three vertices differ from q and their directions lie
+    in no closed half-plane, so strict_count = C(m, 3) − A − O. The angle keys
+    are computed once for both. No witnesses are listed.
     """
     if q.dim != pset.dim:
         raise DimensionError(f"query dimension {q.dim} != data dimension {pset.dim}")
@@ -380,19 +417,13 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     n = pset.n
     if n < 3:
         raise DomainError("need at least 3 points")
-    if any(q == p for p in pset.points):
-        raise DegeneracyError("query point coincides with a data point")
-    qh = homog(q)
-    pts_h = [homog(p) for p in pset.points]
-    dirs = _directions_around(qh, pts_h)
+    dirs = _directions_around(homog(q), [homog(p) for p in pset.points])
     keys, half = _angle_keys(dirs)
-    # equal or antipodal directions share a key modulo half: a pair collinear with q
-    if len({k % half for k in keys}) < len(keys):
-        rep = depth_naive(q, pset)
-        return replace(rep, method="naive_fallback")
-    count = math.comb(n, 3) - _avoiding_triples(dirs)
-    # no data pair is collinear with q, so q touches no simplex boundary
-    return _depth_report(count, binom(n, 3), n, 2, strict=count, method="sweep")
+    opposite = _opposite_triples(keys, half)
+    avoiding = _avoiding_keys(keys, half)
+    count = math.comb(n, 3) - avoiding
+    strict = math.comb(len(keys), 3) - avoiding - opposite
+    return _depth_report(count, binom(n, 3), n, 2, strict=strict, method="sweep")
 
 
 def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> DepthReport:

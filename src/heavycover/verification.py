@@ -91,26 +91,29 @@ def _rand_query(rng, span=6, denom=11):
 # ---------------------------------------------------------------------------
 
 def check_oracle_equivalence(seed, planar_sets=200, dual_sets=200, triples=10_000):
-    """depth_planar_sweep == depth_naive, dual_depth_fast == dual_depth_naive,
-    surround_projection == surround_direct; zero mismatches allowed."""
+    """depth_planar_sweep == depth_naive and dual_depth_fast ==
+    dual_depth_naive on (count, strict_count), surround_projection ==
+    surround_direct; zero mismatches allowed."""
     rng = random.Random(seed * 11 + 1)
     failures = []
     for t in range(planar_sets):
         n = 4 + (t * 7) % 27  # sizes 4..30
         ps = random_point_set(n, seed * 1009 + t)
         q = _rand_query(rng)
-        a = depth_planar_sweep(q, ps).count
-        b = depth_naive(q, ps).count
-        if a != b:
-            failures.append(f"planar trial {t}: sweep {a} != naive {b}")
+        a = depth_planar_sweep(q, ps)
+        b = depth_naive(q, ps)
+        if (a.count, a.strict_count) != (b.count, b.strict_count):
+            failures.append(f"planar trial {t}: sweep {a.count} (strict {a.strict_count}) "
+                            f"!= naive {b.count} (strict {b.strict_count})")
     for t in range(dual_sets):
         n = 4 + (t * 5) % 17  # sizes 4..20
         fam = random_line_family(n, seed * 2003 + t)
         q = _rand_query(rng)
-        a = dual_depth_fast(q, fam).count
-        b = dual_depth_naive(q, fam).count
-        if a != b:
-            failures.append(f"dual trial {t}: fast {a} != naive {b}")
+        a = dual_depth_fast(q, fam)
+        b = dual_depth_naive(q, fam)
+        if (a.count, a.strict_count) != (b.count, b.strict_count):
+            failures.append(f"dual trial {t}: fast {a.count} (strict {a.strict_count}) "
+                            f"!= naive {b.count} (strict {b.strict_count})")
     done = 0
     t = 0
     while done < triples:

@@ -16,8 +16,8 @@ from heavycover.datasets import (
 from heavycover.errors import ParseError
 from heavycover.exactgeom import (
     Point,
+    _line_violations,
     general_position_report,
-    lines_general_position_report,
 )
 
 
@@ -98,9 +98,9 @@ def test_generated_points_in_general_position():
 def test_generated_lines_in_general_position():
     for seed in range(50, 56):
         fam = random_line_family(8, seed)
-        assert lines_general_position_report(fam.lines) == []
+        assert _line_violations(fam.coeffs) == []
     tangent = random_tangent_family(9, 3)
-    assert lines_general_position_report(tangent.lines) == []
+    assert _line_violations(tangent.coeffs) == []
 
 
 # (n, seed) pairs whose first MAX_RETRIES line draws all fail; the widened
@@ -136,7 +136,7 @@ def test_line_family_beyond_the_narrow_span():
     for n in (28, 40):
         fam = random_line_family(n, 1)
         assert fam.n == n
-        assert lines_general_position_report(fam.lines) == []
+        assert _line_violations(fam.coeffs) == []
 
 
 def test_generated_path_shape():

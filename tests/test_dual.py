@@ -129,13 +129,19 @@ def test_dual_depth_reorder_invariance():
         assert dual_depth_naive(q, shuffled).count == base
 
 
+def _counts(rep):
+    return rep.count, rep.strict_count
+
+
 def test_dual_depth_fast_examples_and_fallback():
-    rep = dual_depth_fast(Point(1, 1), TRIANGLE)
-    assert rep.count == 1 and rep.method == "projection_sweep"
-    assert dual_depth_fast(Point(9, -9), TRIANGLE).count == 0
-    on_line = dual_depth_fast(Point(2, 0), TRIANGLE)  # q on y=0
-    assert on_line.method == "naive_fallback"
-    assert on_line.count == dual_depth_naive(Point(2, 0), TRIANGLE).count
+    # inside, outside, on an edge (y = 0), at a corner and on a line outside
+    # the triangle: the fast count gives the oracle's closed and strict counts
+    for q, expected in ((Point(1, 1), (1, 1)), (Point(9, -9), (0, 0)),
+                        (Point(2, 0), (1, 0)), (Point(0, 0), (1, 0)),
+                        (Point(5, 0), (0, 0))):
+        rep = dual_depth_fast(q, TRIANGLE)
+        assert rep.method == "projection_sweep"
+        assert _counts(rep) == _counts(dual_depth_naive(q, TRIANGLE)) == expected
 
 
 def test_dual_depth_fast_equals_naive_seeded():
@@ -148,12 +154,15 @@ def test_dual_depth_fast_equals_naive_seeded():
 
 
 def test_dual_depth_fast_parallel_pair_falls_back():
-    # q is off every line, but y = 0 and y = 1 are parallel
+    # y = 0 and y = 1 are parallel: queries off every line, on y = 1 (an edge
+    # of x = 0, x + y = 4), at a corner and at a vertex on a parallel line
     fam = LineFamily((Y0, Hyperplane((0, 1), 1), X0, DIAG))
-    for q in (Point(1, Fraction(1, 2)), Point(Fraction(-1, 3), 2), Point(9, 7)):
+    for q, expected in ((Point(1, Fraction(1, 2)), (1, 1)), (Point(Fraction(-1, 3), 2), (0, 0)),
+                        (Point(9, 7), (0, 0)), (Point(1, 1), (2, 1)),
+                        (Point(0, 1), (2, 0)), (Point(0, 0), (1, 0)), (Point(3, 1), (2, 0))):
         rep = dual_depth_fast(q, fam)
-        assert rep.method == "naive_fallback"
-        assert rep.count == dual_depth_naive(q, fam).count
+        assert rep.method == "projection_sweep"
+        assert _counts(rep) == _counts(dual_depth_naive(q, fam)) == expected
 
 
 def _oracle_families():
@@ -167,13 +176,51 @@ def test_vertex_closed_count_matches_naive_at_every_vertex():
         tables = dual._dual_tables(fam)
         assert len(tables[3]) == binom(fam.n, 2)
         for row in tables[3]:
+            # the vertex scan's corner-and-edge formula and the fast count's
+            # two lines through q agree with the oracle at every vertex
             count, key = dual._vertex_pair(row, tables)
-            assert count == dual_depth_naive(dehomog(key), fam).count
+            q = dehomog(key)
+            assert count == dual_depth_naive(q, fam).count == dual_depth_fast(q, fam).count
 
 
 # three lines through the origin; and y = 0 parallel to y = 2
 CONCURRENT = LineFamily((Y0, X0, Hyperplane((1, -1), 0), DIAG, Hyperplane((1, 2), 5)))
 PARALLEL = LineFamily((Y0, X0, Hyperplane((0, 1), 2), DIAG))
+
+
+def _small_families(rng, count):
+    """``count`` families of 3-7 distinct lines with coefficients in -2..2:
+    parallel pairs and concurrent triples are common."""
+    for _ in range(count):
+        n = rng.randrange(3, 8)
+        lines = {}
+        while len(lines) < n:
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            if a or b:
+                h = Hyperplane((a, b), rng.randrange(-2, 3))
+                lines[line_coeffs_int(h)] = h
+        yield LineFamily(tuple(lines.values()))
+
+
+def test_dual_fast_engine_fuzz_on_degenerate_grid():
+    # the dual twin of the primal degenerate-grid fuzz: queries on a
+    # half-integer grid land on lines, on vertices where two or three lines
+    # meet, and between parallel lines; every vertex of each family is
+    # queried too, and the fixtures over their whole grid
+    rng = random.Random(707)
+    grid = [Point(Fraction(x, 2), Fraction(y, 2)) for x in range(-6, 7) for y in range(-6, 7)]
+    cases = [(fam, grid) for fam in (CONCURRENT, PARALLEL)]
+    for fam in _small_families(rng, 250):
+        vertices = [dehomog(row[2]) for row in dual._vertex_table(fam.coeffs)]
+        cases.append((fam, rng.sample(grid, 4) + vertices))
+    kinds = set()
+    for fam, queries in cases:
+        kinds.update(kind for kind, _ in _line_violations(fam.coeffs))
+        for q in queries:
+            assert _counts(dual_depth_fast(q, fam)) == _counts(dual_depth_naive(q, fam))
+    assert kinds == {"parallel", "concurrent"}
+    # three lines through the origin: the oracle counts their point once
+    assert _counts(dual_depth_fast(Point(0, 0), CONCURRENT)) == (7, 0)
 
 
 def test_general_position_gate_reads_the_vertex_table(monkeypatch):
@@ -190,17 +237,8 @@ def test_general_position_gate_reads_the_vertex_table(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(dual, "_line_violations", unlocated)
             dual._dual_tables(fam)
-    rng = random.Random(606)
     rejected = 0
-    for _ in range(300):
-        n = rng.randrange(3, 8)
-        lines = {}
-        while len(lines) < n:
-            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
-            if a or b:
-                h = Hyperplane((a, b), rng.randrange(-2, 3))
-                lines[line_coeffs_int(h)] = h
-        fam = LineFamily(tuple(lines.values()))
+    for fam in _small_families(random.Random(606), 300):
         violations = _line_violations(fam.coeffs)
         try:
             dual._dual_tables(fam)
@@ -696,10 +734,8 @@ def test_tangent_family_touches_unit_circle():
 
 
 def test_tangent_family_general_position():
-    from heavycover.exactgeom import lines_general_position_report
-
     fam = tangent_family(5)
-    assert lines_general_position_report(fam.lines) == []
+    assert _line_violations(fam.coeffs) == []
 
 
 def test_tangent_family_validation():

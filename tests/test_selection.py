@@ -87,17 +87,35 @@ def test_depth_naive_works_in_other_dimensions():
     assert depth_naive(Point(1, 1, 1), ps3).count >= 1
 
 
+def _counts(rep):
+    return rep.count, rep.strict_count
+
+
 def test_depth_sweep_matches_naive_on_examples():
-    assert depth_planar_sweep(Point(1, 1), TRI).count == 1
-    assert depth_planar_sweep(Point(9, 9), TRI).count == 0
-    with pytest.raises(DegeneracyError):
-        depth_planar_sweep(Point(0, 0), TRI)
+    # inside, outside, at a data point (a vertex of the one triangle) and on
+    # an edge: one angular count gives the oracle's closed and strict counts
+    for q, expected in ((Point(1, 1), (1, 1)), (Point(9, 9), (0, 0)),
+                        (Point(0, 0), (1, 0)), (Point(2, 0), (1, 0))):
+        rep = depth_planar_sweep(q, TRI)
+        assert _counts(rep) == _counts(depth_naive(q, TRI)) == expected
+        assert rep.method == "sweep"
 
 
 def test_depth_sweep_falls_back_on_collinearity():
-    rep = depth_planar_sweep(Point(2, 2), SQUARE)  # on both diagonals
-    assert rep.method == "naive_fallback"
-    assert rep.count == 4
+    # queries collinear with data pairs, at data points and at a duplicated
+    # point no longer leave the angular count: opposite directions cost the
+    # strict count its triples, and a point at q adds only closed triangles
+    doubled = LabeledPointSet(SQUARE.points + (Point(4, 0),))
+    for ps, q, expected in ((SQUARE, Point(2, 2), (4, 0)),  # on both diagonals
+                            (SQUARE, Point(0, 0), (3, 0)),
+                            (SQUARE, Point(2, 0), (2, 0)),
+                            (SQUARE, Point(6, 0), (0, 0)),
+                            (doubled, Point(4, 0), (9, 0)),
+                            (doubled, Point(2, 2), (8, 0)),
+                            (doubled, Point(3, 1), (7, 2))):
+        rep = depth_planar_sweep(q, ps)
+        assert rep.method == "sweep"
+        assert _counts(rep) == _counts(depth_naive(q, ps)) == expected
 
 
 def test_depth_sweep_equals_naive_seeded():
@@ -112,7 +130,7 @@ def test_depth_sweep_equals_naive_seeded():
 
 def test_closed_depth_count_handles_degeneracies():
     # engine agrees with the exhaustive count even at data points and on
-    # pair lines, where the restricted sweep must not run
+    # pair lines
     pts = (Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4), Point(1, 2))
     ps = LabeledPointSet(pts)
     for q in [Point(2, 2), Point(0, 0), Point(2, 0), Point(1, 2), Point(3, 1)]:
@@ -121,15 +139,19 @@ def test_closed_depth_count_handles_degeneracies():
 
 def test_closed_depth_engine_fuzz_on_degenerate_grid():
     # a tiny coordinate grid forces coincident points, equal and antipodal
-    # directions, and queries on data points; the rotational engine must agree
-    # with exhaustive enumeration on all of them
+    # directions, and queries on data points; the rotational engine and the
+    # sweep's closed and strict counts must agree with exhaustive enumeration
+    # on all of them
     rng = random.Random(404)
     for _ in range(400):
         n = rng.randrange(3, 8)
         pts = tuple(Point(rng.randrange(-2, 3), rng.randrange(-2, 3))
                     for _ in range(n))
         q = Point(rng.randrange(-2, 3), rng.randrange(-2, 3))
-        assert closed_depth_count(q, pts) == depth_naive(q, LabeledPointSet(pts)).count
+        ps = LabeledPointSet(pts)
+        naive = depth_naive(q, ps)
+        assert closed_depth_count(q, pts) == naive.count
+        assert _counts(depth_planar_sweep(q, ps)) == _counts(naive)
 
 
 def test_depth_affine_invariance():
