@@ -21,7 +21,14 @@ from .errors import (
     HeavyCoverError,
     ParseError,
 )
-from .exactgeom import Hyperplane, Point, _line_violations, general_position_report
+from .exactgeom import (
+    Hyperplane,
+    Point,
+    _line_from_coeffs,
+    _line_violations,
+    _reduce_line,
+    general_position_report,
+)
 from .selection import LabeledPointSet
 
 KINDS = ("POINTS", "LINES", "COLORED_POINTS", "PATH")
@@ -196,8 +203,13 @@ LINE_SPAN_DOUBLINGS = 8  # rounds of MAX_RETRIES line draws after the first
 _DENOM = 9973  # prime jitter denominator; keeps accidental collinearity rare
 
 
+def _rand_numerator(rng, span, denom=_DENOM):
+    """The numerator of a uniform coordinate in [-span, span] over ``denom``."""
+    return rng.randrange(-span * denom, span * denom + 1)
+
+
 def _rand_coord(rng, span, denom=_DENOM):
-    return Fraction(rng.randrange(-span * denom, span * denom + 1), denom)
+    return Fraction(_rand_numerator(rng, span, denom), denom)
 
 
 def random_point_set(n, seed, span=8, near_convex=False, dim=2) -> LabeledPointSet:
@@ -255,6 +267,11 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     """Seeded general-position line family: random integer normals through
     jittered rational anchor points.
 
+    The line with normal (a, b) through the anchor (X/D, Y/D), D = 9973, is
+    built from its integer triple (a·D, b·D, a·X + b·Y), reduced
+    (``_reduce_line``), so the family's ``coeffs`` are the drawn integers
+    and no ``Fraction`` is converted back.
+
     The first ``MAX_RETRIES`` draws take normals from [-coeff_span,
     coeff_span]^2. From about n = 28 at the default span two of them are
     likely parallel; when all those draws fail, each further round of
@@ -272,12 +289,14 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
                 while a == 0 and b == 0:
                     a = rng.randrange(-span, span + 1)
                     b = rng.randrange(-span, span + 1)
-                draws.append((a, b, _rand_coord(rng, 6), _rand_coord(rng, 6)))
+                draws.append((a, b, _rand_numerator(rng, 6), _rand_numerator(rng, 6)))
             if len({_line_direction(a, b) for a, b, _, _ in draws}) < n:
                 # a parallel or coincident pair, which the O(n^3) report
                 # below would reject too
                 continue
-            lines = tuple(Hyperplane((a, b), a * x + b * y) for a, b, x, y in draws)
+            lines = tuple(
+                _line_from_coeffs(_reduce_line(a * _DENOM, b * _DENOM, a * x + b * y))
+                for a, b, x, y in draws)
             family = LineFamily(lines, provenance=f"seed:{seed}")
             if not _line_violations(family.coeffs):
                 return family

@@ -51,9 +51,10 @@ from .errors import (
     InternalError,
 )
 from .exactgeom import (
-    Hyperplane,
     Point,
+    _line_from_coeffs,
     _line_violations,
+    _reduce_line,
     _simplex_verdict,
     dehomog,
     homog,
@@ -766,7 +767,9 @@ def tangent_family(n: int, params=None) -> LineFamily:
     the quarter arc from (1, 0) to (0, 1).
 
     The tangency point for parameter t is ((1-t^2)/(1+t^2), 2t/(1+t^2)) and the
-    tangent line is x*x0 + y*y0 = 1; every coefficient stays rational.
+    tangent line is x*x0 + y*y0 = 1. For t = p/q that is the integer line
+    (q^2 - p^2)·x + 2pq·y = q^2 + p^2, and each line is built from that
+    triple, reduced, with no ``Fraction`` arithmetic.
     """
     if n < 3:
         raise DomainError("tangent_family needs n >= 3")
@@ -784,10 +787,8 @@ def tangent_family(n: int, params=None) -> LineFamily:
         raise DomainError("tangent parameters must be ascending")
     lines = []
     for t in params:
-        den = 1 + t * t
-        x0 = (1 - t * t) / den
-        y0 = 2 * t / den
-        lines.append(Hyperplane((x0, y0), 1))
+        p, q = t.numerator, t.denominator
+        lines.append(_line_from_coeffs(_reduce_line(q * q - p * p, 2 * p * q, q * q + p * p)))
     return LineFamily(tuple(lines), provenance=f"tangent:{n}")
 
 

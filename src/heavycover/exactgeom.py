@@ -5,11 +5,18 @@ library never rounds. Hot paths clear denominators once and work on integer
 homogeneous coordinates, so determinant signs reduce to big-int arithmetic.
 
 On integers: ``orientation``, ``point_in_simplex`` (``_simplex_verdict``),
-``segment_crosses_ray``, ``general_position_report`` and ``_line_violations``
-(on the reduced lines of ``line_coeffs_int``), with the line helpers
-``intersect_lines_homog`` and ``line_through_homog``. On ``Fraction``s:
-``Hyperplane.side``, ``project_onto_hyperplane``, ``_solve_exact`` and the
-flat-simplex hull test.
+``segment_crosses_ray``, ``general_position_report`` (in the plane, one
+2x2-minor line per pair and one dot product per triple) and
+``_line_violations`` (on the reduced lines of ``line_coeffs_int``), with the
+line helpers ``intersect_lines_homog`` and ``line_through_homog``. On
+``Fraction``s: ``Hyperplane.side``, ``project_onto_hyperplane``,
+``_solve_exact`` and the flat-simplex hull test.
+
+Each object caches its integer form on first use, so a conversion happens
+once per object: ``Point._homog`` (``homog``) and ``Hyperplane._coeffs``
+(``line_coeffs_int``). A generator that already holds a line's reduced
+integer triple builds the ``Hyperplane`` from it with ``_line_from_coeffs``,
+which fills the cache, and no ``Fraction`` is turned back into integers.
 """
 
 from __future__ import annotations
@@ -140,9 +147,14 @@ class Hyperplane:
 
     Canonical form scales so the first nonzero normal coordinate is +1, which
     makes equality of hyperplanes a plain field comparison.
+
+    A planar hyperplane caches its reduced integer line (a, b, c) in the
+    ``_coeffs`` slot, filled by ``line_coeffs_int`` on first use or by
+    ``_line_from_coeffs`` at construction; equality, hashing, repr and
+    pickling read only ``normal`` and ``offset``.
     """
 
-    __slots__ = ("normal", "offset")
+    __slots__ = ("normal", "offset", "_coeffs")
 
     def __init__(self, normal, offset):
         normal = tuple(scalar(c) for c in normal)
@@ -152,12 +164,14 @@ class Hyperplane:
             raise DomainError("hyperplane normal must be nonzero")
         object.__setattr__(self, "normal", tuple(c / lead for c in normal))
         object.__setattr__(self, "offset", offset / lead)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hyperplane is immutable")
 
     def __reduce__(self):
-        # the canonical form is a fixed point of the constructor
+        # the canonical form is a fixed point of the constructor; the integer
+        # cache is rebuilt on demand
         return (Hyperplane, (self.normal, self.offset))
 
     @property
@@ -434,7 +448,11 @@ def segment_crosses_ray(a: Point, b: Point, q: Point, direction: Point) -> bool:
 def general_position_report(points) -> list:
     """Violation witnesses for a point tuple: duplicates and dependent (d+1)-tuples.
 
-    Empty list iff the points are in general position.
+    Empty list iff the points are in general position. In the plane the
+    orientation determinant of p_i, p_j, p_k is a·x_k + b·y_k + c·w_k, with
+    (a, b, c) the 2x2 minors of rows i and j (the line through p_i and p_j),
+    so each pair's minors are formed once and each triple costs one dot
+    product; the witnesses come in ``itertools.combinations`` order.
     """
     pts = list(points)
     if not pts:
@@ -443,35 +461,75 @@ def general_position_report(points) -> list:
     for p in pts:
         if p.dim != d:
             raise DimensionError("all points must share one dimension")
+    # homogeneous coordinates over the least common denominator are
+    # canonical, so equal tuples are equal points
+    hpts = [homog(p) for p in pts]
     out = []
     for i, j in itertools.combinations(range(len(pts)), 2):
-        if pts[i] == pts[j]:
+        if hpts[i] == hpts[j]:
             out.append(("duplicate", (i, j)))
-    if len(pts) >= d + 1:
-        hpts = [homog(p) for p in pts]
-        kind = "collinear" if d == 2 else "dependent"
-        for idx in itertools.combinations(range(len(pts)), d + 1):
-            if _orientation_homog([hpts[i] for i in idx]) == 0:
-                out.append((kind, idx))
+    if len(pts) < d + 1:
+        return out
+    if d == 2:
+        n = len(hpts)
+        for i, (xi, yi, wi) in enumerate(hpts):
+            for j in range(i + 1, n):
+                xj, yj, wj = hpts[j]
+                a, b, c = yi * wj - wi * yj, wi * xj - xi * wj, xi * yj - yi * xj
+                for k in range(j + 1, n):
+                    xk, yk, wk = hpts[k]
+                    if a * xk + b * yk + c * wk == 0:
+                        out.append(("collinear", (i, j, k)))
+        return out
+    for idx in itertools.combinations(range(len(pts)), d + 1):
+        if _orientation_homog([hpts[i] for i in idx]) == 0:
+            out.append(("dependent", idx))
     return out
 
 
 def line_coeffs_int(h: Hyperplane) -> tuple:
-    """Planar line as reduced integers (a, b, c) with ax + by = c."""
-    if h.dim != 2:
-        raise DimensionError("line_coeffs_int is planar only")
-    a, b = h.normal
-    c = h.offset
-    w = 1
-    for den in (a.denominator, b.denominator, c.denominator):
-        w = w * den // gcd(w, den)
-    ia, ib, ic = (a.numerator * (w // a.denominator),
-                  b.numerator * (w // b.denominator),
-                  c.numerator * (w // c.denominator))
-    g = gcd(gcd(abs(ia), abs(ib)), abs(ic))
+    """Planar line as reduced integers (a, b, c) with ax + by = c and a
+    positive lead coefficient; computed once per hyperplane."""
+    t = h._coeffs
+    if t is None:
+        if h.dim != 2:
+            raise DimensionError("line_coeffs_int is planar only")
+        a, b = h.normal
+        c = h.offset
+        w = 1
+        for den in (a.denominator, b.denominator, c.denominator):
+            w = w * den // gcd(w, den)
+        # the canonical normal leads with +1: only the gcd division acts
+        t = _reduce_line(a.numerator * (w // a.denominator),
+                         b.numerator * (w // b.denominator),
+                         c.numerator * (w // c.denominator))
+        object.__setattr__(h, "_coeffs", t)
+    return t
+
+
+def _reduce_line(a, b, c) -> tuple:
+    """The integer line a·x + b·y = c divided by the gcd of its entries and
+    signed so that its first nonzero normal entry is positive: the one
+    reduced triple of every equation of that line."""
+    g = gcd(gcd(abs(a), abs(b)), abs(c))
     if g > 1:
-        ia, ib, ic = ia // g, ib // g, ic // g
-    return (ia, ib, ic)
+        a, b, c = a // g, b // g, c // g
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    return (a, b, c)
+
+
+def _line_from_coeffs(coeffs) -> Hyperplane:
+    """The canonical ``Hyperplane`` of a reduced integer line (a, b, c), as
+    ``_reduce_line`` gives it, with ``coeffs`` cached: one exact division of
+    each entry by the lead coefficient, and no ``line_coeffs_int`` work."""
+    a, b, c = coeffs
+    lead = a or b
+    h = object.__new__(Hyperplane)
+    object.__setattr__(h, "normal", (Fraction(a, lead), Fraction(b, lead)))
+    object.__setattr__(h, "offset", Fraction(c, lead))
+    object.__setattr__(h, "_coeffs", coeffs)
+    return h
 
 
 def intersect_lines_homog(l1: tuple, l2: tuple) -> tuple:
@@ -493,12 +551,7 @@ def line_through_homog(p: tuple, q: tuple) -> tuple:
     a = y1 * w2 - y2 * w1
     b = x2 * w1 - x1 * w2
     c = x2 * y1 - x1 * y2
-    g = gcd(gcd(abs(a), abs(b)), abs(c))
-    if g > 1:
-        a, b, c = a // g, b // g, c // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return (a, b, c)
+    return _reduce_line(a, b, c)
 
 
 def _line_violations(coeffs) -> list:

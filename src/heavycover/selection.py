@@ -546,7 +546,16 @@ def _walk_tables(pts):
                 oc = orient[c]
                 oab[c] = ob[c][a] = oc[a][b] = d
                 oba[c] = oa[c][b] = oc[b][a] = -d
-    left = [[len([v for v in row if v > 0]) for row in rows] for rows in orient]
+    # orient[b][a] is orient[a][b] negated, so the points left of p_b -> p_a
+    # are those right of p_a -> p_b, n less the zeros and the left ones: one
+    # count per pair a < b
+    left = [[0] * n for _ in range(n)]
+    for a, rows in enumerate(orient):
+        for b in range(a + 1, n):
+            row = rows[b]
+            k = len([v for v in row if v > 0])
+            left[a][b] = k
+            left[b][a] = n - row.count(0) - k
     depth = [math.comb(n - 1, 2) + math.comb(n - 1, 3)
              - sum(u * (u - 1) // 2 for u in row) for row in left]
     return pts, orient, left, depth

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ from heavycover.datasets import (
     random_point_set,
     random_tangent_family,
 )
+from heavycover.dual import tangent_family
 from heavycover.errors import ParseError
 from heavycover.exactgeom import (
+    Hyperplane,
     Point,
     _line_violations,
     general_position_report,
+    line_coeffs_int,
 )
 
 
@@ -156,3 +160,53 @@ def test_metadata_survives_roundtrip():
     assert ds.metadata["seed"] == 77
     again = parse_dataset(emit_dataset(ds))
     assert again.metadata == ds.metadata
+
+
+def _digest(datasets):
+    digest = hashlib.sha256()
+    for ds in datasets:
+        digest.update(emit_dataset(ds).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("params, sizes, pinned", [
+    ({}, range(3, 31),
+     "8c3c9528743dde468a10d1d7990077ee9d6644092ee777625bed2b9ace89035f"),
+    ({"near_convex": True}, range(3, 31),
+     "f4aafc84276b3306ec73ab6310dda8069abf3761c2a99cf42ba78743b7846090"),
+    ({"dim": 3}, range(1, 9),
+     "8ff990da9de491cfb29d205167804f3cbe86fdc692ba8c5658fb39c6ec14245e"),
+], ids=["box", "near_convex", "dim3"])
+def test_point_set_draws_are_pinned(params, sizes, pinned):
+    # the draws and the general-position retries decide every set
+    assert _digest(Dataset("POINTS", points=random_point_set(n, seed, **params))
+                   for n in sizes for seed in range(1, 6)) == pinned
+
+
+def test_tangent_families_are_pinned():
+    assert _digest(Dataset("LINES", lines=tangent_family(n)) for n in range(3, 61)) == \
+        "74ee9c8c4e9bbc3167034fa259023d768259fca3d58c90332b04ee6cf83fb6f7"
+    assert _digest(Dataset("LINES", lines=random_tangent_family(n, seed))
+                   for n in range(3, 31) for seed in range(1, 6)) == \
+        "4fd7c4a54dafc8c14755656ec0b72bd8b78ec0821dfe5e9e2f183cb17b5c8f58"
+
+
+def test_generated_lines_cache_the_triple_a_fresh_conversion_gives():
+    # the generators build each line from its integer triple and cache it;
+    # a Hyperplane rebuilt from the Fraction fields has no cache and must
+    # convert to the same triple (fresh), and a filled cache must stay
+    # invisible next to one never filled (clean)
+    families = [random_line_family(n, seed) for n in range(3, 41) for seed in range(1, 4)]
+    families += [tangent_family(n) for n in range(3, 61)]
+    for family in families:
+        for h, coeffs in zip(family.lines, family.coeffs):
+            fresh = Hyperplane(h.normal, h.offset)
+            assert h._coeffs is not None and fresh._coeffs is None
+            assert line_coeffs_int(fresh) == line_coeffs_int(h) == coeffs
+            assert all(type(v) is Fraction for v in h.normal + (h.offset,))
+            clean = Hyperplane(h.normal, h.offset)
+            assert h == fresh == clean
+            assert hash(h) == hash(fresh) == hash(clean)
+            assert repr(h) == repr(fresh) == repr(clean)
+            assert pickle.dumps(h) == pickle.dumps(fresh) == pickle.dumps(clean)
+            assert pickle.loads(pickle.dumps(h))._coeffs is None

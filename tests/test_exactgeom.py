@@ -12,6 +12,7 @@ from heavycover.exactgeom import (
     Hyperplane,
     Point,
     _line_violations,
+    _orientation_homog,
     general_position_report,
     homog,
     line_coeffs_int,
@@ -239,6 +240,48 @@ def test_general_position_random_rationals_clean():
     pts = [P(Fraction(rng.randrange(-80_000, 80_001), 9973),
              Fraction(rng.randrange(-80_000, 80_001), 9973)) for _ in range(12)]
     assert general_position_report(pts) == []
+
+
+def _reference_general_position(pts):
+    """Every duplicate pair by ``Point`` equality, then every dependent
+    (d+1)-tuple by ``_orientation_homog`` on its rows, in
+    ``itertools.combinations`` order."""
+    d = pts[0].dim
+    kind = "collinear" if d == 2 else "dependent"
+    out = [("duplicate", (i, j)) for i, j in itertools.combinations(range(len(pts)), 2)
+           if pts[i] == pts[j]]
+    out += [(kind, idx) for idx in itertools.combinations(range(len(pts)), d + 1)
+            if _orientation_homog([homog(pts[i]) for i in idx]) == 0]
+    return out
+
+
+def test_general_position_report_equals_generic_reference():
+    # a small grid over mixed denominators makes duplicates and collinear
+    # triples common; the planar minors path must give the reference's list
+    # in its order, and d = 1 and d = 3 keep the generic path
+    rng = random.Random(18)
+
+    def coord():
+        return Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+
+    kinds = set()
+    clean = 0
+    for _ in range(300):
+        pts = [P(coord(), coord()) for _ in range(rng.randrange(1, 10))]
+        report = general_position_report(pts)
+        assert report == _reference_general_position(pts), pts
+        kinds.update(kind for kind, _ in report)
+        clean += not report
+    assert kinds == {"duplicate", "collinear"} and clean > 0
+    for dim in (1, 3):
+        seen = set()
+        for _ in range(60):
+            pts = [P(*(coord() for _ in range(dim))) for _ in range(rng.randrange(1, 8))]
+            pts.insert(rng.randrange(len(pts) + 1), rng.choice(pts))
+            report = general_position_report(pts)
+            assert report == _reference_general_position(pts), pts
+            seen.update(k for k, _ in report)
+        assert seen == {"duplicate", "dependent"}
 
 
 def test_lines_general_position_report():
