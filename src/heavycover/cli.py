@@ -7,15 +7,13 @@ finding, reported in the artifacts); 3 = an internal invariant violation
 (a bug).
 
 JSON artifacts are canonical (sorted keys, exact "p/q" rationals, no
-timestamps), so identical invocations produce byte-identical outputs at any
-thread count.
+timestamps), so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -38,6 +36,7 @@ from .errors import (
 )
 from .exactgeom import Point, homog, scalar
 from .selection import (
+    LabeledPointSet,
     _closed_depth_homog,
     colorful_depth,
     depth_naive,
@@ -85,11 +84,6 @@ def _count(text) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _threads(text) -> int:
-    """--threads value: a count, clamped to the machine's CPU count."""
-    return min(_count(text), os.cpu_count() or 1)
 
 
 def _fr(x) -> str:
@@ -214,7 +208,7 @@ def _cmd_depth(args):
 
 def _cmd_maxdepth(args):
     ds = _load_dataset(args, ("POINTS", "COLORED_POINTS"), "POINTS")
-    q, rep = max_depth_point(ds.points, threads=args.threads)
+    q, rep = max_depth_point(ds.points)
     print(f"max depth {rep.count} of {rep.total} at {tuple(map(str, q.coords))} "
           f"(fraction {rep.fraction}, slack bound {rep.slack_bound})")
     _emit_report(args, {"command": "maxdepth", "argmax": _point_json(q),
@@ -242,7 +236,7 @@ def _cmd_dual(args):
 
 def _cmd_maxdual(args):
     ds = _load_dataset(args, ("LINES",), "LINES", tangent=args.tangent)
-    q, rep = max_dual_depth_point(ds.lines, threads=args.threads)
+    q, rep = max_dual_depth_point(ds.lines)
     print(f"max dual depth {rep.count} of {rep.total} at "
           f"{tuple(map(str, q.coords))} (fraction {rep.fraction}, "
           f"boundary triples {rep.boundary_count})")
@@ -315,8 +309,6 @@ def _cmd_transversal(args):
     classes = ds.points.color_classes()
     if len(classes) != 2:
         raise UsageError("transversal needs a COLORED_POINTS dataset with 2 classes")
-    from .selection import LabeledPointSet
-
     sets = [LabeledPointSet(tuple(ds.points.points[i] for i in ix))
             for ix in classes.values()]
     flat, rep = find_transversal_line_2d(sets[0], sets[1])
@@ -391,8 +383,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    report = run_battery(seed=args.seed if args.seed is not None else 42,
-                         trials=args.trials, threads=args.threads)
+    report = run_battery(seed=args.seed, trials=args.trials)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['id']}: {check['description']}")
@@ -409,7 +400,7 @@ def build_parser() -> _Parser:
                      description="Exact simplicial and dual depth toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, threads=False, tangent=False):
+    def common(p, point=False, tangent=False):
         p.add_argument("--in", dest="infile", help="input dataset (JSON)")
         p.add_argument("--out", help="machine-readable JSON report path")
         p.add_argument("--plot", help="SVG output path")
@@ -421,20 +412,16 @@ def build_parser() -> _Parser:
         if point:
             p.add_argument("--point", required=True,
                            help="query point, e.g. 1,1 or 1/2,3/4")
-        if threads:
-            p.add_argument("--threads", type=_threads, default=1,
-                           help="accepted and has no effect: the search runs "
-                                "in one process (at least 1, default 1)")
         if tangent:
             p.add_argument("--tangent", action="store_true",
                            help="generate a tangent family instead of random lines")
 
     common(sub.add_parser("depth", help="simplicial depth of a point"), point=True)
-    common(sub.add_parser("maxdepth", help="max-depth point search"), threads=True)
+    common(sub.add_parser("maxdepth", help="max-depth point search"))
     common(sub.add_parser("dual", help="dual (surrounding) depth of a point"),
            point=True)
     common(sub.add_parser("maxdual", help="max dual-depth point search"),
-           threads=True, tangent=True)
+           tangent=True)
     common(sub.add_parser("expose", help="exposure profile and arcs"), point=True)
 
     p = sub.add_parser("extremal", help="tangent-family tightness report")
@@ -457,9 +444,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=_count, default=50,
                    help="seeded-instance count knob (default 50 = full battery)")
-    p.add_argument("--threads", type=_threads, default=1,
-                   help="accepted and has no effect: the battery runs in one "
-                        "process (at least 1, default 1)")
     p.add_argument("--out", help="machine-readable JSON report path")
     return parser
 

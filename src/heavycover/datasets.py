@@ -28,6 +28,7 @@ from .exactgeom import (
     _line_violations,
     _reduce_line,
     general_position_report,
+    scalar,
 )
 from .selection import LabeledPointSet
 
@@ -48,20 +49,11 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _num(value, location):
-    if isinstance(value, bool):
-        raise ParseError("expected an exact rational, got a boolean", location)
-    if isinstance(value, Fraction):
-        return value  # json floats arrive pre-converted by the exact float hook
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise ParseError(f"scientific notation is rejected: {value!r}", location)
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not an exact rational literal: {value!r}", location)
-    raise ParseError(f"expected an exact rational, got {type(value).__name__}", location)
+    # json floats arrive as Fractions, pre-converted by _num_float_reject
+    try:
+        return scalar(value)
+    except DomainError as exc:
+        raise ParseError(str(exc), location) from None
 
 
 def _reject_constant(name):
@@ -161,9 +153,7 @@ def parse_dataset(data) -> Dataset:
 def _num_float_reject(text):
     # json floats arrive here as raw text; finite decimals convert exactly,
     # exponent forms are rejected
-    if "e" in text or "E" in text:
-        raise ParseError(f"scientific notation is rejected: {text!r}")
-    return Fraction(text)
+    return _num(text, "")
 
 
 def _frac_str(f: Fraction) -> str:

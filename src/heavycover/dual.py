@@ -408,7 +408,7 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     (``_vertex_pair``), O(n^3) in all, on side vectors built once per call
     (``_vertex_table``). The winner's count is re-derived by the exhaustive
     route on the same table as an internal consistency check. ``threads`` is
-    accepted and has no effect: the scan runs in the calling process.
+    ignored; it stays only because the benchmark's workloads pass it.
     """
     if family.n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")

@@ -35,11 +35,14 @@ def scalar(value) -> Fraction:
     """Coerce an int, Fraction, or exact string ("p/q" or finite decimal).
 
     Floats and scientific notation are rejected: they cannot be trusted to
-    represent the intended exact value.
+    represent the intended exact value. Booleans are rejected too, though
+    Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise DomainError(f"not an exact scalar: {value!r} (booleans are rejected)")
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
@@ -48,7 +51,8 @@ def scalar(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not an exact rational literal: {value!r}") from exc
-    raise DomainError(f"not an exact scalar: {value!r} (floats are rejected)")
+    raise DomainError(f"not an exact scalar: {value!r} (expected an int, Fraction "
+                      "or exact string; floats are rejected)")
 
 
 class Point:

@@ -791,8 +791,8 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     each segment's best crossing, O(n^2) of them (see ``_walk_pairs``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
-    ``threads`` is accepted and has no effect: the search runs in the calling
-    process.
+    ``threads`` is ignored; it stays only because the benchmark's workloads
+    pass it.
     """
     if pset.dim != 2:
         raise DimensionError("max_depth_point is planar only")

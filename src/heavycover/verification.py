@@ -8,7 +8,7 @@ persistence along motions, and byte-level determinism of this very battery.
 
 The same functions back both tests/test_acceptance.py and the ``verify`` CLI
 subcommand. All report values are exact (rationals serialize as "p/q"), so
-reports are byte-comparable across runs and thread counts.
+reports are byte-comparable across runs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .datasets import (
 )
 from .dual import (
     DUAL_BOUND,
+    LineFamily,
     _sides,
     base_cut_count,
     classify_tangents,
@@ -43,6 +44,7 @@ from .dual import (
 )
 from .errors import DegeneracyError
 from .exactgeom import (
+    Hyperplane,
     Point,
     _solve_exact,
     homog,
@@ -141,13 +143,14 @@ def check_oracle_equivalence(seed, planar_sets=200, dual_sets=200, triples=10_00
 def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
     """max_depth_point fraction >= 2/9 - 3/n on every seeded general-position
     set. The slack constant 3 was calibrated at n <= 12 before freezing.
-    ``threads`` is passed on to the search, which ignores it."""
+    ``threads`` is ignored; it stays only because the benchmark's workloads
+    pass it."""
     failures = []
     worst = None
     for t in range(trials):
         n = sizes[t % len(sizes)]
         ps = random_point_set(n, seed * 3001 + t)
-        _, rep = max_depth_point(ps, witness_limit=0, threads=threads)
+        _, rep = max_depth_point(ps, witness_limit=0)
         target = selection_bound(2) - Fraction(3, n)
         margin = rep.fraction - target
         if worst is None or margin < worst[0]:
@@ -170,13 +173,14 @@ def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
 
 def check_dual_bound(seed, trials=50, sizes=(8, 10, 12), threads=1):
     """max_dual_depth_point fraction >= 2/9 - 3/n on seeded line families.
-    ``threads`` is passed on to the search, which ignores it."""
+    ``threads`` is ignored; it stays only because the benchmark's workloads
+    pass it."""
     failures = []
     worst = None
     for t in range(trials):
         n = sizes[t % len(sizes)]
         fam = random_line_family(n, seed * 3301 + t)
-        _, rep = max_dual_depth_point(fam, witness_limit=0, threads=threads)
+        _, rep = max_dual_depth_point(fam, witness_limit=0)
         target = DUAL_BOUND - Fraction(3, n)
         margin = rep.fraction - target
         if worst is None or margin < worst[0]:
@@ -467,8 +471,6 @@ def check_module_invariants(seed, trials=60):
         if len(verdicts) != 1:
             failures.append(f"containment permutation invariance broke at trial {t}")
     for t in range(trials):
-        from .exactgeom import Hyperplane
-
         a, b = rng.randrange(-9, 10), rng.randrange(-9, 10)
         if a == 0 and b == 0:
             continue
@@ -497,8 +499,6 @@ def check_module_invariants(seed, trials=60):
     base_dual = dual_depth_naive(qq, fam).count
     order = list(range(6))
     rng.shuffle(order)
-    from .dual import LineFamily
-
     if dual_depth_naive(qq, LineFamily(tuple(fam.lines[i] for i in order))).count \
             != base_dual:
         failures.append("dual depth reorder invariance broke")
@@ -539,50 +539,32 @@ def battery_json(report: dict) -> str:
 
 
 def check_determinism(seed, trials=2, samples=11):
-    """The battery (all check families) serializes byte-identically across
-    repeated runs and across thread counts, and the dual vertex scan of a
-    seeded n = 12 family gives the same result at threads 1 and 2. Every
-    search runs in the calling process whatever ``threads`` says, so this
-    guards the public keyword's contract: it never changes a result."""
-    runs = [
-        battery_json(run_battery(seed=seed, trials=trials, threads=1,
-                                 include_determinism=False,
-                                 continuity_samples=samples)),
-        battery_json(run_battery(seed=seed, trials=trials, threads=1,
-                                 include_determinism=False,
-                                 continuity_samples=samples)),
-        battery_json(run_battery(seed=seed, trials=trials, threads=2,
-                                 include_determinism=False,
-                                 continuity_samples=samples)),
-    ]
-    fam = random_line_family(12, seed)
-    serial = max_dual_depth_point(fam, threads=1)
-    two = max_dual_depth_point(fam, threads=2)
+    """The battery (all check families) serializes byte-identically when it
+    runs twice with identical arguments."""
+    runs = [battery_json(run_battery(seed=seed, trials=trials,
+                                     include_determinism=False,
+                                     continuity_samples=samples))
+            for _ in range(2)]
     failures = []
     if runs[0] != runs[1]:
         failures.append("repeat run with identical arguments differed")
-    if runs[0] != runs[2]:
-        failures.append("thread count changed the report bytes")
-    if serial != two:
-        failures.append("thread count changed the dual vertex scan's result")
     return _check(
         "determinism",
-        "battery reports are byte-identical across reruns and thread counts",
+        "battery reports are byte-identical across reruns",
         failures,
-        3,
+        2,
         report_bytes=len(runs[0]))
 
 
-def run_battery(seed=42, trials=50, threads=1, include_determinism=True,
+def run_battery(seed=42, trials=50, include_determinism=True,
                 continuity_samples=101):
     """Run every check family; ``trials`` scales the seeded-instance counts
-    (the defaults reproduce the acceptance-criteria counts exactly).
-    ``threads`` is accepted and has no effect on the work or the report."""
+    (the defaults reproduce the acceptance-criteria counts exactly)."""
     checks = [
         check_oracle_equivalence(seed, planar_sets=4 * trials,
                                  dual_sets=4 * trials, triples=200 * trials),
-        check_selection_bound(seed, trials=trials, threads=threads),
-        check_dual_bound(seed, trials=trials, threads=threads),
+        check_selection_bound(seed, trials=trials),
+        check_dual_bound(seed, trials=trials),
         check_tangent_tightness(),
         check_base_cut_identity(seed, trials=2 * trials),
         check_exposure_semantics(seed, trials=trials),

@@ -108,19 +108,20 @@ def test_criterion_8_continuity():
 
 
 def test_criterion_9_determinism():
-    # the battery serializes byte-identically across reruns and thread counts
+    # the battery serializes byte-identically across reruns
     check = check_determinism(SEED, trials=2, samples=11)
     _report(9, check)
 
 
-def test_determinism_check_fails_a_thread_dependent_scan(monkeypatch):
-    # the battery is stubbed out; a dual scan whose result depends on the
-    # thread count fails the check
-    monkeypatch.setattr(verification, "run_battery", lambda **kwargs: {})
+def test_determinism_check_fails_a_differing_rerun(monkeypatch):
+    # the battery is stubbed out: identical reports pass, and a second run
+    # that reports differently fails the check
+    monkeypatch.setattr(verification, "run_battery", lambda **kwargs: {"run": 0})
     check = check_determinism(SEED)
-    assert check["passed"] and check["trials"] == 3
-    monkeypatch.setattr(verification, "max_dual_depth_point",
-                        lambda fam, threads=1: threads)
+    assert check["passed"] and check["trials"] == 2
+    runs = iter(range(2))
+    monkeypatch.setattr(verification, "run_battery",
+                        lambda **kwargs: {"run": next(runs)})
     check = check_determinism(SEED)
     assert not check["passed"]
-    assert check["failures"] == ["thread count changed the dual vertex scan's result"]
+    assert check["failures"] == ["repeat run with identical arguments differed"]

@@ -63,6 +63,13 @@ def test_parse_rejects_malformed_and_nonfinite():
         parse_dataset('{"kind":"BOGUS"}')
 
 
+def test_parse_rejects_boolean_coordinate():
+    with pytest.raises(ParseError) as err:
+        parse_dataset('{"kind":"POINTS","points":[["0","0"],[true,"2"]]}')
+    assert str(err.value).startswith("points[1][0]: ")
+    assert "booleans are rejected" in str(err.value)
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         parse_dataset('{"kind":"POINTS","points":[["0","0"],["x","2"]]}')

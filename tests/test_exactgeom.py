@@ -46,6 +46,13 @@ def test_scalar_rejects_inexact_forms():
         scalar("abc")
 
 
+def test_scalar_rejects_booleans():
+    # bool is an int subclass, but True is no coordinate
+    for value in (True, False):
+        with pytest.raises(DomainError, match="booleans are rejected"):
+            scalar(value)
+
+
 def test_orientation_convention():
     assert orientation([P(0, 0), P(1, 0), P(0, 1)]) == 1
     assert orientation([P(0, 0), P(1, 1), P(2, 2)]) == 0
