@@ -115,6 +115,8 @@ def heavy_region_witness(pset: LabeledPointSet, tau):
     lexicographically least data point."""
     if pset.dim != 2:
         raise DimensionError("heavy_region_witness is planar only")
+    if pset.n < 3:
+        raise DomainError("need at least 3 points")
     tables, [first] = _walk_scan(pset, (_at_least(tau, pset.n),))
     return _witness(tables, first)
 

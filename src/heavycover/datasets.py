@@ -124,6 +124,9 @@ def parse_dataset(data) -> Dataset:
             colors = obj.get("colors")
             if not isinstance(colors, list):
                 raise ParseError("COLORED_POINTS needs a colors list", "colors")
+            for i, c in enumerate(colors):
+                if isinstance(c, bool) or not isinstance(c, (str, int)):
+                    raise ParseError("a color must be a string or an integer", f"colors[{i}]")
             return Dataset(kind, points=LabeledPointSet(pts, colors=tuple(colors),
                                                         provenance=provenance),
                            metadata=metadata)

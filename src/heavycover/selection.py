@@ -11,9 +11,11 @@ makes no angular sort. The table holds one determinant per triple, C(n, 3)
 in all, on each point's own homogeneous coordinates with no common
 denominator, so its entries stay as long as a few coordinates even when the
 points' denominators all differ; a zero among them fails the
-general-position gate. Crossings along a segment are sorted by one correctly
-rounded float each, checked exactly where two of them round to one key.
-``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
+general-position gate. One function, ``_segment_walk``, steps a segment's
+crossings: they are sorted by one correctly rounded float each, and only a
+segment on which two crossings round to one float is sorted by exact
+fractions instead. ``candidate_vertices`` keeps the line-arrangement
+superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
 heavy-region witness, and ``dual``'s vertex and cell scans) runs through
@@ -561,24 +563,11 @@ def _walk_tables(pts):
     return pts, orient, left, depth
 
 
-def _exact_step(steps, step):
-    """File the step ``step`` = [far, past, a, b] of ``_segment_steps`` under
-    its exact key, the fraction a / (a + b), adding it to the step of a
-    concurrent crossing already filed there."""
-    key = Fraction(step[2], step[2] + step[3])
-    filed = steps.get(key)
-    if filed is None:
-        steps[key] = step
-    else:
-        filed[0] += step[0]
-        filed[1] += step[1]
-
-
-def _segment_steps(i, j, pts, orient, left, depth):
-    """The closed depth on the open segment p_i p_j just past p_i, and its
-    proper crossings: ``key -> [sum |B|, sum (|B| - |A|), a, b]``, key the
-    crossing's place along the segment (see ``_segment_counts``). Needs
-    general position.
+def _segment_walk(i, j, pts, orient, left, depth):
+    """The walk of the open segment p_i p_j: (start, counts, crossings), the
+    closed depth just past p_i, the closed depth at each proper crossing in
+    order from p_i, and each crossing's (a, b), aligned with ``counts``; no
+    keys are built. Needs general position.
 
     Near p_i, a triangle without vertex i contains the point iff it contains
     p_i, and one of the C(n-1, 2) triangles i k m iff the direction to p_j
@@ -588,12 +577,24 @@ def _segment_steps(i, j, pts, orient, left, depth):
     Those are the pairs with a > 0 in the crossing loop, so the start count
     costs no sort.
 
-    A crossing is keyed by the float a / (a + b). Two crossings on one key
-    are the same point when a * b' == a' * b, and their steps add up;
-    otherwise they are a clash, two points that round to one double, and
-    every crossing on that float is filed under its exact ``Fraction``
-    instead (``_exact_step``). Correct rounding is monotone, so a fraction
-    and a float key compare exactly as their crossings do.
+    Depth on the open segment changes only where it crosses a segment p_k p_m
+    with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
+    strictly on p_j's side of line km (B, ``far``) and, past the crossing,
+    drops those with r on p_i's side (A); at the crossing itself all of them
+    contain the point. Concurrent crossings are one vertex, and their terms
+    add up.
+
+    With a = -orient[i][k][m] and b = orient[j][k][m], the homogeneous
+    determinants of p_i and p_j against line km, the crossing is
+    b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j) (``_crossing_key``), at parameter
+    a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
+    with a / b, so a / (a + b) orders the crossings of one segment; the
+    weights drop out. Each crossing is filed under the correctly rounded
+    float a / (a + b), the first on a float in ``firsts`` and any later one in
+    ``shared``. With ``shared`` empty the floats are distinct and their order
+    is exact, since correct rounding is monotone. Otherwise every crossing is
+    sorted by its exact fraction, and adjacent ones with a * b' == a' * b
+    merge into one vertex.
     """
     n = len(pts)
     oi, oj = orient[i], orient[j]
@@ -601,8 +602,8 @@ def _segment_steps(i, j, pts, orient, left, depth):
     lefts = [k for k in range(n) if side[k] > 0]
     rights = [k for k in range(n) if side[k] < 0]
     cone = 0
-    steps = {}
-    clashes = []
+    firsts = {}
+    shared = []
     for k in lefts:
         oik, ojk, lk = oi[k], oj[k], left[k]
         for m in rights:
@@ -614,58 +615,26 @@ def _segment_steps(i, j, pts, orient, left, depth):
             cone += 1
             if b <= 0:
                 continue
-            far = lk[m]
             t = a / (a + b)
-            step = steps.get(t)
-            if step is None:
-                steps[t] = [far, 2 * far - (n - 2), a, b]
-            elif a * step[3] == step[2] * b:
-                step[0] += far
-                step[1] += 2 * far - (n - 2)
+            if t in firsts:
+                shared.append((a, b, lk[m]))
             else:
-                del steps[t]
-                _exact_step(steps, step)
-                _exact_step(steps, [far, 2 * far - (n - 2), a, b])
-                clashes.append(t)
-    for t in clashes:
-        # a later crossing on a clash's float was filed there alone
-        step = steps.pop(t, None)
-        if step is not None:
-            _exact_step(steps, step)
-    return depth[i] - math.comb(n - 1, 2) + (n - 2) + cone, steps
-
-
-def _segment_counts(i, j, pts, orient, left, depth):
-    """Closed depth at each proper crossing on the open segment p_i p_j, in
-    order from p_i, and each crossing's (a, b): two aligned lists, no keys
-    built. Needs general position.
-
-    Depth on the open segment changes only where it crosses a segment p_k p_m
-    with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
-    strictly on p_j's side of line km (B) and, past the crossing, drops those
-    with r on p_i's side (A); at the crossing itself all of them contain the
-    point. Concurrent crossings share a parameter t and their terms add up.
-    The count before the first crossing comes from ``_segment_steps``, out of
-    the depth of p_i and the orientation table, so the walk is integer steps.
-
-    With a = -orient[i][k][m] and b = orient[j][k][m], the homogeneous
-    determinants of p_i and p_j against line km, the crossing is
-    b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j) (``_crossing_key``), at parameter
-    a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
-    with a / b, so a / (a + b) orders and groups the crossings of one segment
-    the same way; the weights drop out. The steps are sorted by their keys:
-    correctly rounded floats a / (a + b), and exact fractions for a clash
-    (see ``_segment_steps``), so the order is exact.
-    """
-    before, steps = _segment_steps(i, j, pts, orient, left, depth)
+                firsts[t] = (a, b, lk[m])
+    if shared:
+        steps = sorted([*firsts.values(), *shared], key=lambda s: Fraction(s[0], s[0] + s[1]))
+    else:
+        steps = [firsts[t] for t in sorted(firsts)]
+    start = before = depth[i] - math.comb(n - 1, 2) + (n - 2) + cone
     counts = []
     crossings = []
-    for t in sorted(steps):
-        at_vertex, past, a, b = steps[t]
-        counts.append(before + at_vertex)
-        crossings.append((a, b))
-        before += past
-    return counts, crossings
+    for a, b, far in steps:
+        if shared and crossings and a * crossings[-1][1] == crossings[-1][0] * b:
+            counts[-1] += far
+        else:
+            counts.append(before + far)
+            crossings.append((a, b))
+        before += 2 * far - (n - 2)
+    return start, counts, crossings
 
 
 def _crossing_key(pi, pj, a, b):
@@ -677,9 +646,9 @@ def _crossing_key(pi, pj, a, b):
 def _segment_vertices(i, j, *tables):
     """Every proper crossing on the open segment p_i p_j, in order from p_i,
     as (count, key) with key its homogeneous coordinates (see
-    ``_segment_counts``). The walk yields only each segment's best few of
+    ``_segment_walk``). The walk yields only each segment's best few of
     these; the full stream is the all-vertex oracle for tests."""
-    counts, crossings = _segment_counts(i, j, *tables)
+    _, counts, crossings = _segment_walk(i, j, *tables)
     pi, pj = tables[0][i], tables[0][j]
     for count, (a, b) in zip(counts, crossings):
         yield count, _crossing_key(pi, pj, a, b)
@@ -714,7 +683,7 @@ def _walk_pairs(tables, scorers):
         pi = pts[i]
         yield depth[i], pi
         for j in range(i + 1, n):
-            counts, crossings = _segment_counts(i, j, *tables)
+            _, counts, crossings = _segment_walk(i, j, *tables)
             if not counts:
                 continue
             pj = pts[j]
@@ -786,8 +755,8 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     semicontinuity). The n data-point counts and each segment's count before
     its first crossing come from the orientation table, C(n, 3) determinants;
     the rest is integer steps across the crossings, sorted along each segment
-    by the float a / (a + b), checked exactly where two crossings share one
-    (see ``_segment_steps``), O(n^4 log n) in all. Keys are built only for
+    by the float a / (a + b), or exactly where two crossings share one
+    (see ``_segment_walk``), O(n^4 log n) in all. Keys are built only for
     each segment's best crossing, O(n^2) of them (see ``_walk_pairs``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.

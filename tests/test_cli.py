@@ -212,6 +212,18 @@ def test_general_position_errors_name_the_first_violation(command, text, err,
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command", [["depth", "--point", "1,1"], ["transversal"]],
+                         ids=["depth", "transversal"])
+def test_list_colors_are_a_located_error(command, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"kind":"COLORED_POINTS","points":[["0","0"],["4","0"],["0","4"]],'
+                    '"colors":[[1],[2],[3]]}')
+    assert run_command([*command, "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: colors[0]: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags, err", [
     (["--jump-threshold", "-1", "--data-threshold", "100"],
      "error: jump_threshold must be at least 0, got -1\n"),
@@ -344,6 +356,33 @@ def test_mixed_denominator_out_is_pinned(runs, tmp_path):
                             "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             PINNED_MIXED_DENOMINATORS
+
+
+# sha256 of maxdepth --out on sets whose crossings share float keys: on
+# segment 0-1 of FLOAT_CLASH six distinct crossings round to one float, and
+# SHARED_FLOAT (tests/test_selection.py) adds two points whose segment meets
+# one of them, so a float there holds a concurrency among distinct crossings
+_FLOAT_CLASH_POINTS = ('["0","0"],["3458764513820540928","1"],["1152921504606846976","-1"],'
+                       '["1152921504606846976","1"],["1152921504606846977","-2"],'
+                       '["1152921504606846977","3"],["1152921504606846978","-1"]')
+PINNED_SHARED_FLOATS = {
+    "float_clash": (_FLOAT_CLASH_POINTS,
+                    "8008fc91ea322b766ffb1b3cca4f8f3617a85cfc24b9f7be64e32a5a91a9aa0f"),
+    "shared_float": (_FLOAT_CLASH_POINTS + ',["576460752303423495","5"],'
+                     '["23926103924128485622917110478015561735/13835058055282163711",'
+                     '"-59951918239556042745/13835058055282163711"]',
+                     "8d2cf49106d0a1935a06dc5317a6d773f1fe900737534aba67f79c7e328c9b70"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHARED_FLOATS))
+def test_shared_float_out_is_pinned(name, tmp_path):
+    points, digest = PINNED_SHARED_FLOATS[name]
+    data = tmp_path / "in.json"
+    data.write_text(f'{{"kind":"POINTS","points":[{points}]}}')
+    out = tmp_path / "out.json"
+    assert run_command(["maxdepth", "--in", str(data), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # sha256 of the --plot SVG at --grid 40 for fixed-seed runs; every landscape

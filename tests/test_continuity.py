@@ -113,6 +113,12 @@ def test_heavy_region_witness_rejects_degenerate():
         heavy_region_witness(bad, 0)
 
 
+def test_heavy_region_witness_needs_three_points():
+    for pts in ((Point(0, 0),), (Point(0, 0), Point(4, 0))):
+        with pytest.raises(DomainError, match="^need at least 3 points$"):
+            heavy_region_witness(LabeledPointSet(pts), Fraction(1, 5))
+
+
 def test_heavy_region_witness_nonpositive_tau_is_least_data_point():
     # every point qualifies, so the witness is the lexicographically least
     # data point with its true count, not a far-away count-0 vertex

@@ -70,6 +70,15 @@ def test_parse_rejects_boolean_coordinate():
     assert "booleans are rejected" in str(err.value)
 
 
+def test_parse_rejects_colors_that_are_not_strings_or_integers():
+    for color in ("[1]", "true", "null", '{"c":1}', "1.5"):
+        text = ('{"kind":"COLORED_POINTS","points":[["0","0"],["4","0"],["0","4"]],'
+                f'"colors":[0,"b",{color}]}}')
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert str(err.value).startswith("colors[2]: ")
+
+
 def test_parse_error_carries_location():
     with pytest.raises(ParseError) as err:
         parse_dataset('{"kind":"POINTS","points":[["0","0"],["x","2"]]}')

@@ -25,9 +25,8 @@ from heavycover.selection import (
     _avoiding_triples,
     _general_position,
     _scan,
-    _segment_counts,
-    _segment_steps,
     _segment_vertices,
+    _segment_walk,
     _walk_pairs,
     _walk_tables,
     LabeledPointSet,
@@ -290,6 +289,15 @@ _N = 2 ** 60
 FLOAT_CLASH = LabeledPointSet((Point(0, 0), Point(3 * _N, 1), Point(_N, -1), Point(_N, 1),
                                Point(_N + 1, -2), Point(_N + 1, 3), Point(_N + 2, -1)))
 
+# FLOAT_CLASH with p = (2^59 + 7, 5) and its mirror image 2c - p through c, the
+# third crossing in exact order on segment 0-1, at parameter (4N + 1) / (12N - 1):
+# segment p p' crosses 0-1 at c too, so one float holds both distinct
+# crossings and a concurrency, and the walk must order and merge at once
+_C = Fraction(4 * _N + 1, 12 * _N - 1)
+_P = Point(2 ** 59 + 7, 5)
+SHARED_FLOAT = LabeledPointSet(FLOAT_CLASH.points
+                               + (_P, Point(2 * 3 * _N * _C - _P.x, 2 * _C - _P.y)))
+
 
 def test_max_depth_point_matches_line_arrangement_oracle():
     # lex-least maximum of closed depth over every line-arrangement vertex
@@ -328,8 +336,9 @@ def _proper_crossings(ps):
 
 def test_segment_walk_counts_every_crossing_exactly():
     # the hexagon's three long diagonals meet at the origin: the walk must
-    # step across all three there at once; FLOAT_CLASH's crossings share keys
-    sets = [HEXAGON, CLOSE_CROSSINGS, FLOAT_CLASH]
+    # step across all three there at once; FLOAT_CLASH's crossings share keys,
+    # and SHARED_FLOAT's also meet two at a time on a shared key
+    sets = [HEXAGON, CLOSE_CROSSINGS, FLOAT_CLASH, SHARED_FLOAT]
     sets += [random_point_set(n, 300 + n, near_convex=n % 2 == 0) for n in range(5, 11)]
     for ps in sets:
         tables = _walk_tables([homog(p) for p in ps.points])
@@ -342,14 +351,36 @@ def test_segment_walk_counts_every_crossing_exactly():
         assert seen == _proper_crossings(ps)
 
 
+def _places_on_segment_0_1(ps):
+    """(a, b) of each segment p_k p_m crossing segment 0-1 properly, read off
+    the orientation table: a = -orient[0][k][m], b = orient[1][k][m], signed
+    so that a > 0; the crossing lies at a / (a + b) along the segment."""
+    orient = _walk_tables([homog(p) for p in ps.points])[1]
+    places = []
+    for k, m in itertools.combinations(range(2, ps.n), 2):
+        if orient[0][1][k] * orient[0][1][m] < 0 and orient[k][m][0] * orient[k][m][1] < 0:
+            a, b = -orient[0][k][m], orient[1][k][m]
+            places.append((a, b) if a > 0 else (-a, -b))
+    return places
+
+
 def test_float_clash_fixture_shares_one_key():
     # the six crossings on segment 0-1 are distinct but share one float key,
     # so the exact crossing check above walks a real clash
     assert not general_position_report(FLOAT_CLASH.points)
-    tables = _walk_tables([homog(p) for p in FLOAT_CLASH.points])
-    steps = _segment_steps(0, 1, *tables)[1]
-    assert len(steps) == 6
-    assert len({a / (a + b) for _, _, a, b in steps.values()}) == 1
+    places = _places_on_segment_0_1(FLOAT_CLASH)
+    exact = sorted(Fraction(a, a + b) for a, b in places)
+    assert len(set(exact)) == len(places) == 6 and exact[2] == _C
+    assert len({a / (a + b) for a, b in places}) == 1
+    # SHARED_FLOAT: 12 crossings at 11 places on 5 floats; c's float holds six
+    # places, and two of the crossings are at c itself
+    assert not general_position_report(SHARED_FLOAT.points)
+    places = _places_on_segment_0_1(SHARED_FLOAT)
+    exact = [Fraction(a, a + b) for a, b in places]
+    assert len(places) == 12 and len(set(exact)) == 11
+    assert len({a / (a + b) for a, b in places}) == 5
+    assert exact.count(_C) == 2
+    assert sum(float(t) == float(_C) for t in set(exact)) == 6
 
 
 def test_segment_start_count_matches_exact_count_halfway():
@@ -363,9 +394,9 @@ def test_segment_start_count_matches_exact_count_halfway():
         pts, depth = tables[0], tables[-1]
         assert depth == [closed_depth_count(p, ps.points) for p in ps.points]
         for i, j in itertools.permutations(range(n), 2):
-            start, steps = _segment_steps(i, j, *tables)
+            start, _, crossings = _segment_walk(i, j, *tables)
             (xi, yi, wi), (xj, yj, wj) = pts[i], pts[j]
-            a, b = steps[min(steps)][2:] if steps else (1, 0)
+            a, b = crossings[0] if crossings else (1, 0)
             # midway between p_i and the first crossing b*p_i + a*p_j
             s = b * wi + a * wj
             half = (xi * s + wi * (b * xi + a * xj), yi * s + wi * (b * yi + a * yj),
@@ -461,7 +492,7 @@ def test_pruned_walk_bests_equal_scan_over_every_vertex():
         assert got == expected
         assert expected[-1][0] is False and expected[2][0] is True
         for i, j in itertools.combinations(range(n), 2):
-            counts = _segment_counts(i, j, *tables)[0]
+            counts = _segment_walk(i, j, *tables)[1]
             if counts and ps.points[j].coords < ps.points[i].coords:
                 backward_ties += counts.count(max(counts)) > 1
     assert backward_ties > 0  # the "last vertex of top score" branch decides
