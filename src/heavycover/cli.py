@@ -38,12 +38,13 @@ from .exactgeom import Point, homog, scalar
 from .selection import (
     LabeledPointSet,
     _closed_depth_homog,
+    _planar_homog,
     colorful_depth,
     depth_naive,
     depth_planar_sweep,
     max_depth_point,
 )
-from .svgplot import bounding_box, depth_grid, emit_svg, emit_timeline_svg
+from .svgplot import CANVAS, MARGIN, bounding_box, depth_grid, emit_svg, emit_timeline_svg
 from .transversal import find_transversal_line_2d
 from .verification import battery_json, run_battery
 
@@ -51,6 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BOUND_FAILED = 2
 EXIT_INTERNAL = 3
+
+# the plot's drawable width in pixels
+MAX_GRID = CANVAS - 2 * MARGIN
 
 
 class UsageError(HeavyCoverError):
@@ -83,6 +87,15 @@ def _count(text) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _grid(text) -> int:
+    """The --grid count: at most ``MAX_GRID``, one cell per pixel of the
+    plot, since a finer grid draws no more detail at grid^2 the work."""
+    value = _count(text)
+    if value > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}, got {value}")
     return value
 
 
@@ -150,12 +163,8 @@ def _plot_points(args, pset, q=None, argmax=None, witness=None, title=""):
     bbox = bounding_box(pts)
     pts_h = [homog(p) for p in pset.points]
 
-    def count_at(x, y):
-        # the cell centre's homogeneous coordinates, straight from its Fractions
-        return _closed_depth_homog((x.numerator * y.denominator, y.numerator * x.denominator,
-                                    x.denominator * y.denominator), pts_h)
-
-    grid = depth_grid(count_at, bbox, args.grid)
+    grid = depth_grid(lambda x, y: _closed_depth_homog(_planar_homog(x, y), pts_h),
+                      bbox, args.grid)
     report = {
         "bbox": [str(v) for v in bbox],
         "grid": grid,
@@ -407,8 +416,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="generate the dataset from this seed")
         p.add_argument("--n", type=_count, default=10,
                        help="generated dataset size (default 10)")
-        p.add_argument("--grid", type=_count, default=200,
-                       help="plot sampling resolution (default 200)")
+        p.add_argument("--grid", type=_grid, default=200,
+                       help=f"plot sampling resolution (default 200, at most {MAX_GRID})")
         if point:
             p.add_argument("--point", required=True,
                            help="query point, e.g. 1,1 or 1/2,3/4")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuity import MotionPath
-from .dual import LineFamily, _reduce_dir, tangent_family
+from .dual import LineFamily, tangent_family
 from .errors import (
     DomainError,
     GenerationError,
@@ -127,6 +127,9 @@ def parse_dataset(data) -> Dataset:
             for i, c in enumerate(colors):
                 if isinstance(c, bool) or not isinstance(c, (str, int)):
                     raise ParseError("a color must be a string or an integer", f"colors[{i}]")
+            if len(colors) != len(pts):
+                raise ParseError(f"expected {len(pts)} colors, one per point, "
+                                 f"got {len(colors)}", "colors")
             return Dataset(kind, points=LabeledPointSet(pts, colors=tuple(colors),
                                                         provenance=provenance),
                            metadata=metadata)
@@ -145,6 +148,12 @@ def parse_dataset(data) -> Dataset:
                 raise ParseError("expected {time, points}", loc)
             t = _num(kf["time"], f"{loc}.time")
             pts = _parse_points(kf["points"], f"{loc}.points")
+            n, d = len(pts), pts[0].dim
+            if not frames:
+                shape = n, d
+            elif (n, d) != shape:
+                raise ParseError(f"expected {shape[0]} points of dimension {shape[1]} as in "
+                                 f"keyframes[0], got {n} of dimension {d}", f"{loc}.points")
             frames.append((t, LabeledPointSet(pts)))
         return Dataset(kind, path=MotionPath(tuple(frames)), metadata=metadata)
     except HeavyCoverError:
@@ -249,13 +258,6 @@ def colored_point_set(n, seed, classes=3) -> LabeledPointSet:
     return LabeledPointSet(base.points, colors=colors, provenance=base.provenance)
 
 
-def _line_direction(a, b):
-    """The normal (a, b) of the lines a*x + b*y = c, reduced, with its first
-    nonzero entry positive as in a canonical ``Hyperplane``: parallel lines
-    share it."""
-    return _reduce_dir((a, b) if a > 0 or (a == 0 and b > 0) else (-a, -b))
-
-
 def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     """Seeded general-position line family: random integer normals through
     jittered rational anchor points.
@@ -283,15 +285,14 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
                     a = rng.randrange(-span, span + 1)
                     b = rng.randrange(-span, span + 1)
                 draws.append((a, b, _rand_numerator(rng, 6), _rand_numerator(rng, 6)))
-            if len({_line_direction(a, b) for a, b, _, _ in draws}) < n:
-                # a parallel or coincident pair, which the O(n^3) report
-                # below would reject too
-                continue
-            lines = tuple(
-                _line_from_coeffs(_reduce_line(a * _DENOM, b * _DENOM, a * x + b * y))
-                for a, b, x, y in draws)
-            family = LineFamily(lines, provenance=f"seed:{seed}")
-            if not _line_violations(family.coeffs):
+            coeffs = [_reduce_line(a * _DENOM, b * _DENOM, a * x + b * y)
+                      for a, b, x, y in draws]
+            if len(set(coeffs)) < n:
+                continue  # reduced triples are canonical: a coincident pair
+            family = LineFamily(tuple(map(_line_from_coeffs, coeffs)),
+                                provenance=f"seed:{seed}")
+            # the O(n^3) report runs only once no two lines are parallel
+            if not family.parallel_pair and not _line_violations(family.coeffs):
                 return family
     raise GenerationError("no general-position line family after "
                           f"{MAX_RETRIES * (LINE_SPAN_DOUBLINGS + 1)} tries")

@@ -249,12 +249,21 @@ def _sides(qh, coeffs):
 def _half_turn_order(normals):
     """The lines in the angular order of the signed normals ±(a, b) whose
     angle lies in [0, π), as (line index, sign g) with g·(a, b) that normal.
-    With no two lines parallel exactly one sign of each line qualifies."""
-    signed = [(g * a, g * b) for a, b in normals for g in (1, -1)]
-    keys, half = _angle_keys(signed)
-    # signed[2i] is +n_i and signed[2i + 1] is −n_i
-    return tuple((p // 2, 1 - 2 * (p % 2))
-                 for _, p in sorted((k, p) for p, k in enumerate(keys) if k < half))
+    With no two lines parallel exactly one sign of each line qualifies.
+
+    Both signs of (a, b) share the float key -a / b (-inf when b = 0), which
+    grows with the angle in [0, π) (see ``selection._angular_counts``). No
+    two normals are parallel, so the floats order them exactly unless two
+    are equal or one overflows; then the exact ``_angle_keys`` order them."""
+    upward = [(a, b) if b > 0 or (b == 0 and a > 0) else (-a, -b) for a, b in normals]
+    try:
+        keys = [-a / b if b else -math.inf for a, b in normals]
+    except OverflowError:
+        keys = []  # fewer keys than normals: the exact keys below
+    if len(set(keys)) < len(normals):
+        keys, _ = _angle_keys(upward)
+    return tuple((i, 1 if upward[i] == normals[i] else -1)
+                 for i in sorted(range(len(normals)), key=keys.__getitem__))
 
 
 def _surrounding(order, sides):
@@ -358,9 +367,8 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
         off = [(s * a, s * b) for s, (a, b) in zip(sides, family.normals) if s]
         on = [d for s, (a, b) in zip(sides, family.normals) if not s
               for d in ((a, b), (-a, -b))]
-        keys, half = _angle_keys(off + on)
-        strict = _strict_surrounding(keys[:len(off)], half)
-        count = _strict_surrounding(keys, half) - math.comb(len(on) // 2, 3)
+        strict = _strict_surrounding(off)
+        count = _strict_surrounding(off + on) - math.comb(len(on) // 2, 3)
     return _depth_report(count, binom(n, 3), n, 2, strict=strict,
                          method="projection_sweep")
 

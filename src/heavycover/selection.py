@@ -1,6 +1,16 @@
 """Simplicial depth: exhaustive and angular-sweep counting, the selection
 bound registry, and global max-depth search over the segment arrangement.
 
+The depth at one query point is one angular count (``_angular_counts``), the
+planar algorithm of Rousseeuw & Ruts (AS 307): the directions from q to the
+data points are sorted by one correctly rounded float each, -x / y within
+the upper or the lower half-plane, and each direction's triples inside an
+open half-plane are counted by bisection. ``_closed_depth_homog``,
+``closed_depth_count``, ``depth_planar_sweep`` and the dual module's
+degenerate queries all take it. The float order is exact unless two
+directions that are not parallel share a float, or a ratio overflows; only
+then does that query count on the exact integer keys of ``_angle_keys``.
+
 Closed containment is used throughout, which makes depth an upper
 semicontinuous function of the query point; the lexicographically least
 global maximizer is therefore a data point or a proper crossing of two
@@ -273,7 +283,7 @@ def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> Dept
 
 
 # ---------------------------------------------------------------------------
-# Angular counting engine (integer arithmetic throughout)
+# Angular counting engine: float keys, exact integer keys where floats tie
 # ---------------------------------------------------------------------------
 
 def _icross(a, b):
@@ -282,7 +292,11 @@ def _icross(a, b):
 
 def _angle_keys(dirs):
     """Exact integer angle keys of nonzero integer directions, and ``half``,
-    the key distance of a half turn.
+    the key distance of a half turn. They run where float keys cannot order
+    the directions: in ``_angular_counts`` and ``dual._half_turn_order`` when
+    two directions that are not parallel share a float or a ratio overflows.
+    ``transversal`` orders its critical directions by them, and the tests
+    use them as the float keys' oracle.
 
     With B = 1 + max |coordinate|, s = B^2 and r = B*s + 2, the key is 0 on
     the +x axis, r - floor(x*s/y) for y > 0, 2r on the -x axis and
@@ -311,6 +325,14 @@ def _angle_keys(dirs):
     return keys, 2 * r
 
 
+def _exact_halves(dirs):
+    """The ``_angle_keys`` of the directions split as ``_angular_counts``
+    splits its float keys: (upper, lower), the lower keys less ``half``, so
+    that a direction and its opposite share one key."""
+    keys, half = _angle_keys(dirs)
+    return [k for k in keys if k < half], [k - half for k in keys if k >= half]
+
+
 def _directions_around(qh, pts_h):
     """Integer directions from q to each point, not reduced; drops points
     equal to q."""
@@ -324,79 +346,143 @@ def _directions_around(qh, pts_h):
     return dirs
 
 
-def _avoiding_triples(dirs):
-    """Number of 3-subsets of the direction multiset fitting strictly inside an
-    open half-plane through the origin (``_avoiding_keys`` on their keys)."""
-    return _avoiding_keys(*_angle_keys(dirs))
+def _floats_parallel(dirs):
+    """True iff every two of the directions whose float keys are equal are
+    parallel, so that the floats order them exactly."""
+    first = {}
+    for x, y in dirs:
+        u, v = first.setdefault(-x / y if y else -math.inf, (x, y))
+        if x * v != y * u:
+            return False
+    return True
 
 
-def _avoiding_keys(keys, half):
-    """``_avoiding_triples`` on the angle keys of ``_angle_keys``, which it
-    sorts in place.
+def _avoiding(upper, lower):
+    """Number of 3-subsets of the keyed directions fitting strictly inside an
+    open half-plane through the origin, from their keys split by half (see
+    ``_angular_counts``); sorts both lists in place.
 
     Each such triple is charged to the member from which the other two lie
     within the next half turn counterclockwise, ties among equal directions
-    going to the first in sorted order: with the keys sorted, the member at
-    index p with key k is charged C(u, 2), where u counts the members after
-    it, cyclically, with keys in [k, k + half). Bisection finds u."""
-    keys.sort()
-    n = len(keys)
+    going to the first in sorted order. That member, with key f, is charged
+    C(u, 2), where u counts the keys after it in its own half and the keys
+    below f in the other half: those are the directions in the open half
+    turn from its opposite, which shares f."""
+    upper.sort()
+    lower.sort()
     total = 0
-    for p, k in enumerate(keys):
-        if k < half:
-            u = bisect_left(keys, k + half) - p - 1
-        else:
-            u = n - p - 1 + bisect_left(keys, k - half)
-        total += u * (u - 1)
+    for half, other in ((upper, lower), (lower, upper)):
+        later = len(half)
+        for f in half:
+            later -= 1
+            u = later + bisect_left(other, f)
+            total += u * (u - 1)
     return total // 2
 
 
-def _opposite_triples(keys, half):
+def _opposite(upper, lower):
     """Number of 3-subsets of the keyed directions holding two exactly
     opposite directions: those lie in a closed half-plane but in no open one.
 
-    Opposite keys lie exactly ``half`` apart. Two opposite pairs in one triple
-    put all three on one line, so each line through the origin with a
-    directions on one ray and b on the other adds, once per triple,
+    Opposite directions share one key in opposite halves. Two opposite pairs
+    in one triple put all three on one line, so each line through the origin
+    with a directions on one ray and b on the other adds, once per triple,
     a·b·(m − a − b) + a·C(b, 2) + b·C(a, 2) over the m directions."""
-    m = len(keys)
-    mult = Counter(keys)
+    m = len(upper) + len(lower)
+    below = Counter(lower)
     total = 0
-    for k, a in mult.items():
-        b = mult.get(k + half, 0) if k < half else 0
+    for f, a in Counter(upper).items():
+        b = below.get(f, 0)
         if b:
             total += a * b * (m - a - b) + a * math.comb(b, 2) + b * math.comb(a, 2)
     return total
 
 
-def _strict_surrounding(keys, half):
-    """Triples of the keyed directions that hold the origin strictly inside
-    their triangle, in no closed half-plane: C(m, 3) minus the avoiding and
-    the opposite triples. Sorts ``keys`` in place."""
-    m = len(keys)
-    return math.comb(m, 3) - _opposite_triples(keys, half) - _avoiding_keys(keys, half)
+def _angular_counts(qh, pts_h):
+    """(m, avoiding, opposite) over the m directions from q = ``qh`` to the
+    points of ``pts_h`` other than q: the triples inside an open half-plane
+    (``_avoiding``) and those holding two opposite directions
+    (``_opposite``).
+
+    A direction (x, y) lies in the upper half (y > 0, or y = 0 and x > 0) or
+    the lower one, and its key is the float -x / y, or -inf when y = 0. True
+    division of two ints is correctly rounded, so the keys are monotone in the
+    angle within each half, and a direction and its opposite get the same
+    float in opposite halves. The float order is exact when no two keys are
+    equal, and still exact when only parallel directions share a key (q on
+    a line through two points); then equal keys are equal or opposite
+    directions. When non-parallel directions share a float, or a ratio
+    overflows a float, the exact integer keys of ``_angle_keys`` count
+    instead."""
+    qx, qy, qw = qh
+    upper, lower = [], []
+    try:
+        for px, py, pw in pts_h:
+            x = px * qw - qx * pw
+            y = py * qw - qy * pw
+            if y > 0:
+                upper.append(-x / y)
+            elif y < 0:
+                lower.append(-x / y)
+            elif x > 0:
+                upper.append(-math.inf)
+            elif x:
+                lower.append(-math.inf)
+    except OverflowError:
+        upper = None
+    else:
+        m = len(upper) + len(lower)
+        if len(set(upper).union(lower)) == m:
+            return m, _avoiding(upper, lower), 0
+    dirs = _directions_around(qh, pts_h)
+    if upper is None or not _floats_parallel(dirs):
+        upper, lower = _exact_halves(dirs)
+    return len(dirs), _avoiding(upper, lower), _opposite(upper, lower)
+
+
+def _strict_surrounding(dirs):
+    """Triples of the nonzero integer directions ``dirs`` that hold the
+    origin strictly inside their triangle, in no closed half-plane: C(m, 3)
+    minus the avoiding and the opposite triples, each direction (x, y) taken
+    as the point (x, y) seen from the origin."""
+    m, avoiding, opposite = _angular_counts((0, 0, 1), [(x, y, 1) for x, y in dirs])
+    return math.comb(m, 3) - avoiding - opposite
 
 
 def _closed_depth_homog(qh, pts_h):
-    """Closed simplicial depth of q via rotational counting; valid at ANY query
-    point, including data points and points collinear with data pairs."""
-    n = len(pts_h)
-    dirs = _directions_around(qh, pts_h)
-    return math.comb(n, 3) - _avoiding_triples(dirs)
+    """Closed simplicial depth of q by one angular count (``_angular_counts``)
+    on float keys, or on exact integer keys where the floats tie; valid at ANY
+    query point, including data points and points collinear with data pairs."""
+    return math.comb(len(pts_h), 3) - _angular_counts(qh, pts_h)[1]
+
+
+def _planar_homog(x, y):
+    """``homog`` of the rational point (x, y), straight from its two
+    Fractions: W is the least common multiple of their denominators, which
+    keeps every direction from the point as short as it can be."""
+    dx, dy = x.denominator, y.denominator
+    w = dx // math.gcd(dx, dy) * dy
+    return x.numerator * (w // dx), y.numerator * (w // dy), w
 
 
 def closed_depth_count(q: Point, points) -> int:
     """Closed planar simplicial depth by rotational counting, O(n log n).
 
     Equals depth_naive's count for every planar input, with no general-position
-    assumption about q.
+    assumption about q. One pass over the points takes their homogeneous
+    coordinates and checks that each is planar.
     """
-    pts = list(points)
-    if q.dim != 2 or any(p.dim != 2 for p in pts):
+    if q.dim != 2:
         raise DimensionError("closed_depth_count is planar only")
-    if len(pts) < 3:
+    pts_h = []
+    for p in points:
+        h = homog(p)
+        if len(h) != 3:
+            raise DimensionError("closed_depth_count is planar only")
+        pts_h.append(h)
+    if len(pts_h) < 3:
         raise DomainError("need at least 3 points")
-    return _closed_depth_homog(homog(q), [homog(p) for p in pts])
+    return _closed_depth_homog(_planar_homog(*q.coords), pts_h)
 
 
 def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
@@ -409,8 +495,8 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     vertices' directions avoid q in an open half-plane, and a triangle with a
     vertex at q always holds it, so count = C(n, 3) − A. It holds q strictly
     inside only when its three vertices differ from q and their directions lie
-    in no closed half-plane, so strict_count = C(m, 3) − A − O. The angle keys
-    are computed once for both. No witnesses are listed.
+    in no closed half-plane, so strict_count = C(m, 3) − A − O. One
+    ``_angular_counts`` gives m, A and O. No witnesses are listed.
     """
     if q.dim != pset.dim:
         raise DimensionError(f"query dimension {q.dim} != data dimension {pset.dim}")
@@ -419,12 +505,9 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     n = pset.n
     if n < 3:
         raise DomainError("need at least 3 points")
-    dirs = _directions_around(homog(q), [homog(p) for p in pset.points])
-    keys, half = _angle_keys(dirs)
-    opposite = _opposite_triples(keys, half)
-    avoiding = _avoiding_keys(keys, half)
+    m, avoiding, opposite = _angular_counts(homog(q), [homog(p) for p in pset.points])
     count = math.comb(n, 3) - avoiding
-    strict = math.comb(len(keys), 3) - avoiding - opposite
+    strict = math.comb(m, 3) - avoiding - opposite
     return _depth_report(count, binom(n, 3), n, 2, strict=strict, method="sweep")
 
 

@@ -5,7 +5,7 @@ import multiprocessing.process
 import pytest
 
 from heavycover import dual
-from heavycover.cli import UsageError, build_parser, run_command
+from heavycover.cli import MAX_GRID, UsageError, build_parser, run_command
 from heavycover.datasets import (
     Dataset,
     emit_dataset,
@@ -222,6 +222,39 @@ def test_list_colors_are_a_located_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: colors[0]: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text, err", [
+    (["depth", "--point", "1,1"],
+     '{"kind":"COLORED_POINTS","points":[["0","0"],["4","0"],["0","4"]],"colors":[0,1]}',
+     "error: colors: expected 3 colors, one per point, got 2\n"),
+    (["sweep"],
+     '{"kind":"PATH","keyframes":[{"time":"0","points":[["0","0"],["4","0"],["0","4"]]},'
+     '{"time":"1/2","points":[["0","0"],["4","0"],["0","4"]]},'
+     '{"time":"1","points":[["0","0"],["4","0"]]}]}',
+     "error: keyframes[2].points: expected 3 points of dimension 2 as in keyframes[0], "
+     "got 2 of dimension 2\n"),
+    (["sweep"],
+     '{"kind":"PATH","keyframes":[{"time":"0","points":[["0","0"],["4","0"],["0","4"]]},'
+     '{"time":"1","points":[["0","0","1"],["4","0","1"],["0","4","1"]]}]}',
+     "error: keyframes[1].points: expected 3 points of dimension 2 as in keyframes[0], "
+     "got 3 of dimension 3\n"),
+], ids=["colors", "keyframe-size", "keyframe-dimension"])
+def test_shape_mismatches_are_located_errors(command, text, err, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run_command([*command, "--in", str(path)]) == 1
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["depth", "maxdepth", "dual", "maxdual"])
+def test_grid_above_the_cap_is_a_usage_error(command):
+    # parsing only: no grid is sampled
+    point = ["--point", "1,1"] if command in ("depth", "dual") else []
+    args = build_parser().parse_args([command, *point, "--grid", str(MAX_GRID)])
+    assert args.grid == MAX_GRID == 560
+    with pytest.raises(UsageError, match="argument --grid: must be at most 560, got 561"):
+        build_parser().parse_args([command, *point, "--grid", "561"])
 
 
 @pytest.mark.parametrize("flags, err", [

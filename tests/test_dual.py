@@ -21,7 +21,7 @@ from heavycover.exactgeom import (
     project_onto_hyperplane,
     segment_crosses_ray,
 )
-from heavycover.selection import _avoiding_triples, binom
+from heavycover.selection import _avoiding, _exact_halves, binom
 from heavycover.dual import (
     DUAL_BOUND,
     LineFamily,
@@ -302,9 +302,10 @@ def test_cell_strict_count_matches_naive_at_every_cell():
 
 def _sorted_key_count(fam, sides):
     """C(m, 3) minus the avoiding triples of the m oriented normals, counted
-    on sorted angle keys: the per-query route the half-turn pass replaced."""
+    on sorted exact angle keys: the per-query route the half-turn pass
+    replaced."""
     dirs = [(a, b) if s > 0 else (-a, -b) for (a, b), s in zip(fam.normals, sides) if s]
-    return math.comb(len(dirs), 3) - _avoiding_triples(dirs)
+    return math.comb(len(dirs), 3) - _avoiding(*_exact_halves(dirs))
 
 
 def _off_line_naive(q, fam, sides):
@@ -364,6 +365,11 @@ BOUNDARY_FAMILIES = (
                 Hyperplane((1, 1), 0), Hyperplane((2, -1), 1), Hyperplane((-1, 3), 2))),
     LineFamily((Hyperplane((0, 1), 5), Hyperplane((-1, 1), 0), Hyperplane((1, 0), -1),
                 Hyperplane((1, 2), 2), Hyperplane((3, -1), -4))),
+    # the first two normals share the float key -1.0 but are not parallel,
+    # the larger angle listed first; the last one's key overflows a float
+    LineFamily((Hyperplane((10 ** 20 + 2, 10 ** 20 + 1), 1), Hyperplane((10 ** 20 + 1, 10 ** 20), 0),
+                Hyperplane((1, -2), 3), Hyperplane((0, 1), -1))),
+    LineFamily((Hyperplane((10 ** 400, 1), 0), Hyperplane((1, 1), 2), Hyperplane((2, -1), -1))),
 )
 
 

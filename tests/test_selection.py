@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heavycover import selection
 from heavycover.continuity import _at_least
 from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
@@ -22,8 +23,12 @@ from heavycover.exactgeom import (
 from heavycover.selection import (
     BoundVariant,
     _angle_keys,
-    _avoiding_triples,
+    _angular_counts,
+    _avoiding,
+    _closed_depth_homog,
+    _exact_halves,
     _general_position,
+    _opposite,
     _scan,
     _segment_vertices,
     _segment_walk,
@@ -39,6 +44,7 @@ from heavycover.selection import (
     max_depth_point,
     selection_bound,
 )
+from heavycover.svgplot import depth_grid
 
 TRI = LabeledPointSet((Point(0, 0), Point(4, 0), Point(0, 4)))
 SQUARE = LabeledPointSet((Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)))
@@ -658,12 +664,129 @@ def test_angle_keys_order_equals_reference_comparator(span):
 
 @pytest.mark.parametrize("span", [2, 10 ** 3, 10 ** 30])
 def test_avoiding_triples_equals_brute_force(span):
+    # the exact rule alone: integer keys, split and counted as the floats are
     rng = random.Random(7 * span)
     for _ in range(120):
         dirs = _random_directions(rng, rng.randrange(0, 11), span)
         expected = sum(1 for t in itertools.combinations(dirs, 3)
                        if _in_open_half_plane(*t))
-        assert _avoiding_triples(dirs) == expected
+        assert _avoiding(*_exact_halves(dirs)) == expected
+
+
+def _holds_opposite_pair(a, b, c):
+    """True iff two of three nonzero vectors point exactly opposite ways."""
+    return any(u[0] * v[1] == u[1] * v[0] and u[0] * v[0] + u[1] * v[1] < 0
+               for u, v in ((a, b), (b, c), (c, a)))
+
+
+def _counts_around_origin(dirs):
+    """``_angular_counts`` at the origin, each direction as the point it
+    points at."""
+    return _angular_counts((0, 0, 1), [(x, y, 1) for x, y in dirs])
+
+
+def _exact_rule_calls(monkeypatch):
+    """A list that grows by one each time ``_angular_counts`` takes the
+    exact rule."""
+    calls = []
+
+    def counted(dirs):
+        calls.append(len(dirs))
+        return _exact_halves(dirs)
+
+    monkeypatch.setattr(selection, "_exact_halves", counted)
+    return calls
+
+
+@pytest.mark.parametrize("span", [3, 10 ** 3, 10 ** 12, 10 ** 30])
+def test_float_key_counts_equal_brute_force_and_angle_keys(span, monkeypatch):
+    # repeats, opposite pairs and axis directions share floats as parallel
+    # directions; Farey neighbours at spans from 10^12 share floats without
+    # being parallel and take the exact rule
+    calls = _exact_rule_calls(monkeypatch)
+    rng = random.Random(11 * span)
+    sets = 150
+    for _ in range(sets):
+        dirs = _random_directions(rng, rng.randrange(0, 12), span)
+        avoiding = sum(1 for t in itertools.combinations(dirs, 3) if _in_open_half_plane(*t))
+        opposite = sum(1 for t in itertools.combinations(dirs, 3) if _holds_opposite_pair(*t))
+        upper, lower = _exact_halves(dirs)
+        exact = (len(dirs), _avoiding(upper, lower), _opposite(upper, lower))
+        assert _counts_around_origin(dirs) == exact == (len(dirs), avoiding, opposite)
+    assert len(calls) < sets
+    if span >= 10 ** 12:
+        assert calls
+
+
+# (10^20 + 1, 10^20) and (10^20 + 2, 10^20 + 1) are not parallel, but both
+# keys -x/y round to -1.0; the opposite of their mediant lies between their
+# opposites, on the same float, and so do the four points around q = (1, 1)
+TIED = [(10 ** 20 + 1, 10 ** 20), (10 ** 20 + 2, 10 ** 20 + 1),
+        (-(2 * 10 ** 20 + 3), -(2 * 10 ** 20 + 1))]
+FLOAT_TIE_DIRECTIONS = (
+    TIED + [(0, 1), (-1, -3), (5, -2), (-7, 1)],
+    TIED + [(1, 0), (-1, 0), (0, -1)],
+    # a ratio that overflows a float, and two that underflow to 0.0 and -0.0
+    [(10 ** 400, 1), (-1, 2), (3, -1), (-2, -5), (1, 1)],
+    [(1, 10 ** 400), (0, 1), (-1, -10 ** 400), (2, -3), (-1, 4)],
+)
+
+
+@pytest.mark.parametrize("dirs", FLOAT_TIE_DIRECTIONS)
+def test_float_ties_and_overflow_take_the_exact_rule(dirs, monkeypatch):
+    calls = _exact_rule_calls(monkeypatch)
+    avoiding = sum(1 for t in itertools.combinations(dirs, 3) if _in_open_half_plane(*t))
+    opposite = sum(1 for t in itertools.combinations(dirs, 3) if _holds_opposite_pair(*t))
+    assert _counts_around_origin(dirs) == (len(dirs), avoiding, opposite)
+    assert calls == [len(dirs)]
+    # the same directions seen from q = (1, 1)
+    pts = [Point(1 + x, 1 + y) for x, y in dirs]
+    q = Point(1, 1)
+    naive = depth_naive(q, LabeledPointSet(tuple(pts)))
+    assert closed_depth_count(q, pts) == naive.count
+    assert _counts(depth_planar_sweep(q, LabeledPointSet(tuple(pts)))) == _counts(naive)
+
+
+def _grid_through(pa, pb, resolution=16, steps=8):
+    """A grid box whose cell centres include p_a, p_b and every point
+    p_a + (k / steps)(p_b − p_a), so that centres lie on that segment's
+    line; p_a and p_b differ in both coordinates."""
+    box = []
+    for lo, hi in ((pa.x, pb.x), (pa.y, pb.y)):
+        step, first = (steps, 3) if hi > lo else (-steps, 3 + steps)
+        size = (hi - lo) * resolution / step
+        box.append((lo - size * Fraction(2 * first + 1, 2 * resolution), size))
+    (xmin, sx), (ymin, sy) = box
+    return [xmin, ymin, xmin + sx, ymin + sy]
+
+
+def _cell_centre(box, resolution, row, col):
+    xmin, ymin, xmax, ymax = box
+    return Point(xmin + (xmax - xmin) * Fraction(2 * col + 1, 2 * resolution),
+                 ymin + (ymax - ymin) * Fraction(2 * row + 1, 2 * resolution))
+
+
+def _on_line(q, u, v):
+    return (u.x - q.x) * (v.y - q.y) == (u.y - q.y) * (v.x - q.x)
+
+
+@pytest.mark.parametrize("near_convex", [False, True])
+@pytest.mark.parametrize("n", range(5, 13))
+def test_full_grids_equal_depth_naive(n, near_convex):
+    pset = random_point_set(n, 90 + n, near_convex=near_convex)
+    pts = pset.points
+    pts_h = [homog(p) for p in pts]
+    resolution = 16
+    box = _grid_through(pts[0], pts[1], resolution)
+    grid = depth_grid(lambda x, y: closed_depth_count(Point(x, y), pts), box, resolution)
+    on_segment_lines = 0
+    for row, line in enumerate(grid["cells"]):
+        for col, count in enumerate(line):
+            q = _cell_centre(box, resolution, row, col)
+            assert count == depth_naive(q, pset).count
+            assert _closed_depth_homog(homog(q), pts_h) == count
+            on_segment_lines += any(_on_line(q, u, v) for u, v in itertools.combinations(pts, 2))
+    assert on_segment_lines >= 9  # p_0, p_1 and the 7 centres between them
 
 
 def test_closed_depth_count_equals_naive_on_segments_and_duplicates():
