@@ -34,11 +34,10 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
-from .exactgeom import Point, homog, scalar
+from .exactgeom import Point, _planar_homog, homog, scalar
 from .selection import (
     LabeledPointSet,
     _closed_depth_homog,
-    _planar_homog,
     colorful_depth,
     depth_naive,
     depth_planar_sweep,
@@ -55,6 +54,9 @@ EXIT_INTERNAL = 3
 
 # the plot's drawable width in pixels
 MAX_GRID = CANVAS - 2 * MARGIN
+# the largest extremal family: its vertex table and exhaustive re-checks grow
+# as n^3, and n = 300 already takes about 10 s and 180 MiB (see README)
+MAX_EXTREMAL = 300
 
 
 class UsageError(HeavyCoverError):
@@ -96,6 +98,18 @@ def _grid(text) -> int:
     value = _count(text)
     if value > MAX_GRID:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}, got {value}")
+    return value
+
+
+def _extremal_size(text) -> int:
+    """The extremal family size: an int of at most ``MAX_EXTREMAL``; sizes
+    below 3 are left to ``tangent_family`` to reject."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value > MAX_EXTREMAL:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_EXTREMAL}, got {value}")
     return value
 
 
@@ -434,7 +448,8 @@ def build_parser() -> _Parser:
     common(sub.add_parser("expose", help="exposure profile and arcs"), point=True)
 
     p = sub.add_parser("extremal", help="tangent-family tightness report")
-    p.add_argument("size", type=int, help="family size n >= 3")
+    p.add_argument("size", type=_extremal_size,
+                   help=f"family size, 3 <= n <= {MAX_EXTREMAL}")
     p.add_argument("--out", help="machine-readable JSON report path")
 
     common(sub.add_parser("transversal",

@@ -16,20 +16,19 @@ sides in that order (``_surrounding``), with no angle keys or sort per query.
 
 ``dual_depth_naive`` enumerates every triple and is the oracle: it reads each
 verdict off q's side of every line and each line's side at every arrangement
-vertex. The other counts go through ``_surrounding``: ``dual_depth_fast`` off
-the lines of a family with no parallel pair, the closed count at each
-arrangement vertex in ``max_dual_depth_point`` and the strict count in each
-cell around a vertex in ``_max_strict_dual``, O(n^3) per search. Where q is
-on a line or two lines are parallel, ``dual_depth_fast`` counts with the
-primal engine, on the oriented normals and both signs of each line through q
-(``selection._strict_surrounding``).
+vertex. ``dual_depth_fast`` counts through ``_surrounding`` off the lines of a
+family with no parallel pair. Where q is on a line or two lines are parallel,
+it counts with the primal engine, on the oriented normals and both signs of
+each line through q (``selection._strict_surrounding``).
 
-Each search builds one vertex table (``_vertex_table``): every vertex
-L_i ∩ L_j with the side of every line there, C(n, 2) side vectors. The
-general-position gate, the vertex and cell scans, the exhaustive re-check of
-each winner and ``find_unexposed_point`` all read that one table;
-``extremal_report`` shares it between its strict and closed searches. The
-public ``dual_depth_naive`` builds its own per query.
+The max searches count by one walk along each line (``_line_walk``), the dual
+twin of the primal segment walk: the closed count at every vertex and the
+strict count of every cell in O(n^2 log n) per family. Each search also
+builds one vertex table (``_vertex_table``), C(n, 2) side vectors: the
+general-position gate, the vertex order on each line, the exhaustive re-check
+of each winner and ``find_unexposed_point`` read it, and ``extremal_report``
+shares it and one walk between its strict and closed searches. The public
+``dual_depth_naive`` builds its own per query.
 
 Exposure profiles read the same order: the arc counts around a point are one
 O(n) pass (``_arc_profile``), with no per-query sort.
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
@@ -373,32 +372,110 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
                          method="projection_sweep")
 
 
-def _vertex_pair(row, tables):
-    """Closed dual depth at the vertex v = L_i ∩ L_j of a family in general
-    position, for the vertex-table row (i, j, v, sides), as one (count, key)
-    pair.
-
-    The n − 2 other lines miss v, so their triples count as at any generic
-    point. The n − 2 triples {i, j, k} have v as a corner. A triple {i, k, m}
-    holds v on its edge along L_i iff L_k and L_m cross L_i on opposite sides
-    of v; the side of L_k is sign(f_k(v))·turn[i][k], so these add l_i·r_i,
-    and likewise l_j·r_j."""
-    i, j, key, sides = row
-    _, order, turn, _ = tables
-    m = len(sides) - 2
-    count = _surrounding(order, sides) + m
-    for turn_row in (turn[i], turn[j]):
-        # sides · turn[i] = l_i − r_i, and l_i + r_i = n − 2
-        left = (sum(map(operator.mul, sides, turn_row)) + m) // 2
-        count += left * (m - left)
-    return count, key
+def _exact_params(a, b, crossings):
+    """The exact parameters (−b·X + a·Y)/W of the vertices (X, Y, W) in
+    ``crossings`` along the line with normal (a, b)."""
+    return [Fraction(a * y - b * x, w) for _, (x, y, w) in crossings]
 
 
-def _max_closed_dual(family, tables, witness_limit):
-    """``max_dual_depth_point`` on the family's ``_dual_tables``: the vertex
-    scan, then the exhaustive re-check of the winner on the same vertex
-    table."""
-    [(best_count, best_key)] = _scan(_vertex_pair(row, tables) for row in tables[3])
+def _line_crossings(vertices, n):
+    """For each of the n lines, the pairs (x, v) of the vertex-table rows
+    through it, v = (X, Y, W), W > 0, its vertex with line x."""
+    crossings = [[] for _ in range(n)]
+    for i, j, v, _ in vertices:
+        crossings[i].append((j, v))
+        crossings[j].append((i, v))
+    return crossings
+
+
+def _line_order(line, crossings):
+    """The ``_line_crossings`` (x, v) of the integer ``line`` (a, b, c) in the
+    order of v along (−b, a), keyed by the correctly rounded float of the
+    parameter (−b·X + a·Y)/W. Rounding is monotone, so distinct floats are
+    exact; where two tie or one overflows, the line sorts by exact fractions
+    (``_exact_params``), as ``_segment_walk`` does."""
+    a, b, _ = line
+    try:
+        keys = [(a * y - b * x) / w for _, (x, y, w) in crossings]
+    except OverflowError:
+        keys = []  # fewer keys than vertices: the exact keys below
+    if len(set(keys)) < len(crossings):
+        keys = _exact_params(a, b, crossings)
+    return [crossings[t] for t in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _line_walk(tables):
+    """(closed, cuts, place) of a family in general position, from its
+    ``_dual_tables``, by one sort and one sweep per line, O(n^2 log n):
+    ``closed[i][k]`` is the closed count at L_i ∩ L_k, ``place[i][k]`` its
+    index along L_i, and ``cuts[i][c]`` the strict counts (side +1, side −1
+    of L_i) beside cut c of L_i, the edge after its first c vertices.
+
+    With m = n − 2, the lines x_0, x_1, … crossing L_k in order
+    (``_line_order``) have angle ranks r(x) = (pos(x) − pos(k)) mod n − 1
+    against L_k, pos the place in ``order``. F, the pairs across a point of
+    L_k whose apex is on side +1 less those on side −1, starts at 0 and gains
+    m − 2·r(x_t) past x_t; at the vertex with x_t it drops x_t's pairs,
+    2·B_t − t, B_t the earlier ranks below r(x_t). So N± = (t(m + 1 − t) ± F)/2
+    pairs hold cut t in a triangle on side ±1, and (t(m − t) ± F)/2 vertex t.
+
+    G, the triples without i surrounding a point of L_i, is 0 before the
+    first vertex (far out on that ray) and gains N_after − N_before of L_k at
+    its vertex with L_i, "before" being side turn[i][k]. At that vertex,
+    index t on L_i and t′ on L_k, the closed count is G − N_before plus
+    ``_surrounded_hits``' m corners and t(m − t) + t′(m − t′) edges; at cut c
+    of L_i the strict count on side σ is G + N_σ."""
+    coeffs, order, turn, vertices = tables
+    n = len(coeffs)
+    m = n - 2
+    pos = [0] * n
+    for p, (i, _) in enumerate(order):
+        pos[i] = p
+    place = [[0] * n for _ in range(n)]
+    f_vertex = [[0] * n for _ in range(n)]
+    walks = []
+    for k, crossings in enumerate(_line_crossings(vertices, n)):
+        xs = [x for x, _ in _line_order(coeffs[k], crossings)]
+        pk, place_k, fv_k = pos[k], place[k], f_vertex[k]
+        f = 0
+        f_cut = [0]
+        ranks = []
+        for t, x in enumerate(xs):
+            r = (pos[x] - pk) % n - 1
+            below = bisect_left(ranks, r)
+            ranks.insert(below, r)
+            place_k[x] = t
+            fv_k[x] = f - 2 * below + t
+            f += m - 2 * r
+            f_cut.append(f)
+        walks.append((xs, f_cut))
+    closed = [[0] * n for _ in range(n)]
+    cuts = []
+    for i, (xs, f_cut) in enumerate(walks):
+        turn_i, closed_i = turn[i], closed[i]
+        g = 0
+        gs = [g]
+        for t, x in enumerate(xs):
+            u = place[x][i]
+            # N_after − N_before on L_x at its vertex with L_i
+            step = -turn_i[x] * f_vertex[x][i]
+            closed_i[x] = g + m + t * (m - t) + (u * (m - u) + step) // 2
+            g += step
+            gs.append(g)
+        cuts.append([(g + (c * (m + 1 - c) + f) // 2, g + (c * (m + 1 - c) - f) // 2)
+                     for c, (g, f) in enumerate(zip(gs, f_cut))])
+    return closed, cuts, place
+
+
+def _max_closed_dual(family, tables, walk, witness_limit):
+    """``max_dual_depth_point`` on the family's ``_dual_tables`` and
+    ``_line_walk``: the scan of the vertices with the top closed count, then
+    the exhaustive re-check of the winner on the vertex table."""
+    closed = walk[0]
+    counts = [closed[i][j] for i, j, _, _ in tables[3]]
+    top = max(counts)
+    [(best_count, best_key)] = _scan((top, row[2]) for row, count in zip(tables[3], counts)
+                                     if count == top)
     q = dehomog(best_key)
     report = _naive_report(q, family, tables[3], witness_limit)
     if report.count != best_count:
@@ -412,15 +489,16 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
     """Global max of closed dual depth over the arrangement vertices of the
     family (complete under closed containment), lexicographic tie-break.
 
-    Each vertex costs one O(n) normal count plus two O(n) side tallies
-    (``_vertex_pair``), O(n^3) in all, on side vectors built once per call
-    (``_vertex_table``). The winner's count is re-derived by the exhaustive
-    route on the same table as an internal consistency check. ``threads`` is
-    ignored; it stays only because the benchmark's workloads pass it.
+    Every vertex's count comes from one walk along each line
+    (``_line_walk``), O(n^2 log n) in all. The winner's count is re-derived
+    by the exhaustive route on the vertex table (``_vertex_table``), built
+    once per call, as an internal consistency check. ``threads`` is ignored;
+    it stays only because the benchmark's workloads pass it.
     """
     if family.n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")
-    return _max_closed_dual(family, _dual_tables(family), witness_limit)
+    tables = _dual_tables(family)
+    return _max_closed_dual(family, tables, _line_walk(tables), witness_limit)
 
 
 def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
@@ -730,16 +808,10 @@ def _edge_midpoints(tables, n):
     """The midpoint of every edge of the arrangement, from the
     ``_dual_tables`` of n lines in general position: the homogeneous average
     (x1·w2 + x2·w1, y1·w2 + y2·w1, 2·w1·w2), reduced, of each two consecutive
-    vertices on a line. The vertex L_i ∩ L_j ranks along L_i by the lines
-    that cross L_i before it in direction (−b, a): the k with
-    sides[k]·turn[i][k] = −1, as in ``_vertex_pair``."""
-    _, _, turn, vertices = tables
-    m = n - 2
-    on_line = [[None] * (n - 1) for _ in range(n)]
-    for i, j, v, sides in vertices:
-        for k in (i, j):
-            on_line[k][(m - sum(map(operator.mul, sides, turn[k]))) // 2] = v
-    for row in on_line:
+    vertices on a line, in the walk's order along it (``_line_order``)."""
+    coeffs, _, _, vertices = tables
+    for line, crossings in zip(coeffs, _line_crossings(vertices, n)):
+        row = [v for _, v in _line_order(line, crossings)]
         for (x1, y1, w1), (x2, y2, w2) in zip(row, row[1:]):
             yield reduce_homog((x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2))
 
@@ -846,28 +918,6 @@ def classify_tangents(q: Point, family: LineFamily) -> TangentClassification:
     return TangentClassification(n1, n2, n3)
 
 
-def _cell_counts(tables):
-    """(strict count, key, i, j, sx, sy) for the cell on side (sx, sy) of each
-    arrangement vertex v = L_i ∩ L_j, from the ``_dual_tables`` of a family in
-    general position: the four cells around every vertex cover every bounded
-    cell, hence every cell where the strict surround count can be positive.
-
-    Inside such a cell the lines other than i and j keep their side at v, and
-    moving from v along sx·u_i + sy·u_j (u = (−b, a), the line's direction)
-    puts it on side sy·turn[i][j] of L_i and −sx·turn[i][j] of L_j. The
-    count at a point off every line is strict, so each cell costs one O(n)
-    ``_surrounding`` call on a copy of the vertex's row, O(n^3) in all."""
-    _, order, turn, vertices = tables
-    cells = []
-    for i, j, key, row in vertices:
-        sides = list(row)
-        t = turn[i][j]
-        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            sides[i], sides[j] = sy * t, -sx * t
-            cells.append((_surrounding(order, sides), key, i, j, sx, sy))
-    return cells
-
-
 def _cell_point(coeffs, key, i, j, sx, sy):
     """The exact rational point strictly inside the cell on side (sx, sy) of
     the vertex v = L_i ∩ L_j: v + t·w with w = sx·u_i + sy·u_j and t half the
@@ -890,25 +940,43 @@ def _cell_point(coeffs, key, i, j, sx, sy):
 
 
 def _cell_pair(cell, coeffs):
-    """A ``_cell_counts`` entry as one (count, key) pair keyed by its cell
+    """A ``_walk_cells`` entry as one (count, key) pair keyed by its cell
     point."""
     count, key, i, j, sx, sy = cell
     return count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))
 
 
-def _max_strict_dual(family: LineFamily, tables):
+def _walk_cells(tables, walk):
+    """(strict count, key, i, j, sx, sy) of the cell on side (sx, sy) of each
+    vertex-table row (i, j, key), the four cells around every vertex, which
+    cover every cell with a positive count. Moving from L_i ∩ L_j along
+    sx·u_i + sy·u_j (u = (−b, a)) enters cut place_i(j) + [sx > 0] of L_i on
+    side sy·turn[i][j]; its count is read off the ``_line_walk``."""
+    _, _, turn, vertices = tables
+    _, cuts, place = walk
+    cells = []
+    for i, j, key, _ in vertices:
+        c, t = place[i][j], turn[i][j]
+        cut_i = cuts[i]
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            plus, minus = cut_i[c + (sx > 0)]
+            cells.append((plus if sy == t else minus, key, i, j, sx, sy))
+    return cells
+
+
+def _max_strict_dual(family: LineFamily, tables, walk):
     """Max over generic points of the strict (open-cell) surround count, with
     the lexicographically least cell point among the maximizers, on the
-    family's ``_dual_tables``.
+    family's ``_dual_tables`` and ``_line_walk``.
 
-    Every cell around every vertex is counted by ``_cell_counts``, one O(n)
-    count each, O(n^3) in all; only the cells with the top count get their point
+    Every cell around every vertex reads its count off the walk
+    (``_walk_cells``); only the cells with the top count get their point
     built and go through the scan's tie-break. The winner's count is
-    re-derived by the exhaustive route on the same vertex table as an internal
+    re-derived by the exhaustive route on the vertex table as an internal
     consistency check.
     """
     coeffs = family.coeffs
-    cells = _cell_counts(tables)
+    cells = _walk_cells(tables, walk)
     top = max(cell[0] for cell in cells)
     [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs)
                                      for cell in cells if cell[0] == top)
@@ -947,15 +1015,18 @@ class ExtremalReport:
 def extremal_report(n: int) -> ExtremalReport:
     """Run the max searches on tangent_family(n) and compare against the
     product bound n^3/27 and the 2/9 floor. The strict and the closed search
-    read one set of ``_dual_tables``."""
+    read one set of ``_dual_tables`` and one ``_line_walk``, O(n^2 log n)
+    for the counts; the vertex table and the exhaustive re-check of each
+    winner are O(n^3)."""
     family = tangent_family(n)
     tables = _dual_tables(family)
-    strict_max, strict_point = _max_strict_dual(family, tables)
+    walk = _line_walk(tables)
+    strict_max, strict_point = _max_strict_dual(family, tables, walk)
     floor = n ** 3 // 27
     if strict_max > floor:
         raise InternalError(
             f"strict surround count {strict_max} exceeds the product bound {floor}")
-    closed_point, closed_rep = _max_closed_dual(family, tables, 3)
+    closed_point, closed_rep = _max_closed_dual(family, tables, walk, 3)
     total = binom(n, 3)
     fraction = Fraction(strict_max, total)
     return ExtremalReport(

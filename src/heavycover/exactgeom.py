@@ -210,16 +210,30 @@ class Hyperplane:
 # Integer homogeneous coordinates (internal fast path)
 # ---------------------------------------------------------------------------
 
+def _planar_homog(x, y):
+    """``homog`` of the rational point (x, y), straight from its two
+    Fractions: W is the least common multiple of their denominators, which
+    keeps every direction from the point as short as it can be."""
+    dx, dy = x.denominator, y.denominator
+    w = dx // gcd(dx, dy) * dy
+    return x.numerator * (w // dx), y.numerator * (w // dy), w
+
+
 def homog(p: Point) -> tuple:
     """(X0, ..., Xd-1, W) integers with W > 0 and p = (X0/W, ..., Xd-1/W),
-    with W the least common denominator; computed once per point."""
+    with W the least common denominator; computed once per point, by one gcd
+    for a planar point (``_planar_homog``)."""
     h = p._homog
     if h is None:
-        w = 1
-        for c in p.coords:
-            d = c.denominator
-            w = w * d // gcd(w, d)
-        h = tuple(c.numerator * (w // c.denominator) for c in p.coords) + (w,)
+        coords = p.coords
+        if len(coords) == 2:
+            h = _planar_homog(*coords)
+        else:
+            w = 1
+            for c in coords:
+                d = c.denominator
+                w = w * d // gcd(w, d)
+            h = tuple(c.numerator * (w // c.denominator) for c in coords) + (w,)
         object.__setattr__(p, "_homog", h)
     return h
 

@@ -59,6 +59,7 @@ from .exactgeom import (
     ContainmentVerdict,
     Point,
     _in_closed_hull,
+    _planar_homog,
     _simplex_verdict,
     dehomog,
     general_position_report,
@@ -454,15 +455,6 @@ def _closed_depth_homog(qh, pts_h):
     on float keys, or on exact integer keys where the floats tie; valid at ANY
     query point, including data points and points collinear with data pairs."""
     return math.comb(len(pts_h), 3) - _angular_counts(qh, pts_h)[1]
-
-
-def _planar_homog(x, y):
-    """``homog`` of the rational point (x, y), straight from its two
-    Fractions: W is the least common multiple of their denominators, which
-    keeps every direction from the point as short as it can be."""
-    dx, dy = x.denominator, y.denominator
-    w = dx // math.gcd(dx, dy) * dy
-    return x.numerator * (w // dx), y.numerator * (w // dy), w
 
 
 def closed_depth_count(q: Point, points) -> int:

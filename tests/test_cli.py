@@ -5,7 +5,7 @@ import multiprocessing.process
 import pytest
 
 from heavycover import dual
-from heavycover.cli import MAX_GRID, UsageError, build_parser, run_command
+from heavycover.cli import MAX_EXTREMAL, MAX_GRID, UsageError, build_parser, run_command
 from heavycover.datasets import (
     Dataset,
     emit_dataset,
@@ -255,6 +255,15 @@ def test_grid_above_the_cap_is_a_usage_error(command):
     assert args.grid == MAX_GRID == 560
     with pytest.raises(UsageError, match="argument --grid: must be at most 560, got 561"):
         build_parser().parse_args([command, *point, "--grid", "561"])
+
+
+def test_extremal_above_the_cap_is_a_usage_error():
+    # parsing only: no family is searched
+    assert build_parser().parse_args(["extremal", str(MAX_EXTREMAL)]).size == MAX_EXTREMAL == 300
+    with pytest.raises(UsageError, match="argument size: must be at most 300, got 301"):
+        build_parser().parse_args(["extremal", "301"])
+    with pytest.raises(UsageError, match="argument size: invalid int value: 'x'"):
+        build_parser().parse_args(["extremal", "x"])
 
 
 @pytest.mark.parametrize("flags, err", [

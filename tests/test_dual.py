@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dual_oracles import _cell_counts, _vertex_pair
 from heavycover import dual
 from heavycover.datasets import random_line_family
 from heavycover.errors import DegeneracyError, DimensionError, DomainError
@@ -174,13 +175,15 @@ def _oracle_families():
 def test_vertex_closed_count_matches_naive_at_every_vertex():
     for fam in _oracle_families():
         tables = dual._dual_tables(fam)
+        closed = dual._line_walk(tables)[0]
         assert len(tables[3]) == binom(fam.n, 2)
         for row in tables[3]:
-            # the vertex scan's corner-and-edge formula and the fast count's
-            # two lines through q agree with the oracle at every vertex
-            count, key = dual._vertex_pair(row, tables)
+            # the vertex scan's corner-and-edge formula, the walk and the fast
+            # count's two lines through q agree with the oracle at every vertex
+            count, key = _vertex_pair(row, tables)
             q = dehomog(key)
             assert count == dual_depth_naive(q, fam).count == dual_depth_fast(q, fam).count
+            assert closed[row[0]][row[1]] == count
 
 
 # three lines through the origin; and y = 0 parallel to y = 2
@@ -293,11 +296,81 @@ def test_each_vertex_side_vector_is_built_once_per_search(monkeypatch):
 def test_cell_strict_count_matches_naive_at_every_cell():
     for fam in _oracle_families():
         coeffs = fam.coeffs
-        cells = dual._cell_counts(dual._dual_tables(fam))
+        tables = dual._dual_tables(fam)
+        cells = _cell_counts(tables)
         assert len(cells) == 4 * binom(fam.n, 2)
+        assert dual._walk_cells(tables, dual._line_walk(tables)) == cells
         for count, *cell in cells:
             q = dual._cell_point(coeffs, *cell)
             assert count == dual_depth_naive(q, fam).strict_count
+
+
+def _small_general_position_families():
+    """The first of ``_small_families`` in general position for each
+    n = 3-7."""
+    found = {}
+    for fam in _small_families(random.Random(5), 3000):
+        if fam.n not in found and not fam.parallel_pair and not _line_violations(fam.coeffs):
+            found[fam.n] = fam
+    return [found[n] for n in sorted(found)]
+
+
+def _assert_walk_equals_scans(fam):
+    tables = dual._dual_tables(fam)
+    walk = dual._line_walk(tables)
+    closed = walk[0]
+    assert [closed[i][j] for i, j, _, _ in tables[3]] == [
+        _vertex_pair(row, tables)[0] for row in tables[3]]
+    # a vertex counts the same from both of its lines
+    assert all(closed[i][j] == closed[j][i] for i, j, _, _ in tables[3])
+    assert dual._walk_cells(tables, walk) == _cell_counts(tables)
+
+
+@pytest.mark.parametrize("fam", [random_line_family(n, s) for n in range(3, 31)
+                                 for s in ((900 + n,) if n > 24 else (900 + n, 950 + n))]
+                         + _small_general_position_families()
+                         + [tangent_family(n) for n in (3, 4, 5, 9, 12, 15, 21, 30)],
+                         ids=lambda fam: fam.provenance or f"small{fam.n}")
+def test_line_walk_equals_the_scans_at_every_vertex_and_cell(fam):
+    # the walk's closed count at every vertex and strict count at every cell
+    # equal the O(n) scans on the vertex table's side vectors
+    _assert_walk_equals_scans(fam)
+
+
+# y = 0 meets x = 10^20 and x + y = 10^20 + 1 at parameters -10^20 and
+# -(10^20 + 1), one float, and x + y = 10^20 + 1 meets y = 0 and x = 10^20
+# on one float as well: on both lines the float order, stable by index, puts
+# the vertices in the wrong order
+SHARED_FLOAT_LINES = LineFamily((Hyperplane((0, 1), 0), Hyperplane((1, 0), 10 ** 20),
+                                 Hyperplane((1, 1), 10 ** 20 + 1), Hyperplane((1, -2), 3),
+                                 Hyperplane((2, 1), -5), Hyperplane((1, 3), 7)))
+# 10^400·x + y = 0: its vertices' parameters overflow a float
+OVERFLOW_LINES = LineFamily((Hyperplane((10 ** 400, 1), 0), Hyperplane((1, 1), 2),
+                             Hyperplane((2, -1), -1), Hyperplane((1, -3), 4)))
+
+
+@pytest.mark.parametrize("fam, exact_lines", [
+    (SHARED_FLOAT_LINES, [0, 2]), (OVERFLOW_LINES, [0]), (random_line_family(20, 3), []),
+    (tangent_family(30), []),
+], ids=["shared-float", "overflow", "random20", "tangent30"])
+def test_line_order_takes_exact_params_on_float_ties_and_overflow(fam, exact_lines, monkeypatch):
+    # only a line whose floats tie or overflow sorts by exact fractions, and
+    # the walk there still equals the scans
+    exact = dual._exact_params
+    calls = []
+
+    def counted(a, b, crossings):
+        calls.append([c[:2] for c in fam.coeffs].index((a, b)))
+        return exact(a, b, crossings)
+
+    monkeypatch.setattr(dual, "_exact_params", counted)
+    _assert_walk_equals_scans(fam)
+    assert calls == exact_lines
+    for line, crossings in zip(fam.coeffs, dual._line_crossings(dual._vertex_table(fam.coeffs),
+                                                               fam.n)):
+        a, b, _ = line
+        params = [Fraction(a * y - b * x, w) for _, (x, y, w) in dual._line_order(line, crossings)]
+        assert params == sorted(set(params))
 
 
 def _sorted_key_count(fam, sides):
@@ -401,7 +474,8 @@ def test_dual_counts_take_no_angle_keys_per_query(monkeypatch):
     found = random_line_family(18, 1)
 
     def routes():
-        return (max_dual_depth_point(fam), dual._max_strict_dual(tangent, tables),
+        return (max_dual_depth_point(fam),
+                dual._max_strict_dual(tangent, tables, dual._line_walk(tables)),
                 dual_depth_fast(q, fam), exposure_profile(q, fam), exposed_arcs(q, fam),
                 almost_exposed_arcs(q, fam), find_unexposed_point(found))
 

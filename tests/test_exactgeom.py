@@ -321,6 +321,17 @@ def test_homog_roundtrip():
     assert homog(p) == (9, -10, 12)
 
 
+def test_planar_homog_equals_the_general_lcm():
+    # the planar one-gcd route gives the tuple of the d-dimensional route, on
+    # (x, y, 1), whose third coordinate adds no denominator
+    rng = random.Random(12)
+    for _ in range(2000):
+        x, y = (Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.choice((1, 2, 6, rng.randrange(1, 10 ** 6))))
+                for _ in range(2))
+        x3, y3, w, _ = homog(P(x, y, 1))
+        assert homog(P(x, y)) == (x3, y3, w)
+
+
 def test_homog_cache_leaves_equality_hash_and_repr_alone():
     p, q = P(Fraction(3, 4), 2), P(Fraction(3, 4), 2)
     before = (hash(p), repr(p))
