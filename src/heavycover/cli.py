@@ -54,8 +54,8 @@ EXIT_INTERNAL = 3
 
 # the plot's drawable width in pixels
 MAX_GRID = CANVAS - 2 * MARGIN
-# the largest extremal family: its vertex table and exhaustive re-checks grow
-# as n^3, and n = 300 already takes about 10 s and 180 MiB (see README)
+# the largest extremal family: its two exhaustive re-checks grow as n^3, and
+# n = 300 already takes about 8 s and 80 MiB (see README)
 MAX_EXTREMAL = 300
 
 

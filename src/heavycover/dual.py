@@ -23,12 +23,13 @@ each line through q (``selection._strict_surrounding``).
 
 The max searches count by one walk along each line (``_line_walk``), the dual
 twin of the primal segment walk: the closed count at every vertex and the
-strict count of every cell in O(n^2 log n) per family. Each search also
-builds one vertex table (``_vertex_table``), C(n, 2) side vectors: the
-general-position gate, the vertex order on each line, the exhaustive re-check
-of each winner and ``find_unexposed_point`` read it, and ``extremal_report``
-shares it and one walk between its strict and closed searches. The public
-``dual_depth_naive`` builds its own per query.
+strict count of every cell in O(n^2 log n) per family, on tables
+(``_dual_tables``) of the C(n, 2) vertices and each line's vertices sorted
+once, a sort that is also the general-position gate. The exhaustive re-check
+of each winner (``dual_depth_naive``) is a search's only O(n^3) work: it
+computes a corner's side of a line when a triple needs it, so no side vector
+of every vertex is held. ``extremal_report`` shares one walk between its
+strict and closed searches.
 
 Exposure profiles read the same order: the arc counts around a point are one
 O(n) pass (``_arc_profile``), with no per-query sort.
@@ -169,56 +170,69 @@ def surround_projection(q: Point, lines) -> bool:
     return _simplex_verdict((x, y, w), feet).in_closed
 
 
-def _surrounded_hits(q_side, vertices, n):
-    """(triple, interior) for each 3-subset of n lines with no parallel pair
-    whose closed triangle contains q, from q's side of every line ``q_side``
-    and the lines' vertex table ``vertices`` (``_vertex_table``).
+def _surrounded_hits(q_side, vertices, coeffs):
+    """(triple, interior) for each 3-subset of the integer lines ``coeffs``
+    with no parallel pair whose closed triangle contains q, in combination
+    order, from q's side of every line ``q_side`` and the vertex table
+    ``vertices`` (``_vertex_table``): the module's only O(n^3) loop.
 
-    The closed triangle of lines i, j, k is the intersection of the three
-    closed half-planes of line i holding the opposite corner v_jk, and so on,
-    so every verdict reads q's side of each line and each line's side at each
-    arrangement vertex, both taken once. A triple is out when q lies strictly
-    on the wrong side of one of its lines; otherwise q is inside, strictly iff
-    it is on none of them. A corner on its opposite line makes the triple
-    concurrent (all three corner sides zero): its triangle is the common
-    point, which holds q only when q is on all three lines. A parallel pair
-    has no row in the table, so its triples are skipped."""
+    The closed triangle of lines i, j, k is the intersection of the closed
+    half-planes of line i holding the opposite corner v_jk, and so on. So a
+    triple is out at its first line with s_i·f_i(v_jk) < 0, f = c·w − a·x − b·y
+    at v = (x, y, w), each f computed only when reached; otherwise q is
+    inside, strictly iff it is on none of the lines. All three products are
+    zero only on a concurrent triple (lines that all pass through q meet
+    there): its triangle is the common point, which holds q only when q is on
+    all three lines. A parallel pair has no row in the table, so its triples
+    are skipped."""
+    n = len(coeffs)
     corner = [[None] * n for _ in range(n)]
-    for j, k, _, sides in vertices:
-        corner[j][k] = sides
+    for j, k, v in vertices:
+        corner[j][k] = v
+    # each line times q's side of it: a negative f at a corner is a miss
+    facing = [(s * a, s * b, s * c) for s, (a, b, c) in zip(q_side, coeffs)]
     for idx in itertools.combinations(range(n), 3):
         i, j, k = idx
         ij, ik, jk = corner[i][j], corner[i][k], corner[j][k]
         if ij is None or ik is None or jk is None:
             continue
+        a, b, c = facing[i]
+        x, y, w = jk
+        first = c * w - a * x - b * y
+        if first < 0:
+            continue
+        a, b, c = facing[j]
+        x, y, w = ik
+        second = c * w - a * x - b * y
+        if second < 0:
+            continue
+        a, b, c = facing[k]
+        x, y, w = ij
+        third = c * w - a * x - b * y
+        if third < 0:
+            continue
         si, sj, sk = q_side[i], q_side[j], q_side[k]
-        ci = jk[i]
-        if ci == 0:
-            if si == sj == sk == 0:
-                yield idx, False
-        elif si * ci >= 0 and sj * ik[j] >= 0 and sk * ij[k] >= 0:
+        if first or second or third:
             yield idx, bool(si and sj and sk)
-
-
-def _naive_report(q, family, vertices, witness_limit=0):
-    """``dual_depth_naive`` at q on the family's vertex table ``vertices``."""
-    n = family.n
-    count, strict, witnesses = _count_hits(
-        _surrounded_hits(_sides(homog(q), family.coeffs), vertices, n), witness_limit)
-    return _depth_report(count, binom(n, 3), n, 2,
-                         strict=strict, witnesses=witnesses, method="naive")
+        elif not (si or sj or sk):
+            yield idx, False
 
 
 def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> DepthReport:
     """Exhaustive dual depth: every 3-subset of lines with no parallel pair
     gets a closed surround verdict, read off q's side of each line and each
-    line's side at the opposite corner (``_surrounded_hits``), on a vertex
-    table built for this query."""
+    line's side at the opposite corner (``_surrounded_hits``), O(n^3) on a
+    vertex table built for this query."""
     if q.dim != 2:
         raise DimensionError(f"query dimension {q.dim} != data dimension 2")
-    if family.n < 3:
+    n, coeffs = family.n, family.coeffs
+    if n < 3:
         raise DomainError("dual depth needs at least 3 lines")
-    return _naive_report(q, family, _vertex_table(family.coeffs), witness_limit)
+    count, strict, witnesses = _count_hits(
+        _surrounded_hits(_sides(homog(q), coeffs), _vertex_table(coeffs), coeffs),
+        witness_limit)
+    return _depth_report(count, binom(n, 3), n, 2,
+                         strict=strict, witnesses=witnesses, method="naive")
 
 
 def _reduce_dir(d):
@@ -297,39 +311,42 @@ def _surrounding(order, sides):
 
 def _vertex_table(coeffs):
     """The arrangement vertices of the integer lines ``coeffs``: for each pair
-    i < j of nonparallel lines, in combination order, (i, j, v, sides) with
-    v = L_i ∩ L_j as ``intersect_lines_homog`` gives it (weight positive) and
-    ``sides`` the side of every line at v (``_sides``), zero at i, j and any
-    other line through v. One O(n^3) table per search, read by every vertex
-    scan and re-check."""
+    i < j of nonparallel lines, in combination order, (i, j, v) with
+    v = L_i ∩ L_j as ``intersect_lines_homog`` gives it (weight positive).
+    C(n, 2) rows and no side vectors: a reader that needs a line's side at a
+    vertex computes it there."""
     table = []
     for i, j in itertools.combinations(range(len(coeffs)), 2):
         v = intersect_lines_homog(coeffs[i], coeffs[j])
         if v[2]:
-            table.append((i, j, v, _sides(v, coeffs)))
+            table.append((i, j, v))
     return table
 
 
 def _dual_tables(family):
     """The shared tables of one dual search: the integer lines, their
-    half-turn order, ``turn[i][k]``, the sign of cross(n_i, n_k), and the
-    vertex table (``_vertex_table``).
+    half-turn order, ``turn[i][k]``, the sign of cross(n_i, n_k), the vertex
+    table (``_vertex_table``) and each line's pairs (x, v), its vertex v with
+    line x, in order along it (``_line_order``).
 
-    The general-position gate reads the vertex table: each row's sides are
-    zero at its own two lines, so a further zero is a concurrent triple, and
-    ``family.parallel_pair`` covers parallel lines. Only when the gate fails
-    does ``_line_violations`` run, to locate the violations of the
-    DegeneracyError."""
+    That sort is the general-position gate: two vertices of a line at one
+    exact parameter are three concurrent lines, and ``family.parallel_pair``
+    covers parallel lines. Only when the gate fails does ``_line_violations``
+    run, to locate the violations of the DegeneracyError."""
     coeffs = family.coeffs
     vertices = _vertex_table(coeffs)
-    if (family.parallel_pair
-            or sum(row[3].count(0) for row in vertices) != 2 * len(vertices)):
+    crossings = [[] for _ in coeffs]
+    for i, j, v in vertices:
+        crossings[i].append((j, v))
+        crossings[j].append((i, v))
+    lines = [_line_order(line, row) for line, row in zip(coeffs, crossings)]
+    if family.parallel_pair or None in lines:
         raise DegeneracyError("line family is not in general position",
                               _line_violations(coeffs))
     normals = family.normals
     turn = [[(c > 0) - (c < 0) for c in (_icross(u, v) for v in normals)]
             for u in normals]
-    return coeffs, family.order, turn, vertices
+    return coeffs, family.order, turn, vertices, lines
 
 
 def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
@@ -378,22 +395,13 @@ def _exact_params(a, b, crossings):
     return [Fraction(a * y - b * x, w) for _, (x, y, w) in crossings]
 
 
-def _line_crossings(vertices, n):
-    """For each of the n lines, the pairs (x, v) of the vertex-table rows
-    through it, v = (X, Y, W), W > 0, its vertex with line x."""
-    crossings = [[] for _ in range(n)]
-    for i, j, v, _ in vertices:
-        crossings[i].append((j, v))
-        crossings[j].append((i, v))
-    return crossings
-
-
 def _line_order(line, crossings):
-    """The ``_line_crossings`` (x, v) of the integer ``line`` (a, b, c) in the
-    order of v along (−b, a), keyed by the correctly rounded float of the
+    """The crossings (x, v) of the integer ``line`` (a, b, c), v = (X, Y, W)
+    with W > 0, in the order of v along (−b, a), keyed by the correctly rounded float of the
     parameter (−b·X + a·Y)/W. Rounding is monotone, so distinct floats are
     exact; where two tie or one overflows, the line sorts by exact fractions
-    (``_exact_params``), as ``_segment_walk`` does."""
+    (``_exact_params``), as ``_segment_walk`` does. None when two exact
+    parameters tie: two crossings at one point, three concurrent lines."""
     a, b, _ = line
     try:
         keys = [(a * y - b * x) / w for _, (x, y, w) in crossings]
@@ -401,19 +409,21 @@ def _line_order(line, crossings):
         keys = []  # fewer keys than vertices: the exact keys below
     if len(set(keys)) < len(crossings):
         keys = _exact_params(a, b, crossings)
+        if len(set(keys)) < len(crossings):
+            return None
     return [crossings[t] for t in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def _line_walk(tables):
     """(closed, cuts, place) of a family in general position, from its
-    ``_dual_tables``, by one sort and one sweep per line, O(n^2 log n):
+    ``_dual_tables``, by one sweep along each line's sorted vertices:
     ``closed[i][k]`` is the closed count at L_i ∩ L_k, ``place[i][k]`` its
     index along L_i, and ``cuts[i][c]`` the strict counts (side +1, side −1
     of L_i) beside cut c of L_i, the edge after its first c vertices.
 
-    With m = n − 2, the lines x_0, x_1, … crossing L_k in order
-    (``_line_order``) have angle ranks r(x) = (pos(x) − pos(k)) mod n − 1
-    against L_k, pos the place in ``order``. F, the pairs across a point of
+    With m = n − 2, the lines x_0, x_1, … crossing L_k in the tables' order
+    along it have angle ranks r(x) = (pos(x) − pos(k)) mod n − 1 against
+    L_k, pos the place in ``order``. F, the pairs across a point of
     L_k whose apex is on side +1 less those on side −1, starts at 0 and gains
     m − 2·r(x_t) past x_t; at the vertex with x_t it drops x_t's pairs,
     2·B_t − t, B_t the earlier ranks below r(x_t). So N± = (t(m + 1 − t) ± F)/2
@@ -425,7 +435,7 @@ def _line_walk(tables):
     index t on L_i and t′ on L_k, the closed count is G − N_before plus
     ``_surrounded_hits``' m corners and t(m − t) + t′(m − t′) edges; at cut c
     of L_i the strict count on side σ is G + N_σ."""
-    coeffs, order, turn, vertices = tables
+    coeffs, order, turn, _, lines = tables
     n = len(coeffs)
     m = n - 2
     pos = [0] * n
@@ -434,8 +444,8 @@ def _line_walk(tables):
     place = [[0] * n for _ in range(n)]
     f_vertex = [[0] * n for _ in range(n)]
     walks = []
-    for k, crossings in enumerate(_line_crossings(vertices, n)):
-        xs = [x for x, _ in _line_order(coeffs[k], crossings)]
+    for k, row in enumerate(lines):
+        xs = [x for x, _ in row]
         pk, place_k, fv_k = pos[k], place[k], f_vertex[k]
         f = 0
         f_cut = [0]
@@ -470,14 +480,14 @@ def _line_walk(tables):
 def _max_closed_dual(family, tables, walk, witness_limit):
     """``max_dual_depth_point`` on the family's ``_dual_tables`` and
     ``_line_walk``: the scan of the vertices with the top closed count, then
-    the exhaustive re-check of the winner on the vertex table."""
+    the exhaustive O(n^3) re-check of the winner (``dual_depth_naive``)."""
     closed = walk[0]
-    counts = [closed[i][j] for i, j, _, _ in tables[3]]
+    counts = [closed[i][j] for i, j, _ in tables[3]]
     top = max(counts)
     [(best_count, best_key)] = _scan((top, row[2]) for row, count in zip(tables[3], counts)
                                      if count == top)
     q = dehomog(best_key)
-    report = _naive_report(q, family, tables[3], witness_limit)
+    report = dual_depth_naive(q, family, witness_limit)
     if report.count != best_count:
         raise InternalError(
             f"vertex scan count {best_count} != exhaustive count {report.count}")
@@ -491,9 +501,9 @@ def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
 
     Every vertex's count comes from one walk along each line
     (``_line_walk``), O(n^2 log n) in all. The winner's count is re-derived
-    by the exhaustive route on the vertex table (``_vertex_table``), built
-    once per call, as an internal consistency check. ``threads`` is ignored;
-    it stays only because the benchmark's workloads pass it.
+    by the exhaustive O(n^3) route (``dual_depth_naive``) as an internal
+    consistency check. ``threads`` is ignored; it stays only because the
+    benchmark's workloads pass it.
     """
     if family.n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")
@@ -804,15 +814,13 @@ def _unexposed_at(sides, order, normals, full_pair_total):
     return len(counts) >= 2 and min(counts) >= DUAL_BOUND * full_pair_total
 
 
-def _edge_midpoints(tables, n):
+def _edge_midpoints(tables):
     """The midpoint of every edge of the arrangement, from the
-    ``_dual_tables`` of n lines in general position: the homogeneous average
+    ``_dual_tables`` of lines in general position: the homogeneous average
     (x1·w2 + x2·w1, y1·w2 + y2·w1, 2·w1·w2), reduced, of each two consecutive
-    vertices on a line, in the walk's order along it (``_line_order``)."""
-    coeffs, _, _, vertices = tables
-    for line, crossings in zip(coeffs, _line_crossings(vertices, n)):
-        row = [v for _, v in _line_order(line, crossings)]
-        for (x1, y1, w1), (x2, y2, w2) in zip(row, row[1:]):
+    vertices on a line, in the walk's order along it."""
+    for row in tables[4]:
+        for (_, (x1, y1, w1)), (_, (x2, y2, w2)) in zip(row, row[1:]):
             yield reduce_homog((x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, 2 * w1 * w2))
 
 
@@ -822,17 +830,16 @@ def find_unexposed_point(family: LineFamily):
     no candidate certifies.
 
     Two ``_scan`` passes score each candidate by its certificate
-    (``_unexposed_at``). The vertices and their side vectors come from the
-    vertex table (``_dual_tables``)."""
+    (``_unexposed_at``) on its own side vector (``_sides``), built for it and
+    dropped. The candidates come from the ``_dual_tables``."""
     tables = _dual_tables(family)
-    coeffs, order, _, vertices = tables
+    coeffs, order = tables[:2]
     normals = family.normals
     pair_total = math.comb(family.n, 2)
-    phases = (((v, sides) for _, _, v, sides in vertices),
-              ((v, _sides(v, coeffs)) for v in _edge_midpoints(tables, family.n)))
+    phases = ((v for _, _, v in tables[3]), _edge_midpoints(tables))
     for candidates in phases:
-        [best] = _scan((_unexposed_at(sides, order, normals, pair_total), v)
-                       for v, sides in candidates)
+        [best] = _scan((_unexposed_at(_sides(v, coeffs), order, normals, pair_total), v)
+                       for v in candidates)
         if best is not None and best[0]:
             return dehomog(best[1])
     return None
@@ -952,10 +959,10 @@ def _walk_cells(tables, walk):
     cover every cell with a positive count. Moving from L_i ∩ L_j along
     sx·u_i + sy·u_j (u = (−b, a)) enters cut place_i(j) + [sx > 0] of L_i on
     side sy·turn[i][j]; its count is read off the ``_line_walk``."""
-    _, _, turn, vertices = tables
+    _, _, turn, vertices, _ = tables
     _, cuts, place = walk
     cells = []
-    for i, j, key, _ in vertices:
+    for i, j, key in vertices:
         c, t = place[i][j], turn[i][j]
         cut_i = cuts[i]
         for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -972,8 +979,8 @@ def _max_strict_dual(family: LineFamily, tables, walk):
     Every cell around every vertex reads its count off the walk
     (``_walk_cells``); only the cells with the top count get their point
     built and go through the scan's tie-break. The winner's count is
-    re-derived by the exhaustive route on the vertex table as an internal
-    consistency check.
+    re-derived by the exhaustive O(n^3) route (``dual_depth_naive``) as an
+    internal consistency check.
     """
     coeffs = family.coeffs
     cells = _walk_cells(tables, walk)
@@ -981,7 +988,7 @@ def _max_strict_dual(family: LineFamily, tables, walk):
     [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs)
                                      for cell in cells if cell[0] == top)
     q = dehomog(best_key)
-    strict = _naive_report(q, family, tables[3]).strict_count
+    strict = dual_depth_naive(q, family).strict_count
     if strict != best_count:
         raise InternalError(
             f"cell scan count {best_count} != exhaustive strict count {strict}")
@@ -1016,8 +1023,8 @@ def extremal_report(n: int) -> ExtremalReport:
     """Run the max searches on tangent_family(n) and compare against the
     product bound n^3/27 and the 2/9 floor. The strict and the closed search
     read one set of ``_dual_tables`` and one ``_line_walk``, O(n^2 log n)
-    for the counts; the vertex table and the exhaustive re-check of each
-    winner are O(n^3)."""
+    for the counts and O(n^2) memory; only the exhaustive re-check of each
+    winner is O(n^3) time."""
     family = tangent_family(n)
     tables = _dual_tables(family)
     walk = _line_walk(tables)

@@ -334,30 +334,6 @@ def _exact_halves(dirs):
     return [k for k in keys if k < half], [k - half for k in keys if k >= half]
 
 
-def _directions_around(qh, pts_h):
-    """Integer directions from q to each point, not reduced; drops points
-    equal to q."""
-    qx, qy, qw = qh
-    dirs = []
-    for px, py, pw in pts_h:
-        ix = px * qw - qx * pw
-        iy = py * qw - qy * pw
-        if ix or iy:
-            dirs.append((ix, iy))
-    return dirs
-
-
-def _floats_parallel(dirs):
-    """True iff every two of the directions whose float keys are equal are
-    parallel, so that the floats order them exactly."""
-    first = {}
-    for x, y in dirs:
-        u, v = first.setdefault(-x / y if y else -math.inf, (x, y))
-        if x * v != y * u:
-            return False
-    return True
-
-
 def _avoiding(upper, lower):
     """Number of 3-subsets of the keyed directions fitting strictly inside an
     open half-plane through the origin, from their keys split by half (see
@@ -412,9 +388,10 @@ def _angular_counts(qh, pts_h):
     float in opposite halves. The float order is exact when no two keys are
     equal, and still exact when only parallel directions share a key (q on
     a line through two points); then equal keys are equal or opposite
-    directions. When non-parallel directions share a float, or a ratio
-    overflows a float, the exact integer keys of ``_angle_keys`` count
-    instead."""
+    directions. Where floats tie, one more pass builds the integer directions
+    and checks each against the first direction on its float. When two that
+    are not parallel share a float, or a ratio overflows a float, the exact
+    integer keys of ``_angle_keys`` count instead."""
     qx, qy, qw = qh
     upper, lower = [], []
     try:
@@ -435,8 +412,18 @@ def _angular_counts(qh, pts_h):
         m = len(upper) + len(lower)
         if len(set(upper).union(lower)) == m:
             return m, _avoiding(upper, lower), 0
-    dirs = _directions_around(qh, pts_h)
-    if upper is None or not _floats_parallel(dirs):
+    dirs = []
+    first = {}
+    exact = upper is None
+    for px, py, pw in pts_h:
+        x = px * qw - qx * pw
+        y = py * qw - qy * pw
+        if x or y:
+            dirs.append((x, y))
+            if not exact:
+                u, v = first.setdefault(-x / y if y else -math.inf, (x, y))
+                exact = x * v != y * u
+    if exact:
         upper, lower = _exact_halves(dirs)
     return len(dirs), _avoiding(upper, lower), _opposite(upper, lower)
 

@@ -47,6 +47,15 @@ DIAG = Hyperplane((1, 1), 4)     # x + y = 4
 TRIANGLE = LineFamily((Y0, X0, DIAG))
 
 
+# the points find_unexposed_point returned when pinned
+UNEXPOSED_PINS = [
+    (random_line_family(12, 1), None),
+    (random_line_family(18, 1), Point(Fraction(378821, 8487023), Fraction(-40359715, 16974046))),
+    (random_line_family(30, 2), Point(Fraction(-107862531, 62809954), Fraction(1757915, 62809954))),
+    (tangent_family(15), None),
+]
+
+
 def rand_q(rng, span=6, denom=11):
     return Point(Fraction(rng.randrange(-span * denom, span * denom + 1), denom),
                  Fraction(rng.randrange(-span * denom, span * denom + 1), denom))
@@ -227,11 +236,11 @@ def test_dual_fast_engine_fuzz_on_degenerate_grid():
 
 
 def test_general_position_gate_reads_the_vertex_table(monkeypatch):
-    # the table's verdict agrees with _line_violations on seeded families in
-    # general position and on small-coefficient families full of concurrent
-    # triples and parallel pairs; a rejected family carries exactly the
-    # located violations, on every search that reads the table, and a family
-    # the gate passes never runs _line_violations
+    # the verdict of the tables' line orders agrees with _line_violations on
+    # seeded families in general position and on small-coefficient families
+    # full of concurrent triples and parallel pairs; a rejected family
+    # carries exactly the located violations, on every search that reads the
+    # tables, and a family the gate passes never runs _line_violations
     def unlocated(coeffs):
         raise AssertionError("_line_violations ran on a family in general position")
 
@@ -251,12 +260,12 @@ def test_general_position_gate_reads_the_vertex_table(monkeypatch):
         else:
             assert violations == []
     assert 0 < rejected < 300
-    for fam in (CONCURRENT, PARALLEL):
+    for fam in (CONCURRENT, PARALLEL, SHARED_FLOAT_CONCURRENT):
         # extremal_report searches the family it is given in place of the tangent one
         monkeypatch.setattr(dual, "tangent_family", lambda n, fam=fam: fam)
         violations = _line_violations(fam.coeffs)
         assert {kind for kind, _ in violations} == (
-            {"concurrent"} if fam is CONCURRENT else {"parallel"})
+            {"parallel"} if fam is PARALLEL else {"concurrent"})
         for search in (max_dual_depth_point, find_unexposed_point,
                        lambda fam: extremal_report(fam.n)):
             with pytest.raises(DegeneracyError) as err:
@@ -264,9 +273,11 @@ def test_general_position_gate_reads_the_vertex_table(monkeypatch):
             assert err.value.violations == violations
 
 
-def test_each_vertex_side_vector_is_built_once_per_search(monkeypatch):
-    # one vertex table per search: C(n, 2) side vectors, plus q's own side
-    # vector in each exhaustive re-check
+def test_no_vertex_side_vector_is_built_per_search(monkeypatch):
+    # a search builds q's side vector once per exhaustive re-check and no
+    # side vector of a vertex: the table's rows are the bare vertices, and
+    # find_unexposed_point, which builds one per candidate, still returns
+    # its pinned points
     sides = dual._sides
     calls = []
 
@@ -278,19 +289,18 @@ def test_each_vertex_side_vector_is_built_once_per_search(monkeypatch):
     for n in (3, 9, 12):
         calls.clear()
         extremal_report(n)
-        assert len(calls) == binom(n, 2) + 2
+        assert len(calls) == 2
     for fam in (TRIANGLE, random_line_family(8, 48), random_line_family(13, 53)):
         calls.clear()
         max_dual_depth_point(fam)
-        assert len(calls) == binom(fam.n, 2) + 1
+        assert len(calls) == 1
     for fam in _oracle_families():
         coeffs = fam.coeffs
-        table = dual._dual_tables(fam)[3]
-        assert [(i, j) for i, j, _, _ in table] == list(
-            itertools.combinations(range(fam.n), 2))
-        for i, j, v, row in table:
-            assert v == intersect_lines_homog(coeffs[i], coeffs[j])
-            assert row == sides(v, coeffs)
+        assert dual._dual_tables(fam)[3] == [
+            (i, j, intersect_lines_homog(coeffs[i], coeffs[j]))
+            for i, j in itertools.combinations(range(fam.n), 2)]
+    for fam, expected in UNEXPOSED_PINS:
+        assert find_unexposed_point(fam) == expected
 
 
 def test_cell_strict_count_matches_naive_at_every_cell():
@@ -319,10 +329,10 @@ def _assert_walk_equals_scans(fam):
     tables = dual._dual_tables(fam)
     walk = dual._line_walk(tables)
     closed = walk[0]
-    assert [closed[i][j] for i, j, _, _ in tables[3]] == [
+    assert [closed[i][j] for i, j, _ in tables[3]] == [
         _vertex_pair(row, tables)[0] for row in tables[3]]
     # a vertex counts the same from both of its lines
-    assert all(closed[i][j] == closed[j][i] for i, j, _, _ in tables[3])
+    assert all(closed[i][j] == closed[j][i] for i, j, _ in tables[3])
     assert dual._walk_cells(tables, walk) == _cell_counts(tables)
 
 
@@ -333,7 +343,7 @@ def _assert_walk_equals_scans(fam):
                          ids=lambda fam: fam.provenance or f"small{fam.n}")
 def test_line_walk_equals_the_scans_at_every_vertex_and_cell(fam):
     # the walk's closed count at every vertex and strict count at every cell
-    # equal the O(n) scans on the vertex table's side vectors
+    # equal the O(n) scans on each vertex's side vector
     _assert_walk_equals_scans(fam)
 
 
@@ -344,6 +354,10 @@ def test_line_walk_equals_the_scans_at_every_vertex_and_cell(fam):
 SHARED_FLOAT_LINES = LineFamily((Hyperplane((0, 1), 0), Hyperplane((1, 0), 10 ** 20),
                                  Hyperplane((1, 1), 10 ** 20 + 1), Hyperplane((1, -2), 3),
                                  Hyperplane((2, 1), -5), Hyperplane((1, 3), 7)))
+# x + 5y = 10^20 through the vertex (10^20, 0) of y = 0 and x = 10^20: a
+# concurrent triple on a line whose other vertices share floats, so only the
+# exact parameters of that line's sort can find it
+SHARED_FLOAT_CONCURRENT = LineFamily(SHARED_FLOAT_LINES.lines + (Hyperplane((1, 5), 10 ** 20),))
 # 10^400·x + y = 0: its vertices' parameters overflow a float
 OVERFLOW_LINES = LineFamily((Hyperplane((10 ** 400, 1), 0), Hyperplane((1, 1), 2),
                              Hyperplane((2, -1), -1), Hyperplane((1, -3), 4)))
@@ -366,10 +380,8 @@ def test_line_order_takes_exact_params_on_float_ties_and_overflow(fam, exact_lin
     monkeypatch.setattr(dual, "_exact_params", counted)
     _assert_walk_equals_scans(fam)
     assert calls == exact_lines
-    for line, crossings in zip(fam.coeffs, dual._line_crossings(dual._vertex_table(fam.coeffs),
-                                                               fam.n)):
-        a, b, _ = line
-        params = [Fraction(a * y - b * x, w) for _, (x, y, w) in dual._line_order(line, crossings)]
+    for (a, b, _), crossings in zip(fam.coeffs, dual._dual_tables(fam)[4]):
+        params = [Fraction(a * y - b * x, w) for _, (x, y, w) in crossings]
         assert params == sorted(set(params))
 
 
@@ -632,8 +644,8 @@ def test_arc_counts_at_vertices_match_the_wedge_enumeration(fam):
     # at each vertex two lines give no direction; the n - 2 others are the
     # oriented normals in cyclic order, and each open arc counts the pairs
     # whose closed wedge covers a direction strictly inside it
-    tables = dual._dual_tables(fam)
-    for i, j, _, sides in tables[3]:
+    for i, j, v in dual._dual_tables(fam)[3]:
+        sides = dual._sides(v, fam.coeffs)
         arcs = dual._arc_profile(fam.order, fam.normals, sides)
         dirs = [d for d, _ in arcs]
         assert dirs == _cyclic((a, b) if s > 0 else (-a, -b)
@@ -762,12 +774,8 @@ def test_find_unexposed_point_success_implies_dual_bound():
     assert rep.fraction >= DUAL_BOUND
 
 
-@pytest.mark.parametrize("fam, expected", [
-    (random_line_family(12, 1), None),
-    (random_line_family(18, 1), Point(Fraction(378821, 8487023), Fraction(-40359715, 16974046))),
-    (random_line_family(30, 2), Point(Fraction(-107862531, 62809954), Fraction(1757915, 62809954))),
-    (tangent_family(15), None),
-], ids=["random12-1", "random18-1", "random30-2", "tangent15"])
+@pytest.mark.parametrize("fam, expected", UNEXPOSED_PINS,
+                         ids=["random12-1", "random18-1", "random30-2", "tangent15"])
 def test_find_unexposed_point_is_pinned(fam, expected):
     # the points the vertex-then-midpoint search returned when pinned
     q = find_unexposed_point(fam)
