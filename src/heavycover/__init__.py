@@ -44,12 +44,10 @@ from .dual import (
     ExtremalReport,
     LineFamily,
     TangentClassification,
-    almost_exposed_arcs,
     base_cut_count,
     classify_tangents,
     dual_depth_fast,
     dual_depth_naive,
-    exposed_arcs,
     exposure_profile,
     extremal_report,
     find_unexposed_point,

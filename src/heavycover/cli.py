@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .continuity import continuity_demo
@@ -54,8 +55,9 @@ EXIT_INTERNAL = 3
 
 # the plot's drawable width in pixels
 MAX_GRID = CANVAS - 2 * MARGIN
-# the largest extremal family: its two exhaustive re-checks grow as n^3, and
-# n = 300 already takes about 8 s and 80 MiB (see README)
+# the largest extremal family: memory bounds it, not time; a run peaks at
+# about 57 MiB at n = 300 (0.4 s), 132 MiB at 500 and 247 MiB at 700 (see
+# README)
 MAX_EXTREMAL = 300
 
 
@@ -241,14 +243,21 @@ def _cmd_maxdepth(args):
     return EXIT_OK if rep.meets_slack_bound else EXIT_BOUND_FAILED
 
 
+def _recount(q, fast, family):
+    """The exhaustive report at q with 3 witnesses, checked against the fast
+    report ``fast`` on (count, strict_count)."""
+    naive = dual_depth_naive(q, family, witness_limit=3)
+    if (fast.count, fast.strict_count) != (naive.count, naive.strict_count):
+        raise InternalError(f"fast {fast.count} (strict {fast.strict_count}) != "
+                            f"naive {naive.count} (strict {naive.strict_count})")
+    return naive
+
+
 def _cmd_dual(args):
     ds = _load_dataset(args, ("LINES",), "LINES")
     q = _parse_point(args.point)
     fast = dual_depth_fast(q, ds.lines)
-    naive = dual_depth_naive(q, ds.lines, witness_limit=3)
-    if (fast.count, fast.strict_count) != (naive.count, naive.strict_count):
-        raise InternalError(f"fast {fast.count} (strict {fast.strict_count}) != "
-                            f"naive {naive.count} (strict {naive.strict_count})")
+    naive = _recount(q, fast, ds.lines)
     print(f"dual depth {naive.count} of {naive.total} "
           f"(fraction {naive.fraction}, fast method {fast.method})")
     _emit_report(args, {"command": "dual", "fast_method": fast.method,
@@ -260,6 +269,7 @@ def _cmd_dual(args):
 def _cmd_maxdual(args):
     ds = _load_dataset(args, ("LINES",), "LINES", tangent=args.tangent)
     q, rep = max_dual_depth_point(ds.lines)
+    rep = replace(rep, witnesses=_recount(q, rep, ds.lines).witnesses)
     print(f"max dual depth {rep.count} of {rep.total} at "
           f"{tuple(map(str, q.coords))} (fraction {rep.fraction}, "
           f"boundary triples {rep.boundary_count})")

@@ -25,10 +25,11 @@ The max searches count by one walk along each line (``_line_walk``), the dual
 twin of the primal segment walk: the closed count at every vertex and the
 strict count of every cell in O(n^2 log n) per family, on tables
 (``_dual_tables``) of the C(n, 2) vertices and each line's vertices sorted
-once, a sort that is also the general-position gate. The exhaustive re-check
-of each winner (``dual_depth_naive``) is a search's only O(n^3) work: it
-computes a corner's side of a line when a triple needs it, so no side vector
-of every vertex is held. ``extremal_report`` shares one walk between its
+once, a sort that is also the general-position gate. Each search checks
+its winner by an angular count that reads neither the half-turn order nor
+the walk (``selection._strict_surrounding``, O(n log n)), so no search does
+O(n^3) work; ``dual_depth_naive`` stays the exhaustive oracle of the tests,
+the battery and the CLI. ``extremal_report`` shares one walk between its
 strict and closed searches.
 
 Exposure profiles read the same order: the arc counts around a point are one
@@ -477,38 +478,39 @@ def _line_walk(tables):
     return closed, cuts, place
 
 
-def _max_closed_dual(family, tables, walk, witness_limit):
+def _max_closed_dual(family, tables, walk):
     """``max_dual_depth_point`` on the family's ``_dual_tables`` and
     ``_line_walk``: the scan of the vertices with the top closed count, then
-    the exhaustive O(n^3) re-check of the winner (``dual_depth_naive``)."""
+    the winner's count by ``dual_depth_fast``, which at a vertex, on two
+    lines, counts on the oriented normals (``selection._strict_surrounding``)."""
     closed = walk[0]
     counts = [closed[i][j] for i, j, _ in tables[3]]
     top = max(counts)
     [(best_count, best_key)] = _scan((top, row[2]) for row, count in zip(tables[3], counts)
                                      if count == top)
     q = dehomog(best_key)
-    report = dual_depth_naive(q, family, witness_limit)
+    report = dual_depth_fast(q, family)
     if report.count != best_count:
         raise InternalError(
-            f"vertex scan count {best_count} != exhaustive count {report.count}")
+            f"vertex scan count {best_count} != angular count {report.count}")
     return q, replace(report, method="vertex_scan")
 
 
-def max_dual_depth_point(family: LineFamily, witness_limit: int = 3,
-                         threads: int = 1):
+def max_dual_depth_point(family: LineFamily, threads: int = 1):
     """Global max of closed dual depth over the arrangement vertices of the
     family (complete under closed containment), lexicographic tie-break.
 
     Every vertex's count comes from one walk along each line
     (``_line_walk``), O(n^2 log n) in all. The winner's count is re-derived
-    by the exhaustive O(n^3) route (``dual_depth_naive``) as an internal
-    consistency check. ``threads`` is ignored; it stays only because the
+    by an O(n log n) angular count that reads neither the walk nor the
+    half-turn order, as an internal consistency check; the report carries
+    no witnesses. ``threads`` is ignored; it stays only because the
     benchmark's workloads pass it.
     """
     if family.n < 3:
         raise DomainError("max_dual_depth_point needs at least 3 lines")
     tables = _dual_tables(family)
-    return _max_closed_dual(family, tables, _line_walk(tables), witness_limit)
+    return _max_closed_dual(family, tables, _line_walk(tables))
 
 
 def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
@@ -619,12 +621,14 @@ class ExposureProfile:
         return c
 
     def exposed(self) -> DirectionArcSet:
-        """The arcs crossed by fewer than 2/9 of projection pairs
-        (``exposed_arcs``)."""
+        """The arcs of ray directions crossed by fewer than 2/9 of
+        projection pairs."""
         return _mask_to_arcset(_exposed_mask(self), self.directions, "EXPOSED")
 
     def almost_exposed(self) -> DirectionArcSet:
-        """The exposed arcs extended as ``almost_exposed_arcs`` describes."""
+        """The exposed arcs extended by every direction whose ray lies in a
+        region bounded by two exposed rays holding fewer than one third of
+        the projections."""
         return _mask_to_arcset(_almost_exposed_mask(_exposed_mask(self)),
                                self.directions, "ALMOST_EXPOSED")
 
@@ -789,17 +793,6 @@ def _almost_exposed_mask(mask):
     return almost
 
 
-def exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
-    """Arcs of ray directions crossed by fewer than 2/9 of projection pairs."""
-    return exposure_profile(q, family).exposed()
-
-
-def almost_exposed_arcs(q: Point, family: LineFamily) -> DirectionArcSet:
-    """Exposed arcs extended by every direction whose ray lies in a region
-    bounded by two exposed rays holding fewer than one third of the projections."""
-    return exposure_profile(q, family).almost_exposed()
-
-
 def _unexposed_at(sides, order, normals, full_pair_total):
     """Conservative unexposedness certificate at a candidate point, from the
     side of every line there (``_sides``) and the family's half-turn
@@ -961,14 +954,12 @@ def _walk_cells(tables, walk):
     side sy·turn[i][j]; its count is read off the ``_line_walk``."""
     _, _, turn, vertices, _ = tables
     _, cuts, place = walk
-    cells = []
     for i, j, key in vertices:
         c, t = place[i][j], turn[i][j]
         cut_i = cuts[i]
         for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             plus, minus = cut_i[c + (sx > 0)]
-            cells.append((plus if sy == t else minus, key, i, j, sx, sy))
-    return cells
+            yield plus if sy == t else minus, key, i, j, sx, sy
 
 
 def _max_strict_dual(family: LineFamily, tables, walk):
@@ -977,22 +968,26 @@ def _max_strict_dual(family: LineFamily, tables, walk):
     family's ``_dual_tables`` and ``_line_walk``.
 
     Every cell around every vertex reads its count off the walk
-    (``_walk_cells``); only the cells with the top count get their point
-    built and go through the scan's tie-break. The winner's count is
-    re-derived by the exhaustive O(n^3) route (``dual_depth_naive``) as an
-    internal consistency check.
+    (``_walk_cells``), and only the cells at the running top count are kept;
+    those get their point built and go through the scan's tie-break. The
+    winner's count is re-derived by an O(n log n) angular count of its
+    oriented normals (``selection._strict_surrounding``), which reads neither
+    the walk nor the half-turn order, as an internal consistency check.
     """
     coeffs = family.coeffs
-    cells = _walk_cells(tables, walk)
-    top = max(cell[0] for cell in cells)
-    [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs)
-                                     for cell in cells if cell[0] == top)
-    q = dehomog(best_key)
-    strict = dual_depth_naive(q, family).strict_count
+    top, cells = -1, []
+    for cell in _walk_cells(tables, walk):
+        if cell[0] > top:
+            top, cells = cell[0], [cell]
+        elif cell[0] == top:
+            cells.append(cell)
+    [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs) for cell in cells)
+    strict = _strict_surrounding([(s * a, s * b) for s, (a, b)
+                                  in zip(_sides(best_key, coeffs), family.normals) if s])
     if strict != best_count:
         raise InternalError(
-            f"cell scan count {best_count} != exhaustive strict count {strict}")
-    return best_count, q
+            f"cell scan count {best_count} != angular strict count {strict}")
+    return best_count, dehomog(best_key)
 
 
 @dataclass(frozen=True)
@@ -1023,8 +1018,8 @@ def extremal_report(n: int) -> ExtremalReport:
     """Run the max searches on tangent_family(n) and compare against the
     product bound n^3/27 and the 2/9 floor. The strict and the closed search
     read one set of ``_dual_tables`` and one ``_line_walk``, O(n^2 log n)
-    for the counts and O(n^2) memory; only the exhaustive re-check of each
-    winner is O(n^3) time."""
+    for the counts and O(n^2) memory, and check each winner by an
+    O(n log n) angular count; nothing is O(n^3)."""
     family = tangent_family(n)
     tables = _dual_tables(family)
     walk = _line_walk(tables)
@@ -1033,7 +1028,7 @@ def extremal_report(n: int) -> ExtremalReport:
     if strict_max > floor:
         raise InternalError(
             f"strict surround count {strict_max} exceeds the product bound {floor}")
-    closed_point, closed_rep = _max_closed_dual(family, tables, walk, 3)
+    closed_point, closed_rep = _max_closed_dual(family, tables, walk)
     total = binom(n, 3)
     fraction = Fraction(strict_max, total)
     return ExtremalReport(

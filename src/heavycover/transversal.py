@@ -133,10 +133,6 @@ class TransversalReport:
     m: int
     per_set: tuple
 
-    @property
-    def all_meet_slack(self) -> bool:
-        return all(r.meets_slack_bound for r in self.per_set)
-
 
 def transversal_bound(d: int, m: int) -> Fraction:
     """2(d-m)/((d-m+1)!(d-m+1)); the selection bound one codimension down."""

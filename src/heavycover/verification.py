@@ -180,7 +180,7 @@ def check_dual_bound(seed, trials=50, sizes=(8, 10, 12), threads=1):
     for t in range(trials):
         n = sizes[t % len(sizes)]
         fam = random_line_family(n, seed * 3301 + t)
-        _, rep = max_dual_depth_point(fam, witness_limit=0)
+        _, rep = max_dual_depth_point(fam)
         target = DUAL_BOUND - Fraction(3, n)
         margin = rep.fraction - target
         if worst is None or margin < worst[0]:

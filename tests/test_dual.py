@@ -30,8 +30,6 @@ from heavycover.dual import (
     classify_tangents,
     dual_depth_fast,
     dual_depth_naive,
-    exposed_arcs,
-    almost_exposed_arcs,
     exposure_profile,
     extremal_report,
     find_unexposed_point,
@@ -273,27 +271,10 @@ def test_general_position_gate_reads_the_vertex_table(monkeypatch):
             assert err.value.violations == violations
 
 
-def test_no_vertex_side_vector_is_built_per_search(monkeypatch):
-    # a search builds q's side vector once per exhaustive re-check and no
-    # side vector of a vertex: the table's rows are the bare vertices, and
-    # find_unexposed_point, which builds one per candidate, still returns
-    # its pinned points
-    sides = dual._sides
-    calls = []
-
-    def counted(qh, coeffs):
-        calls.append(qh)
-        return sides(qh, coeffs)
-
-    monkeypatch.setattr(dual, "_sides", counted)
-    for n in (3, 9, 12):
-        calls.clear()
-        extremal_report(n)
-        assert len(calls) == 2
-    for fam in (TRIANGLE, random_line_family(8, 48), random_line_family(13, 53)):
-        calls.clear()
-        max_dual_depth_point(fam)
-        assert len(calls) == 1
+def test_no_vertex_side_vector_is_built_per_search():
+    # the table's rows are the bare vertices, and find_unexposed_point,
+    # which builds one side vector per candidate, still returns its pinned
+    # points
     for fam in _oracle_families():
         coeffs = fam.coeffs
         assert dual._dual_tables(fam)[3] == [
@@ -303,13 +284,44 @@ def test_no_vertex_side_vector_is_built_per_search(monkeypatch):
         assert find_unexposed_point(fam) == expected
 
 
+def test_no_dual_search_enumerates_triples(monkeypatch):
+    # each search checks its winner by an angular count, so with the
+    # exhaustive route gone every search still returns what it returned
+    def searches():
+        return ([max_dual_depth_point(fam) for fam in _oracle_families()]
+                + [extremal_report(n) for n in (3, 9, 12, 30)]
+                + [find_unexposed_point(fam) for fam, _ in UNEXPOSED_PINS])
+
+    expected = searches()
+
+    def exhaustive(*args, **kwargs):
+        raise AssertionError("a search enumerated every triple")
+
+    monkeypatch.setattr(dual, "dual_depth_naive", exhaustive)
+    monkeypatch.setattr(dual, "_surrounded_hits", exhaustive)
+    assert searches() == expected
+
+
+def test_every_dual_winner_matches_the_exhaustive_count():
+    for fam in _oracle_families():
+        q, rep = max_dual_depth_point(fam)
+        assert _counts(rep) == _counts(dual_depth_naive(q, fam))
+    for n in (3, 9, 12, 18, 31, 32, 61, 120):
+        rep = extremal_report(n)
+        family = tangent_family(n)
+        assert dual_depth_naive(rep.max_point, family).strict_count == rep.max_count
+        closed = dual_depth_naive(rep.closed_max_point, family)
+        assert (closed.count, closed.count - closed.strict_count) == (
+            rep.closed_max_count, rep.closed_boundary_count)
+
+
 def test_cell_strict_count_matches_naive_at_every_cell():
     for fam in _oracle_families():
         coeffs = fam.coeffs
         tables = dual._dual_tables(fam)
         cells = _cell_counts(tables)
         assert len(cells) == 4 * binom(fam.n, 2)
-        assert dual._walk_cells(tables, dual._line_walk(tables)) == cells
+        assert list(dual._walk_cells(tables, dual._line_walk(tables))) == cells
         for count, *cell in cells:
             q = dual._cell_point(coeffs, *cell)
             assert count == dual_depth_naive(q, fam).strict_count
@@ -333,7 +345,7 @@ def _assert_walk_equals_scans(fam):
         _vertex_pair(row, tables)[0] for row in tables[3]]
     # a vertex counts the same from both of its lines
     assert all(closed[i][j] == closed[j][i] for i, j, _ in tables[3])
-    assert dual._walk_cells(tables, walk) == _cell_counts(tables)
+    assert list(dual._walk_cells(tables, walk)) == _cell_counts(tables)
 
 
 @pytest.mark.parametrize("fam", [random_line_family(n, s) for n in range(3, 31)
@@ -488,8 +500,9 @@ def test_dual_counts_take_no_angle_keys_per_query(monkeypatch):
     def routes():
         return (max_dual_depth_point(fam),
                 dual._max_strict_dual(tangent, tables, dual._line_walk(tables)),
-                dual_depth_fast(q, fam), exposure_profile(q, fam), exposed_arcs(q, fam),
-                almost_exposed_arcs(q, fam), find_unexposed_point(found))
+                dual_depth_fast(q, fam), exposure_profile(q, fam),
+                exposure_profile(q, fam).exposed(), exposure_profile(q, fam).almost_exposed(),
+                find_unexposed_point(found))
 
     expected = routes()
 
@@ -666,7 +679,7 @@ def test_exposure_count_at_critical_directions():
 
 
 def test_exposed_arcs_two_line_example():
-    arcs = exposed_arcs(Point(1, 1), LineFamily((Y0, X0)))
+    arcs = exposure_profile(Point(1, 1), LineFamily((Y0, X0))).exposed()
     assert not arcs.is_empty and not arcs.full_circle
     assert len(arcs.arcs) == 1
     arc = arcs.arcs[0]
@@ -682,7 +695,7 @@ def test_exposed_arcs_deep_point_empty():
     q = Point(Fraction(5433431, 9005619), Fraction(20875954, 9005619))
     profile = exposure_profile(q, fam)
     assert min(profile.arc_counts) >= 15
-    assert exposed_arcs(q, fam).is_empty
+    assert profile.exposed().is_empty
     rep = dual_depth_naive(q, fam)
     assert rep.fraction >= DUAL_BOUND
 
@@ -694,7 +707,7 @@ def test_exposed_arcs_far_point_structure():
     q = Point(90, 77)
     profile = exposure_profile(q, TRIANGLE)
     assert sorted(profile.arc_counts) == [0, 2, 2]
-    arcs = exposed_arcs(q, TRIANGLE)
+    arcs = profile.exposed()
     assert not arcs.is_empty and not arcs.full_circle
     zero_idx = profile.arc_counts.index(0)
     for d in profile.directions_inside_arc(zero_idx, count=3):
@@ -704,11 +717,11 @@ def test_exposed_arcs_far_point_structure():
 def test_almost_exposed_arcs():
     fam = random_line_family(12, 101)
     q = Point(Fraction(5433431, 9005619), Fraction(20875954, 9005619))
-    assert almost_exposed_arcs(q, fam).is_empty  # no exposed antecedent
+    assert exposure_profile(q, fam).almost_exposed().is_empty  # no exposed antecedent
 
     two = LineFamily((Y0, X0))
-    almost = almost_exposed_arcs(Point(1, 1), two)
-    exposed = exposed_arcs(Point(1, 1), two)
+    almost = exposure_profile(Point(1, 1), two).almost_exposed()
+    exposed = exposure_profile(Point(1, 1), two).exposed()
     assert not almost.is_empty
     # the exposed set extends to its closure but not into the covered wedge
     assert almost.contains_direction((0, -1)) and almost.contains_direction((-1, 0))
@@ -756,7 +769,7 @@ def test_almost_exposed_pass_matches_the_sector_fill():
             mask = dual._exposed_mask(profile)
             expected = dual._mask_to_arcset(_almost_exposed_fill(mask), profile.directions,
                                             "ALMOST_EXPOSED")
-            assert almost_exposed_arcs(q, fam) == expected
+            assert exposure_profile(q, fam).almost_exposed() == expected
 
 
 def test_find_unexposed_point_absent_cases():
@@ -789,9 +802,8 @@ def test_exposure_errors_on_lines_and_parallel_pairs():
     # two collinear projection directions; a query on a line is named first,
     # in a parallel family too
     for q in (Point(1, -1), Point(1, 1), Point(2, 3)):
-        for route in (exposure_profile, exposed_arcs, almost_exposed_arcs):
-            with pytest.raises(DegeneracyError, match="^projection directions are collinear$"):
-                route(q, PARALLEL)
+        with pytest.raises(DegeneracyError, match="^projection directions are collinear$"):
+            exposure_profile(q, PARALLEL)
     for q, fam in ((Point(1, 0), PARALLEL), (Point(1, 2), PARALLEL), (Point(0, 1), PARALLEL),
                    (Point(1, 0), TRIANGLE), (Point(0, 0), TRIANGLE)):
         with pytest.raises(DegeneracyError, match="^query point lies on a line$"):
