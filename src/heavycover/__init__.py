@@ -24,7 +24,6 @@ from .exactgeom import (
     segment_crosses_ray,
 )
 from .selection import (
-    BoundVariant,
     CandidateSet,
     DepthReport,
     LabeledPointSet,

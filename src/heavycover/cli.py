@@ -21,7 +21,6 @@ from fractions import Fraction
 from .continuity import continuity_demo
 from .datasets import Dataset, generate, parse_dataset
 from .dual import (
-    DUAL_BOUND,
     dual_depth_fast,
     dual_depth_naive,
     exposure_profile,
@@ -173,8 +172,6 @@ def _depth_report_json(rep, q):
 def _plot_points(args, pset, q=None, argmax=None, witness=None, title=""):
     if not args.plot:
         return
-    if pset.dim != 2:
-        raise UnsupportedError("only planar datasets can be plotted")
     pts = list(pset.points) + ([q] if q else []) + ([argmax] if argmax else [])
     bbox = bounding_box(pts)
     pts_h = [homog(p) for p in pset.points]
@@ -218,6 +215,8 @@ def _cmd_depth(args):
     ds = _load_dataset(args, ("POINTS", "COLORED_POINTS"), "POINTS")
     q = _parse_point(args.point)
     pset = ds.points
+    if args.plot and pset.dim != 2:
+        raise UnsupportedError("only planar datasets can be plotted")
     if pset.colors is not None and len(set(pset.colors)) == pset.dim + 1:
         rep = colorful_depth(q, pset, witness_limit=3)
     elif pset.dim == 2:
@@ -285,7 +284,6 @@ def _cmd_expose(args):
     profile = exposure_profile(q, ds.lines)
     exp = profile.exposed()
     almost = profile.almost_exposed()
-    threshold = DUAL_BOUND * profile.pair_total
 
     def arcs_json(arcset):
         return {
@@ -295,7 +293,7 @@ def _cmd_expose(args):
         }
 
     print(f"{profile.n_arcs} critical directions, pair total {profile.pair_total}, "
-          f"exposure threshold {threshold}")
+          f"exposure threshold {profile.threshold}")
     print(f"arc counts: {profile.arc_counts}")
     print(f"exposed arcs: {len(exp.arcs)}{' (full circle)' if exp.full_circle else ''}; "
           f"almost-exposed arcs: {len(almost.arcs)}"
@@ -306,7 +304,7 @@ def _cmd_expose(args):
         "directions": [list(d) for d in profile.directions],
         "arc_counts": list(profile.arc_counts),
         "pair_total": profile.pair_total,
-        "threshold": _fr(threshold),
+        "threshold": _fr(profile.threshold),
         "exposed": arcs_json(exp),
         "almost_exposed": arcs_json(almost),
     })
@@ -348,7 +346,7 @@ def _cmd_transversal(args):
     for i, srep in enumerate(rep.per_set):
         print(f"set {i}: touched {srep.count} of {srep.total} "
               f"(fraction {srep.fraction}, median floor {srep.median_floor_count}, "
-              f"half bound met: {srep.fraction >= Fraction(1, 2)})")
+              f"half bound met: {srep.meets_bound})")
     _emit_report(args, {
         "command": "transversal",
         "line": {"base": _point_json(flat.base),

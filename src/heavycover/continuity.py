@@ -6,7 +6,8 @@ region itself, witnessed here by a point of depth at least tau * C(n, 3) at
 every sampled time. The argmax and the witness both come from one pass of the
 segment-arrangement walk of ``selection``, which hands its scan engine each
 segment's best crossing for either score (at most two per segment); this
-module holds no scan of its own.
+module holds no scan of its own. A ``ContinuityReport`` stores the
+per-sample records alone and derives every summary from them.
 """
 
 from __future__ import annotations
@@ -137,15 +138,11 @@ def _linf(p: Point, q: Point) -> Fraction:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
-def _max_displacement(ps0: LabeledPointSet, ps1: LabeledPointSet) -> Fraction:
-    return max(_linf(a, b) for a, b in zip(ps0.points, ps1.points))
-
-
-def _jump_flag(prev, cur, prev_set, cur_set, jump_threshold, data_threshold):
-    if prev is None or cur is None:
-        return False
-    return (_linf(prev, cur) > jump_threshold
-            and _max_displacement(prev_set, cur_set) <= data_threshold)
+def _jump_flag(prev, argmax, pset, jump_threshold, data_threshold):
+    """Whether the argmax jumped from ``prev``, the (argmax, set) of the
+    sample before (None when it was degenerate), while the data stayed."""
+    return (prev is not None and _linf(prev[0], argmax) > jump_threshold
+            and max(map(_linf, prev[1].points, pset.points)) <= data_threshold)
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,22 @@ class ContinuityReport:
     """Joint record of argmax tracking and heavy-region persistence."""
 
     records: tuple
-    jump_events: tuple  # (time_before, time_after, argmax_before, argmax_after,
-    #                      count_before, count_after)
-    all_witnessed: bool
-    degenerate_samples: int
+
+    @property
+    def jump_events(self) -> tuple:
+        """(time_before, time_after, argmax_before, argmax_after, count_before,
+        count_after) per flagged jump; a jump is only ever flagged against
+        the sample just before it."""
+        return tuple((a.time, b.time, a.argmax, b.argmax, a.count, b.count)
+                     for a, b in zip(self.records, self.records[1:]) if b.jump)
+
+    @property
+    def all_witnessed(self) -> bool:
+        return all(r.witness is not None for r in self.records if not r.degenerate)
+
+    @property
+    def degenerate_samples(self) -> int:
+        return sum(r.degenerate for r in self.records)
 
     @property
     def jump_count(self) -> int:
@@ -191,31 +200,19 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
         if value < 0:
             raise DomainError(f"{name} must be at least 0, got {value}")
     records = []
-    jump_events = []
-    all_witnessed = True
-    degenerate = 0
-    prev = None  # (time, argmax, count, pset)
+    prev = None  # (argmax, pset) of the sample before, when not degenerate
     for j, pset in enumerate(sample_path(path, k)):
         t = Fraction(j, k - 1)
         try:
             tables, (best, first) = _walk_scan(pset, scorers)
         except DegeneracyError:
             records.append(SweepRecord(time=t, degenerate=True))
-            degenerate += 1
             prev = None
             continue
         argmax, rep = _checked_max(pset, best, 0)
-        witness = _witness(tables, first)
-        if witness is None:
-            all_witnessed = False
-        jump = False
-        if prev is not None:
-            jump = _jump_flag(prev[1], argmax, prev[3], pset,
-                              jump_threshold, data_threshold)
-            if jump:
-                jump_events.append((prev[0], t, prev[1], argmax, prev[2], rep.count))
-        records.append(SweepRecord(time=t, degenerate=False, argmax=argmax,
-                                   count=rep.count, witness=witness, jump=jump))
-        prev = (t, argmax, rep.count, pset)
-    return ContinuityReport(records=tuple(records), jump_events=tuple(jump_events),
-                            all_witnessed=all_witnessed, degenerate_samples=degenerate)
+        records.append(SweepRecord(
+            time=t, degenerate=False, argmax=argmax, count=rep.count,
+            witness=_witness(tables, first),
+            jump=_jump_flag(prev, argmax, pset, jump_threshold, data_threshold)))
+        prev = (argmax, pset)
+    return ContinuityReport(tuple(records))

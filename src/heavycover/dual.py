@@ -33,7 +33,8 @@ the battery and the CLI. ``extremal_report`` shares one walk between its
 strict and closed searches.
 
 Exposure profiles read the same order: the arc counts around a point are one
-O(n) pass (``_arc_profile``), with no per-query sort.
+O(n) pass (``_arc_profile``), with no per-query sort. ``ExposureProfile``
+and ``ExtremalReport`` store counts and derive their totals and bounds.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .exactgeom import (
 from .selection import (
     _angle_keys,
     _count_hits,
-    _depth_report,
     _icross,
     _scan,
     _strict_surrounding,
@@ -232,8 +232,7 @@ def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> De
     count, strict, witnesses = _count_hits(
         _surrounded_hits(_sides(homog(q), coeffs), _vertex_table(coeffs), coeffs),
         witness_limit)
-    return _depth_report(count, binom(n, 3), n, 2,
-                         strict=strict, witnesses=witnesses, method="naive")
+    return DepthReport(count, binom(n, 3), n, 2, strict, witnesses, "naive")
 
 
 def _reduce_dir(d):
@@ -386,8 +385,7 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
               for d in ((a, b), (-a, -b))]
         strict = _strict_surrounding(off)
         count = _strict_surrounding(off + on) - math.comb(len(on) // 2, 3)
-    return _depth_report(count, binom(n, 3), n, 2, strict=strict,
-                         method="projection_sweep")
+    return DepthReport(count, binom(n, 3), n, 2, strict, method="projection_sweep")
 
 
 def _exact_params(a, b, crossings):
@@ -604,11 +602,19 @@ class ExposureProfile:
 
     directions: tuple
     arc_counts: tuple
-    pair_total: int
 
     @property
     def n_arcs(self) -> int:
         return len(self.directions)
+
+    @property
+    def pair_total(self) -> int:
+        return math.comb(len(self.directions), 2)
+
+    @property
+    def threshold(self) -> Fraction:
+        """The exposure threshold: an arc crossed by fewer pairs is exposed."""
+        return DUAL_BOUND * self.pair_total
 
     def count_at(self, direction) -> int:
         """Crossing count for the ray aimed exactly at ``direction`` (closed
@@ -668,7 +674,7 @@ def _arc_profile(order, normals, sides):
     m = len(lines)
     cp = sum(s > 0 for _, s in lines)
     cm = m - cp
-    # _surrounding's u, restated: a shared helper would slow the scans' loop
+    # _surrounding's u, restated: a shared helper would slow dual_depth_fast
     us = []
     prefix = 0
     for _, s in lines:
@@ -707,8 +713,7 @@ def exposure_profile(q: Point, family: LineFamily) -> ExposureProfile:
     if family.parallel_pair:
         raise DegeneracyError("projection directions are collinear")
     directions, counts = zip(*_arc_profile(family.order, family.normals, sides))
-    return ExposureProfile(directions=directions, arc_counts=counts,
-                           pair_total=binom(n, 2))
+    return ExposureProfile(directions=directions, arc_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -771,7 +776,7 @@ def _mask_to_arcset(mask, directions, flag):
 
 def _exposed_mask(profile):
     """Per arc of ``profile``: crossed by fewer than 2/9 of projection pairs."""
-    threshold = DUAL_BOUND * profile.pair_total
+    threshold = profile.threshold
     return [c < threshold for c in profile.arc_counts]
 
 
@@ -992,7 +997,8 @@ def _max_strict_dual(family: LineFamily, tables, walk):
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Tightness summary for the tangent family of size n.
+    """Tightness summary for the tangent family of size n: the maxima found,
+    with the fraction and bounds derived from n and ``max_count``.
 
     ``max_count`` is the maximum STRICT surround count over generic points
     (the notion the n^3/27 product bound governs). The closed-count maximum
@@ -1004,14 +1010,29 @@ class ExtremalReport:
     n: int
     max_count: int
     max_point: Point
-    fraction: Fraction
-    product_bound: Fraction
-    product_bound_floor: int
-    gromov_floor: Fraction
-    distance_to_bound: Fraction
     closed_max_count: int
     closed_max_point: Point
     closed_boundary_count: int
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.max_count, math.comb(self.n, 3))
+
+    @property
+    def product_bound(self) -> Fraction:
+        return Fraction(self.n ** 3, 27)
+
+    @property
+    def product_bound_floor(self) -> int:
+        return self.n ** 3 // 27
+
+    @property
+    def gromov_floor(self) -> Fraction:
+        return DUAL_BOUND * math.comb(self.n, 3)
+
+    @property
+    def distance_to_bound(self) -> Fraction:
+        return abs(self.fraction - DUAL_BOUND)
 
 
 def extremal_report(n: int) -> ExtremalReport:
@@ -1024,23 +1045,10 @@ def extremal_report(n: int) -> ExtremalReport:
     tables = _dual_tables(family)
     walk = _line_walk(tables)
     strict_max, strict_point = _max_strict_dual(family, tables, walk)
-    floor = n ** 3 // 27
-    if strict_max > floor:
-        raise InternalError(
-            f"strict surround count {strict_max} exceeds the product bound {floor}")
     closed_point, closed_rep = _max_closed_dual(family, tables, walk)
-    total = binom(n, 3)
-    fraction = Fraction(strict_max, total)
-    return ExtremalReport(
-        n=n,
-        max_count=strict_max,
-        max_point=strict_point,
-        fraction=fraction,
-        product_bound=Fraction(n ** 3, 27),
-        product_bound_floor=floor,
-        gromov_floor=DUAL_BOUND * total,
-        distance_to_bound=abs(fraction - DUAL_BOUND),
-        closed_max_count=closed_rep.count,
-        closed_max_point=closed_point,
-        closed_boundary_count=closed_rep.count - closed_rep.strict_count,
-    )
+    report = ExtremalReport(n, strict_max, strict_point, closed_rep.count, closed_point,
+                            closed_rep.boundary_count)
+    if strict_max > report.product_bound_floor:
+        raise InternalError(f"strict surround count {strict_max} exceeds the product "
+                            f"bound {report.product_bound_floor}")
+    return report

@@ -1,5 +1,7 @@
 """Simplicial depth: exhaustive and angular-sweep counting, the selection
-bound registry, and global max-depth search over the segment arrangement.
+bound and the one class that derives every fraction and bound verdict from a
+stored count (``_Bounded``), and global max-depth search over the segment
+arrangement.
 
 The depth at one query point is one angular count (``_angular_counts``), the
 planar algorithm of Rousseeuw & Ruts (AS 307): the directions from q to the
@@ -47,7 +49,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DegeneracyError,
@@ -68,18 +69,12 @@ from .exactgeom import (
     line_through_homog,
     reduce_homog,
 )
-from enum import Enum
 
 # Small-n correction subtracted as SLACK_NUMERATOR/n from the raw bound in
 # reports; the raw bound itself only holds asymptotically. The value 3 was
 # calibrated against exhaustive max-depth runs at n <= 12 before the
 # acceptance fixtures were frozen.
 SLACK_NUMERATOR = 3
-
-
-class BoundVariant(Enum):
-    GROMOV = "GROMOV"
-    BARANY = "BARANY"
 
 
 def binom(n: int, k: int) -> int:
@@ -89,19 +84,12 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def selection_bound(d: int, variant: BoundVariant = BoundVariant.GROMOV) -> Fraction:
-    """Guaranteed covered fraction for the d-dimensional selection theorem.
-
-    GROMOV is the stronger constant 2d/((d+1)!(d+1)); BARANY is the weaker
-    classical constant 1/(d+1)^d.
-    """
+def selection_bound(d: int) -> Fraction:
+    """Guaranteed covered fraction for the d-dimensional selection theorem:
+    Gromov's constant 2d/((d+1)!(d+1)), 2/9 in the plane."""
     if d < 1:
         raise DomainError("selection_bound needs d >= 1")
-    if variant is BoundVariant.GROMOV:
-        return Fraction(2 * d, math.factorial(d + 1) * (d + 1))
-    if variant is BoundVariant.BARANY:
-        return Fraction(1, (d + 1) ** d)
-    raise DomainError(f"unknown bound variant: {variant!r}")
+    return Fraction(2 * d, math.factorial(d + 1) * (d + 1))
 
 
 @dataclass(frozen=True)
@@ -146,21 +134,46 @@ class LabeledPointSet:
 
 
 @dataclass(frozen=True)
-class DepthReport:
-    """Exact depth count with bound comparisons.
+class _Bounded:
+    """``count`` of ``total`` simplices of n points in R^dim, with its
+    fraction, ``selection_bound(dim)``, the slack bound (less
+    SLACK_NUMERATOR/n) and whether it meets each, all derived here alone."""
+
+    count: int
+    total: int
+    n: int
+    dim: int
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.count, self.total)
+
+    @property
+    def bound(self) -> Fraction:
+        return selection_bound(self.dim)
+
+    @property
+    def slack_bound(self) -> Fraction:
+        return self.bound - Fraction(SLACK_NUMERATOR, self.n)
+
+    @property
+    def meets_bound(self) -> bool:
+        return self.fraction >= self.bound
+
+    @property
+    def meets_slack_bound(self) -> bool:
+        return self.fraction >= self.slack_bound
+
+
+@dataclass(frozen=True)
+class DepthReport(_Bounded):
+    """Exact depth count with the bound comparisons of ``_Bounded``.
 
     ``count`` uses closed containment; ``strict_count`` (when computed) counts
     only strict interior containment, so ``count - strict_count`` simplices
     touch the query point on their boundary.
     """
 
-    count: int
-    total: int
-    fraction: Fraction
-    bound: Fraction
-    meets_bound: bool
-    slack_bound: Fraction
-    meets_slack_bound: bool
     strict_count: int | None = None
     witnesses: tuple = ()
     method: str = "naive"
@@ -170,32 +183,6 @@ class DepthReport:
         if self.strict_count is None:
             return None
         return self.count - self.strict_count
-
-
-@lru_cache(maxsize=None)
-def _report_bounds(n, d):
-    """The GROMOV bound and its small-n slack bound for n points in R^d, and
-    the (numerator, denominator) pair of each for integer comparisons."""
-    bound = selection_bound(d, BoundVariant.GROMOV)
-    slack = bound - Fraction(SLACK_NUMERATOR, n)
-    return bound, slack, bound.as_integer_ratio(), slack.as_integer_ratio()
-
-
-def _depth_report(count, total, n, d, *, strict=None, witnesses=(), method="naive"):
-    bound, slack, (bn, bd), (sn, sd) = _report_bounds(n, d)
-    # count/total >= num/den iff count*den >= num*total, as total, den > 0
-    return DepthReport(
-        count=count,
-        total=total,
-        fraction=Fraction(count, total),
-        bound=bound,
-        meets_bound=count * bd >= bn * total,
-        slack_bound=slack,
-        meets_slack_bound=count * sd >= sn * total,
-        strict_count=strict,
-        witnesses=tuple(witnesses),
-        method=method,
-    )
 
 
 def _count_hits(hits, witness_limit):
@@ -210,7 +197,7 @@ def _count_hits(hits, witness_limit):
         strict += interior
         if len(witnesses) < witness_limit:
             witnesses.append(idx)
-    return count, strict, witnesses
+    return count, strict, tuple(witnesses)
 
 
 def _planar_hits(qh, pts_h, triples):
@@ -279,8 +266,7 @@ def depth_naive(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> Dept
     count, strict, witnesses = _tally(homog(q), [homog(p) for p in pset.points],
                                       itertools.combinations(range(n), d + 1),
                                       witness_limit)
-    return _depth_report(count, binom(n, d + 1), n, d,
-                         strict=strict, witnesses=witnesses, method="naive")
+    return DepthReport(count, binom(n, d + 1), n, d, strict, witnesses, "naive")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +473,7 @@ def depth_planar_sweep(q: Point, pset: LabeledPointSet) -> DepthReport:
     m, avoiding, opposite = _angular_counts(homog(q), [homog(p) for p in pset.points])
     count = math.comb(n, 3) - avoiding
     strict = math.comb(m, 3) - avoiding - opposite
-    return _depth_report(count, binom(n, 3), n, 2, strict=strict, method="sweep")
+    return DepthReport(count, binom(n, 3), n, 2, strict, method="sweep")
 
 
 def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> DepthReport:
@@ -505,8 +491,7 @@ def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> D
         total *= len(ix)
     count, strict, witnesses = _tally(homog(q), [homog(p) for p in pset.points],
                                       itertools.product(*class_indices), witness_limit)
-    return _depth_report(count, total, pset.n, d,
-                         strict=strict, witnesses=witnesses, method="colorful")
+    return DepthReport(count, total, pset.n, d, strict, witnesses, "colorful")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ and constructively find the transversal line for two planar point sets.
 A (d-m+1)-tuple touches an m-flat iff its convex hull meets the flat, which
 after orthogonal projection along the flat's directions becomes a closed
 simplex-containment test in R^(d-m).
+A ``SetTouchReport`` stores counts; ``selection._Bounded`` derives the rest.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -17,10 +18,9 @@ from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
 from .exactgeom import Point, homog, point_in_simplex
 from .selection import (
-    BoundVariant,
     LabeledPointSet,
-    SLACK_NUMERATOR,
     _angle_keys,
+    _Bounded,
     _tally,
     binom,
     selection_bound,
@@ -113,18 +113,18 @@ def tuple_touches_flat(points, flat: AffineFlat) -> bool:
 
 
 @dataclass(frozen=True)
-class SetTouchReport:
-    """Touched-tuple accounting for one point set against one flat."""
+class SetTouchReport(_Bounded):
+    """Touched-tuple accounting for one point set against one m-flat in R^d.
+    ``dim`` is the codimension d − m (the ambient d is ``TransversalReport.d``),
+    so ``bound`` is ``transversal_bound(d, m)``."""
 
-    count: int
-    total: int
-    fraction: Fraction
-    bound: Fraction
-    meets_bound: bool
-    slack_bound: Fraction
-    meets_slack_bound: bool
     median_floor_count: int | None = None
-    meets_median_floor: bool | None = None
+
+    @property
+    def meets_median_floor(self) -> bool | None:
+        if self.median_floor_count is None:
+            return None
+        return self.count >= self.median_floor_count
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def transversal_bound(d: int, m: int) -> Fraction:
     """2(d-m)/((d-m+1)!(d-m+1)); the selection bound one codimension down."""
     if not 0 <= m < d:
         raise DomainError("need 0 <= m < d")
-    return selection_bound(d - m, BoundVariant.GROMOV)
+    return selection_bound(d - m)
 
 
 def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
@@ -148,7 +148,6 @@ def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
     if len(sets) != m + 1:
         raise DomainError(f"need m+1 = {m + 1} point sets, got {len(sets)}")
     k = d - m + 1
-    bound = transversal_bound(d, m)
     basis = complement_basis(flat)
     target = homog(_complement_coords(flat.base, basis))
     per_set = []
@@ -159,13 +158,7 @@ def verify_transversal(flat: AffineFlat, sets) -> TransversalReport:
             raise DomainError(f"each set needs at least {k} points")
         image = [homog(_complement_coords(p, basis)) for p in pset.points]
         count, _, _ = _tally(target, image, itertools.combinations(range(pset.n), k), 0)
-        total = binom(pset.n, k)
-        frac = Fraction(count, total)
-        slack = bound - Fraction(SLACK_NUMERATOR, pset.n)
-        per_set.append(SetTouchReport(
-            count=count, total=total, fraction=frac, bound=bound,
-            meets_bound=frac >= bound, slack_bound=slack,
-            meets_slack_bound=frac >= slack))
+        per_set.append(SetTouchReport(count, binom(pset.n, k), pset.n, d - m))
     return TransversalReport(d=d, m=m, per_set=tuple(per_set))
 
 
@@ -249,11 +242,7 @@ def find_transversal_line_2d(set0: LabeledPointSet, set1: LabeledPointSet):
             if rep.count < floor_count:
                 raise InternalError(
                     f"median construction fell below its floor: {rep.count} < {floor_count}")
-            per_set.append(SetTouchReport(
-                count=rep.count, total=rep.total, fraction=rep.fraction,
-                bound=rep.bound, meets_bound=rep.meets_bound,
-                slack_bound=rep.slack_bound, meets_slack_bound=rep.meets_slack_bound,
-                median_floor_count=floor_count, meets_median_floor=True))
+            per_set.append(replace(rep, median_floor_count=floor_count))
         return flat, TransversalReport(d=2, m=1, per_set=tuple(per_set))
     raise InternalError("direction sweep found no median overlap; the parity "
                         "argument guarantees one, so this is a bug")

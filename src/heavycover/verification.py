@@ -355,8 +355,7 @@ def check_transversal(seed, trials=50, sizes=(6, 9, 12), d3_trials=10):
             floor_count = srep.median_floor_count
             if srep.count < floor_count:
                 failures.append(f"trial {t} set {s}: {srep.count} < floor {floor_count}")
-            if srep.fraction >= Fraction(1, 2):
-                full_half += 1
+            full_half += srep.meets_bound
     d3_failures = 0
     rng = random.Random(seed * 31 + 3)
     done = 0

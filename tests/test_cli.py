@@ -168,6 +168,22 @@ def test_cli_json_and_svg_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_depth_plot_of_non_planar_data_writes_nothing(tmp_path, capsys):
+    # --plot on 3-D points is refused before the depth is printed or --out written
+    data = tmp_path / "space.json"
+    data.write_text('{"kind":"POINTS","points":[["0","0","0"],["4","0","0"],'
+                    '["0","4","0"],["0","0","4"]]}')
+    out, plot = tmp_path / "o.json", tmp_path / "o.svg"
+    assert run_command(["depth", "--in", str(data), "--point", "1,1,1",
+                        "--out", str(out), "--plot", str(plot)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: only planar datasets can be plotted\n")
+    assert not out.exists() and not plot.exists()
+    assert run_command(["depth", "--in", str(data), "--point", "1,1,1",
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == 1
+
+
 @pytest.mark.parametrize("point", ["1", "1,2,3"])
 def test_depth_query_of_wrong_dimension_is_located(point, capsys):
     # the sweep route reports the dimension mismatch, not "planar only"

@@ -1,11 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from heavycover.continuity import (
-    ContinuityReport,
     MotionPath,
     SweepRecord,
     continuity_demo,
@@ -229,9 +229,10 @@ def test_continuity_demo_witness_consistent_with_argmax():
 
 
 def _per_sample_report(path, k, tau, jump_threshold, data_threshold):
-    """The ContinuityReport rebuilt from one max_depth_point and one
-    heavy_region_witness call per sample."""
-    records, events, degenerate, prev = [], [], 0, None
+    """(records, jump events, all witnessed, degenerate samples) rebuilt from
+    one max_depth_point and one heavy_region_witness call per sample, each
+    summary tallied as the samples go."""
+    records, events, witnessed, degenerate, prev = [], [], True, 0, None
     for j, pset in enumerate(sample_path(path, k)):
         t = Fraction(j, k - 1)
         try:
@@ -247,13 +248,22 @@ def _per_sample_report(path, k, tau, jump_threshold, data_threshold):
                     for a, b in zip(p.coords, q.coords)) <= data_threshold)
         if jump:
             events.append((prev[0], t, prev[1], argmax, prev[2], rep.count))
+        witness = heavy_region_witness(pset, tau)
+        witnessed = witnessed and witness is not None
         records.append(SweepRecord(time=t, degenerate=False, argmax=argmax, count=rep.count,
-                                   witness=heavy_region_witness(pset, tau), jump=jump))
+                                   witness=witness, jump=jump))
         prev = (t, argmax, rep.count, pset)
-    return ContinuityReport(records=tuple(records), jump_events=tuple(events),
-                            all_witnessed=all(r.witness is not None
-                                              for r in records if not r.degenerate),
-                            degenerate_samples=degenerate)
+    return tuple(records), tuple(events), witnessed, degenerate
+
+
+def _assert_per_sample(report, path, k, tau, jump_threshold, data_threshold):
+    records, events, witnessed, degenerate = _per_sample_report(
+        path, k, tau, jump_threshold, data_threshold)
+    assert report.records == records
+    assert report.jump_events == events
+    assert report.jump_count == len(events)
+    assert report.all_witnessed is witnessed
+    assert report.degenerate_samples == degenerate
 
 
 def _taus(n):
@@ -267,12 +277,34 @@ def test_continuity_demo_equals_per_sample_searches():
     for p, tau in enumerate(_taus(10)):
         path = random_motion_path(10, 42 * 9001 + p)
         report = continuity_demo(path, 101, tau, jump_threshold=half)
-        assert report == _per_sample_report(path, 101, tau, half, half)
+        _assert_per_sample(report, path, 101, tau, half, half)
     # 13/20 * C(5, 3) = 13/2 lies between two counts the orbit reaches
     for tau in _taus(5) + (Fraction(13, 20),):
         report = continuity_demo(crafted_jump_path(), 21, tau, half, Fraction(3))
         assert report.jump_count >= 1 and report.degenerate_samples >= 1
-        assert report == _per_sample_report(crafted_jump_path(), 21, tau, half, Fraction(3))
+        _assert_per_sample(report, crafted_jump_path(), 21, tau, half, Fraction(3))
+
+
+def test_continuity_report_values_follow_its_records():
+    # the report stores only its records: every summary follows a change to them
+    half = Fraction(1, 2)
+    report = continuity_demo(crafted_jump_path(), 21, Fraction(1, 10), half, Fraction(3))
+    records = report.records
+    assert report.all_witnessed and report.jump_count >= 1
+    assert replace(report, records=records[:1]).jump_events == ()
+    j = next(i for i, r in enumerate(records) if r.jump)
+    a, b = records[j - 1], records[j]
+    assert (a.time, b.time, a.argmax, b.argmax, a.count, b.count) in report.jump_events
+    unflagged = replace(report, records=records[:j] + (replace(b, jump=False),) + records[j + 1:])
+    assert unflagged.jump_count == report.jump_count - 1
+    w = next(i for i, r in enumerate(records) if not r.degenerate)
+    lost = replace(report, records=records[:w] + (replace(records[w], witness=None),)
+                   + records[w + 1:])
+    assert not lost.all_witnessed
+    dropped = replace(report, records=records[:w] + (
+        SweepRecord(time=records[w].time, degenerate=True),) + records[w + 1:])
+    assert dropped.all_witnessed
+    assert dropped.degenerate_samples == report.degenerate_samples + 1
 
 
 def _reference_at(path, t):

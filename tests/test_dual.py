@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -889,6 +890,34 @@ def test_extremal_report_small():
     # the closed vertex maximum exceeds the strict one through boundary triples
     assert rep9.closed_max_count >= rep9.max_count
     assert rep9.closed_boundary_count > 0
+
+
+def test_extremal_report_values_follow_its_counts():
+    # the report stores n and the two maxima; the fraction and the bounds
+    # follow them, also on a report rebuilt with another count or size
+    for n in (9, 12, 18, 30, 60):
+        rep = extremal_report(n)
+        for moved in (rep, replace(rep, max_count=rep.max_count - 1),
+                      replace(rep, n=n + 1)):
+            m, total = moved.n, math.comb(moved.n, 3)
+            assert moved.fraction == Fraction(moved.max_count, total)
+            assert moved.product_bound == Fraction(m ** 3, 27)
+            assert moved.product_bound_floor == m ** 3 // 27
+            assert moved.gromov_floor == Fraction(2 * total, 9)
+            assert moved.distance_to_bound == Fraction(abs(9 * moved.max_count - 2 * total),
+                                                       9 * total)
+
+
+def test_exposure_threshold_follows_its_directions():
+    # one direction per line: C(n, 2) pairs, of which 2/9 is the threshold
+    rng = random.Random(43)
+    for n in (3, 5, 8):
+        fam = random_line_family(n, 9100 + n)
+        profile = exposure_profile(rand_q(rng), fam)
+        assert profile.pair_total == n * (n - 1) // 2
+        assert profile.threshold == Fraction(n * (n - 1), 9)
+        fewer = replace(profile, directions=profile.directions[:-1])
+        assert fewer.threshold == Fraction((n - 1) * (n - 2), 9)
 
 
 def test_extremal_report_tangent_30():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from heavycover.exactgeom import (
     reduce_homog,
 )
 from heavycover.selection import (
-    BoundVariant,
     _angle_keys,
     _angular_counts,
     _avoiding,
@@ -61,10 +61,8 @@ def test_binom():
 
 
 def test_selection_bound_values():
-    assert selection_bound(2, BoundVariant.GROMOV) == Fraction(2, 9)
-    assert selection_bound(3, BoundVariant.GROMOV) == Fraction(1, 16)
-    assert selection_bound(2, BoundVariant.BARANY) == Fraction(1, 9)
-    assert selection_bound(1, BoundVariant.GROMOV) == Fraction(1, 2)
+    assert selection_bound(2) == Fraction(2, 9)
+    assert selection_bound(3) == Fraction(1, 16)
     assert selection_bound(1) == Fraction(1, 2)
 
 
@@ -584,6 +582,39 @@ def test_depth_report_slack_fields():
     assert rep.bound == Fraction(2, 9)
     assert rep.slack_bound == Fraction(2, 9) - Fraction(3, 3)
     assert rep.meets_bound and rep.meets_slack_bound
+
+
+def _assert_bound_values(rep, n, dim):
+    """``rep``'s fraction and bound verdicts against their explicit formulas:
+    2·dim/((dim+1)!(dim+1)), the same less 3/n, and integer cross-products."""
+    bound = Fraction(2 * dim, math.factorial(dim + 1) * (dim + 1))
+    slack = bound - Fraction(3, n)
+    assert (rep.n, rep.dim) == (n, dim)
+    assert rep.fraction == Fraction(rep.count, rep.total)
+    assert (rep.bound, rep.slack_bound) == (bound, slack)
+    assert rep.meets_bound == (rep.count * bound.denominator >= bound.numerator * rep.total)
+    assert rep.meets_slack_bound == (rep.count * slack.denominator
+                                     >= slack.numerator * rep.total)
+
+
+def test_depth_report_values_follow_its_count():
+    # a report stores counts; its fraction and verdicts follow them, also on
+    # a report rebuilt with another count or strict count
+    ps = colored_point_set(12, 7, classes=3)
+    space = random_point_set(7, 3, dim=3)
+    reps = ([(colorful_depth(Point(x, y), ps), 12, 2)
+             for x in range(-2, 3) for y in range(-2, 3)]
+            + [(depth_naive(Point(0, 0, 0), space, witness_limit=2), 7, 3)])
+    for rep, n, dim in reps:
+        _assert_bound_values(rep, n, dim)
+        for count in (0, rep.total // 4, rep.total):
+            moved = replace(rep, count=count)
+            _assert_bound_values(moved, n, dim)
+            assert moved.fraction == Fraction(count, rep.total)
+        assert replace(rep, strict_count=0).boundary_count == rep.count
+    # at n = 12 the slack bound 2/9 - 3/12 is below 0, so count 0 meets it
+    empty = replace(reps[0][0], count=0)
+    assert (empty.meets_bound, empty.meets_slack_bound) == (False, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,34 @@ def test_verify_transversal_examples():
     above1 = LabeledPointSet((Point(2, 1), Point(3, 3)))
     rep = verify_transversal(X_AXIS, [above0, above1])
     assert [r.fraction for r in rep.per_set] == [Fraction(0), Fraction(0)]
+
+
+def test_set_touch_report_values_follow_its_count():
+    # d = 3, m = 1: each set's bound is the codimension-2 one, 2/9, with the
+    # slack bound 2/9 - 3/n; both verdicts follow the stored count
+    rng = random.Random(41)
+    flat = AffineFlat(base=rand_point(rng, 3), directions=(Point(1, 2, 3),))
+    sets = [LabeledPointSet(tuple(rand_point(rng, 3) for _ in range(n))) for n in (6, 7)]
+    rep = verify_transversal(flat, sets)
+    assert (rep.d, rep.m) == (3, 1)
+    for pset, srep in zip(sets, rep.per_set):
+        n, total = pset.n, binom(pset.n, 3)
+        assert (srep.n, srep.dim, srep.total) == (n, 2, total)
+        assert (srep.median_floor_count, srep.meets_median_floor) == (None, None)
+        for count in (srep.count, 0, total // 4, total):
+            moved = replace(srep, count=count)
+            assert moved.fraction == Fraction(count, total)
+            assert moved.bound == transversal_bound(3, 1) == Fraction(2, 9)
+            assert moved.slack_bound == Fraction(2, 9) - Fraction(3, n)
+            assert moved.meets_bound == (9 * count >= 2 * total)
+            assert moved.meets_slack_bound == (9 * n * count >= (2 * n - 27) * total)
+    # the median floor's verdict follows the count too
+    _, rep = find_transversal_line_2d(random_point_set(7, 3), random_point_set(7, 4))
+    for srep in rep.per_set:
+        assert (srep.dim, srep.median_floor_count, srep.meets_median_floor) == (1, 9, True)
+        assert srep.meets_bound == (2 * srep.count >= srep.total)
+        assert replace(srep, count=9).meets_median_floor
+        assert not replace(srep, count=8).meets_median_floor
 
 
 def _solve_fraction_system(rows, rhs):
