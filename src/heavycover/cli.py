@@ -431,15 +431,19 @@ def build_parser() -> _Parser:
                      description="Exact simplicial and dual depth toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, tangent=False):
+    def common(p, point=False, tangent=False, plot=False, grid=False):
+        # --plot and --grid only where the command reads them, so a plot
+        # that would not be drawn is refused rather than dropped
         p.add_argument("--in", dest="infile", help="input dataset (JSON)")
         p.add_argument("--out", help="machine-readable JSON report path")
-        p.add_argument("--plot", help="SVG output path")
+        if plot:
+            p.add_argument("--plot", help="SVG output path")
         p.add_argument("--seed", type=int, help="generate the dataset from this seed")
         p.add_argument("--n", type=_count, default=10,
                        help="generated dataset size (default 10)")
-        p.add_argument("--grid", type=_grid, default=200,
-                       help=f"plot sampling resolution (default 200, at most {MAX_GRID})")
+        if grid:
+            p.add_argument("--grid", type=_grid, default=200,
+                           help=f"plot sampling resolution (default 200, at most {MAX_GRID})")
         if point:
             p.add_argument("--point", required=True,
                            help="query point, e.g. 1,1 or 1/2,3/4")
@@ -447,12 +451,13 @@ def build_parser() -> _Parser:
             p.add_argument("--tangent", action="store_true",
                            help="generate a tangent family instead of random lines")
 
-    common(sub.add_parser("depth", help="simplicial depth of a point"), point=True)
-    common(sub.add_parser("maxdepth", help="max-depth point search"))
+    common(sub.add_parser("depth", help="simplicial depth of a point"), point=True,
+           plot=True, grid=True)
+    common(sub.add_parser("maxdepth", help="max-depth point search"), plot=True, grid=True)
     common(sub.add_parser("dual", help="dual (surrounding) depth of a point"),
-           point=True)
+           point=True, plot=True, grid=True)
     common(sub.add_parser("maxdual", help="max dual-depth point search"),
-           tangent=True)
+           tangent=True, plot=True, grid=True)
     common(sub.add_parser("expose", help="exposure profile and arcs"), point=True)
 
     p = sub.add_parser("extremal", help="tangent-family tightness report")
@@ -464,7 +469,7 @@ def build_parser() -> _Parser:
                           help="transversal line for a 2-colored point set"))
 
     p = sub.add_parser("sweep", help="argmax tracking along a motion path")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--samples", type=int, default=21, help="sample count (default 21)")
     p.add_argument("--tau", default="0", help="heavy-region threshold fraction")
     p.add_argument("--jump-threshold", default="1/2",

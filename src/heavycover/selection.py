@@ -17,28 +17,30 @@ Closed containment is used throughout, which makes depth an upper
 semicontinuous function of the query point; the lexicographically least
 global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
-its crossings in O(n^4 log n) integer steps. The n data-point counts and every
-segment's start count are read off the walk's orientation table, so the walk
-makes no angular sort. The table holds one determinant per triple, C(n, 3)
-in all, on each point's own homogeneous coordinates with no common
-denominator, so its entries stay as long as a few coordinates even when the
-points' denominators all differ; a zero among them fails the
-general-position gate. One function, ``_segment_walk``, steps a segment's
-crossings: they are sorted by one correctly rounded float each, and only a
-segment on which two crossings round to one float is sorted by exact
-fractions instead. ``candidate_vertices`` keeps the line-arrangement
-superset as a test oracle.
+its crossings in O(n^4 log n) integer steps at worst; it skips a segment
+whose exact bound on every crossing's count is below the best count found
+so far. The n data-point counts and every segment's start count are read
+off the walk's orientation table, so the walk makes no angular sort. The
+table holds one determinant per triple, C(n, 3) in all, on each point's own
+homogeneous coordinates with no common denominator, so its entries stay as
+long as a few coordinates even when the points' denominators all differ; a
+zero among them fails the general-position gate. One function,
+``_segment_walk``, steps a segment's crossings: they are sorted by one
+correctly rounded float each, and only a segment on which two crossings
+round to one float is sorted by exact fractions instead.
+``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
 heavy-region witness, and ``dual``'s vertex and cell scans) runs through
 ``_scan``, one in-process loop over a stream of (count, key) pairs that alone
 owns the tie-break (higher score, then lexicographically least point). It can
 score one stream several ways at once, so ``continuity`` walks each sample
-once. The walk counts every crossing but hands ``_scan`` only each segment's
-best crossing per scorer: points along a segment are in monotone
-lexicographic order, so that is the first (or last) crossing of the
-segment's top score. Only those O(n^2) crossings get homogeneous keys;
-``_segment_vertices`` still yields every crossing, as a test oracle.
+once. The walk counts every crossing of each segment it walks but hands
+``_scan`` only each segment's best crossing per scorer: points along a
+segment are in monotone lexicographic order, so that is the first (or last)
+crossing of the segment's top score. Only those O(n^2) crossings get
+homogeneous keys; ``_segment_vertices`` still yields every crossing, as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -610,11 +612,12 @@ def _walk_tables(pts):
     return pts, orient, left, depth
 
 
-def _segment_walk(i, j, pts, orient, left, depth):
+def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     """The walk of the open segment p_i p_j: (start, counts, crossings), the
     closed depth just past p_i, the closed depth at each proper crossing in
     order from p_i, and each crossing's (a, b), aligned with ``counts``; no
-    keys are built. Needs general position.
+    keys are built. Needs general position. Given a ``floor``, it is None
+    when an exact bound puts every crossing's count below ``floor``.
 
     Near p_i, a triangle without vertex i contains the point iff it contains
     p_i, and one of the C(n-1, 2) triangles i k m iff the direction to p_j
@@ -642,12 +645,30 @@ def _segment_walk(i, j, pts, orient, left, depth):
     is exact, since correct rounding is monotone. Otherwise every crossing is
     sorted by its exact fraction, and adjacent ones with a * b' == a' * b
     merge into one vertex.
+
+    The bound behind ``floor`` needs no order of the crossings. Let E be
+    the start count plus every positive step 2 * far - (n - 2); E bounds
+    each open edge's count (``_edge_bound``). A vertex where g crossings
+    meet counts (before + after) / 2 + g * (n - 2) / 2 <=
+    E + g * (n - 2) / 2, the half-turn charging of Boros & Furedi's count of
+    the triangles that cover a point (Geom. Dedicata 1984). With L and R
+    points on either side of the segment, g <= min(L, R): two segments
+    through one point of p_i p_j share no endpoint, or three points would be
+    collinear. Tier 1 reads E by integer compares alone and skips when
+    2E + min(L, R) * (n - 2) < 2 * floor. Tier 2 follows the float pass:
+    with ``shared`` empty no two crossings meet, and it skips when
+    2E + (n - 2) < 2 * floor.
     """
     n = len(pts)
     oi, oj = orient[i], orient[j]
     side = oi[j]
     lefts = [k for k in range(n) if side[k] > 0]
     rights = [k for k in range(n) if side[k] < 0]
+    base = depth[i] - math.comb(n - 1, 2) + (n - 2)
+    if floor is not None:
+        slack = 2 * (_edge_bound(oi, oj, lefts, rights, left, base) - floor)
+        if slack + min(len(lefts), len(rights)) * (n - 2) < 0:
+            return None
     cone = 0
     firsts = {}
     shared = []
@@ -669,9 +690,11 @@ def _segment_walk(i, j, pts, orient, left, depth):
                 firsts[t] = (a, b, lk[m])
     if shared:
         steps = sorted([*firsts.values(), *shared], key=lambda s: Fraction(s[0], s[0] + s[1]))
+    elif floor is not None and slack + n - 2 < 0:
+        return None
     else:
         steps = [firsts[t] for t in sorted(firsts)]
-    start = before = depth[i] - math.comb(n - 1, 2) + (n - 2) + cone
+    start = before = base + cone
     counts = []
     crossings = []
     for a, b, far in steps:
@@ -682,6 +705,26 @@ def _segment_walk(i, j, pts, orient, left, depth):
             crossings.append((a, b))
         before += 2 * far - (n - 2)
     return start, counts, crossings
+
+
+def _edge_bound(oi, oj, lefts, rights, left, edge):
+    """E of ``_segment_walk``'s pruning, for the segment p_i p_j with
+    orientation rows ``oi`` and ``oj`` and the points ``lefts`` and ``rights``
+    on either side: ``edge``, the start count less its cone term, plus one
+    for each pair of the cone and every positive step 2 * far - (n - 2) of a
+    crossing. One pass of integer compares and table lookups: no float, no
+    dict and no sort."""
+    m2 = len(left) - 2
+    for k in lefts:
+        oik, ojk, lk = oi[k], oj[k], left[k]
+        for m in rights:
+            if oik[m] < 0:
+                edge += 1
+                if ojk[m] > 0:
+                    step = 2 * lk[m] - m2
+                    if step > 0:
+                        edge += step
+    return edge
 
 
 def _crossing_key(pi, pj, a, b):
@@ -719,24 +762,34 @@ def _walk_pairs(tables, scorers):
     segment's best crossing for each scorer (``_segment_best``), each
     crossing once and in order from p_i.
 
-    The counts of every crossing are still walked, but keys are built only
-    for the yielded ones, at most len(scorers) per segment. Each pair is a
-    true vertex with its true count, and each scorer's overall best is the
-    best of every segment it lies on, so ``_scan`` over this stream returns
-    what it returns over every vertex."""
+    Keys are built only for the yielded crossings, at most len(scorers) per
+    segment. Each pair is a true vertex with its true count, and each
+    scorer's overall best is the best of every segment it lies on, so
+    ``_scan`` over this stream returns what it returns over every vertex.
+
+    The count scorer alone, ``scorers == (None,)``, skips segments: the
+    running best starts at the highest data-point depth, and a segment whose
+    exact bound is strictly below it is not walked (``_segment_walk``'s
+    ``floor``). None of its crossings can reach the final best, so neither
+    the best count nor its tie-break changes. Other scorers, such as the
+    witness threshold of ``continuity``, walk every segment in full."""
     pts, depth = tables[0], tables[-1]
     n = len(pts)
+    floor = max(depth) if scorers == (None,) else None
     for i in range(n):
         pi = pts[i]
         yield depth[i], pi
         for j in range(i + 1, n):
-            _, counts, crossings = _segment_walk(i, j, *tables)
-            if not counts:
+            walk = _segment_walk(i, j, *tables, floor)
+            if walk is None or not walk[1]:
                 continue
+            _, counts, crossings = walk
             pj = pts[j]
             forward = _homog_lex_cmp(pi, pj) < 0
             for v in sorted({_segment_best(counts, scorer, forward) for scorer in scorers}):
                 yield counts[v], _crossing_key(pi, pj, *crossings[v])
+                if floor is not None and counts[v] > floor:
+                    floor = counts[v]
 
 
 def _scan(pairs, scorers=(None,)):
@@ -803,8 +856,12 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     its first crossing come from the orientation table, C(n, 3) determinants;
     the rest is integer steps across the crossings, sorted along each segment
     by the float a / (a + b), or exactly where two crossings share one
-    (see ``_segment_walk``), O(n^4 log n) in all. Keys are built only for
-    each segment's best crossing, O(n^2) of them (see ``_walk_pairs``).
+    (see ``_segment_walk``), O(n^4 log n) at worst. A segment whose exact
+    bound on every crossing's count is below the running best, which starts
+    at the best data point's depth, is skipped after one integer pass, or
+    after its float pass when no two of its crossings share a float; on box
+    and near-convex sets that is nearly every segment. Keys are built only
+    for each walked segment's best crossing (see ``_walk_pairs``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
     ``threads`` is ignored; it stays only because the benchmark's workloads

@@ -356,8 +356,6 @@ def check_transversal(seed, trials=50, sizes=(6, 9, 12), d3_trials=10):
             if srep.count < floor_count:
                 failures.append(f"trial {t} set {s}: {srep.count} < floor {floor_count}")
             full_half += srep.meets_bound
-    d3_failures = 0
-    rng = random.Random(seed * 31 + 3)
     done = 0
     t = 0
     while done < d3_trials:
@@ -384,7 +382,6 @@ def check_transversal(seed, trials=50, sizes=(6, 9, 12), d3_trials=10):
                 break
             if count != srep.count:
                 failures.append(f"d3 trial {t}: oracle {count} != library {srep.count}")
-                d3_failures += 1
         if ok:
             done += 1
     return _check(

@@ -112,8 +112,7 @@ def test_sweep_command_plots_every_sample(tmp_path):
     out = tmp_path / "s.json"
     plot = tmp_path / "sweep.svg"
     code = run_command(["sweep", "--seed", "3", "--n", "5", "--samples", "6",
-                        "--tau", "0", "--out", str(out), "--plot", str(plot),
-                        "--grid", "8"])
+                        "--tau", "0", "--out", str(out), "--plot", str(plot)])
     assert code == 0
     report = json.loads(out.read_text())
     assert len(report["samples"]) == 6
@@ -271,6 +270,26 @@ def test_grid_above_the_cap_is_a_usage_error(command):
     assert args.grid == MAX_GRID == 560
     with pytest.raises(UsageError, match="argument --grid: must be at most 560, got 561"):
         build_parser().parse_args([command, *point, "--grid", "561"])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["expose", "--seed", "7", "--n", "8", "--point", "1/3,1/5"], "--plot", "e.svg"),
+    (["transversal", "--seed", "8", "--n", "12"], "--plot", "t.svg"),
+    (["expose", "--seed", "7", "--n", "8", "--point", "1/3,1/5"], "--grid", "40"),
+    (["transversal", "--seed", "8", "--n", "12"], "--grid", "40"),
+    (["sweep", "--seed", "3", "--n", "5", "--samples", "6"], "--grid", "8"),
+])
+def test_plot_flags_only_where_they_are_read(command, flag, value, tmp_path, capsys):
+    # a command that draws no plot, or no sampled grid, refuses the flag
+    # rather than dropping it: exit 1 and nothing written
+    out = tmp_path / "o.json"
+    args = [*command, "--out", str(out), flag, str(tmp_path / value)
+            if flag == "--plot" else value]
+    assert run_command(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized arguments: " + flag)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extremal_above_the_cap_is_a_usage_error():

@@ -511,7 +511,61 @@ def test_walk_yields_at_most_one_key_per_segment_and_scorer():
     for scorers in ((None,), (None, _at_least(Fraction(1, 5), n)),
                     (None, _at_least(0, n), lambda count: count % 2 == 1)):
         pairs = sum(1 for _ in _walk_pairs(tables, scorers))
-        assert n < pairs <= n + len(scorers) * binom(n, 2)
+        # the count scorer alone may skip every segment, yielding the n data
+        # points only
+        assert (n <= pairs if scorers == (None,) else n < pairs)
+        assert pairs <= n + len(scorers) * binom(n, 2)
+
+
+# centrally symmetric, in general position: the five segments p, -p meet at
+# the origin, whose depth 60 beats every data point's 56; on each of them the
+# other four cross at the origin on one shared float, so a bound that took
+# one segment per crossing would skip the winner
+CONCURRENT = LabeledPointSet(tuple(Point(s * x, s * y) for s in (1, -1)
+                                   for x, y in ((-8, -7), (-7, 2), (-4, 0), (-1, -3), (-8, 9))))
+
+
+def test_count_walk_keeps_a_concurrent_winner():
+    ps = CONCURRENT
+    assert not general_position_report(ps.points)
+    assert sum(1 for p, r in itertools.combinations(ps.points, 2)
+               if p.coords == tuple(-c for c in r.coords)) == 5
+    assert max(closed_depth_count(p, ps.points) for p in ps.points) == 56
+    q, rep = max_depth_point(ps)
+    assert (q, rep.count) == (Point(0, 0), 60)
+    # on the five segments through the origin the bound is exactly 60: one
+    # more and they are skipped, so the comparison must stay strict
+    tables = _walk_tables([homog(p) for p in ps.points])
+    tight = [(i, j) for i, j in itertools.combinations(range(ps.n), 2)
+             if _segment_walk(i, j, *tables, 61) is None
+             and max(_segment_walk(i, j, *tables)[1], default=0) == 60]
+    assert len(tight) == 5
+
+
+def test_count_walk_skips_segments_and_keeps_the_best():
+    # the count scorer alone skips every segment whose bound is below the
+    # running best; its best must be that of _scan over every vertex, and
+    # some segments must be skipped, or the bound would go untested
+    rng = random.Random(2828)
+    sets = _walk_test_sets() + [CONCURRENT, SHARED_FLOAT, FLOAT_CLASH]
+    sets += [random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+             for n, near_convex in itertools.product(range(6, 31, 4), (False, True))]
+    skipped = 0
+    for ps in sets:
+        tables = _walk_tables([homog(p) for p in ps.points])
+        pruned = list(_walk_pairs(tables, (None,)))
+        [expected] = _scan(_every_vertex_pair(tables))
+        [got] = _scan(pruned)
+        assert (got[0], dehomog(got[1])) == (expected[0], dehomog(expected[1]))
+        # two count scorers skip nothing and yield one crossing per walked
+        # segment, as the one count scorer does
+        skipped += sum(1 for _ in _walk_pairs(tables, (None, None))) - len(pruned)
+        # a floor at a segment's own best skips nothing on it
+        for i, j in itertools.combinations(range(ps.n), 2):
+            walk = _segment_walk(i, j, *tables)
+            if walk[1]:
+                assert _segment_walk(i, j, *tables, max(walk[1])) == walk
+    assert skipped > 0
 
 
 def test_orientation_table_entries_stay_small():
