@@ -52,12 +52,25 @@ EXIT_USAGE = 1
 EXIT_BOUND_FAILED = 2
 EXIT_INTERNAL = 3
 
-# the plot's drawable width in pixels
+# the plot's drawable width in pixels: a finer grid draws no more detail,
+# at grid^2 the work
 MAX_GRID = CANVAS - 2 * MARGIN
 # the largest extremal family: memory bounds it, not time; a run peaks at
 # about 57 MiB at n = 300 (0.4 s), 132 MiB at 500 and 247 MiB at 700 (see
 # README)
 MAX_EXTREMAL = 300
+# The bounds below keep a run within about 40 s and 128 MiB: wall time and
+# peak RSS of `heavycover ... --seed 1` on one core of a 2-core Xeon guest,
+# CPython 3.11. --n for depth, dual, expose, transversal and maxdual, at 400:
+# maxdual 11.3 s, 90 MiB; dual 9.8 s; transversal 4.1 s, 70 MiB; others 3.1 s
+MAX_POINTS = 400
+# maxdepth --n, n^3 walk-table entries: 23 s, 100 MiB (37 s, 176 MiB at 200)
+MAX_WALK_POINTS = 160
+# sweep --n and --samples, a walk per sample: 37.5 s, 41 MiB at both bounds
+MAX_SWEEP_POINTS = 40
+MAX_SAMPLES = 1001
+# verify --trials: 25.4 s, 22 MiB (5.1 s at the default 50)
+MAX_TRIALS = 500
 
 
 class UsageError(HeavyCoverError):
@@ -82,36 +95,19 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _count(text) -> int:
-    """A count argument (--n, --grid, --trials): an int of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _grid(text) -> int:
-    """The --grid count: at most ``MAX_GRID``, one cell per pixel of the
-    plot, since a finer grid draws no more detail at grid^2 the work."""
-    value = _count(text)
-    if value > MAX_GRID:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}, got {value}")
-    return value
-
-
-def _extremal_size(text) -> int:
-    """The extremal family size: an int of at most ``MAX_EXTREMAL``; sizes
-    below 3 are left to ``tangent_family`` to reject."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value > MAX_EXTREMAL:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_EXTREMAL}, got {value}")
-    return value
+def _at_most(limit):
+    """A count argument: an int of at least 1 and at most ``limit``."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+    return parse
 
 
 def _fr(x) -> str:
@@ -431,7 +427,7 @@ def build_parser() -> _Parser:
                      description="Exact simplicial and dual depth toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, tangent=False, plot=False, grid=False):
+    def common(p, point=False, tangent=False, plot=False, grid=False, max_n=MAX_POINTS):
         # --plot and --grid only where the command reads them, so a plot
         # that would not be drawn is refused rather than dropped
         p.add_argument("--in", dest="infile", help="input dataset (JSON)")
@@ -439,10 +435,10 @@ def build_parser() -> _Parser:
         if plot:
             p.add_argument("--plot", help="SVG output path")
         p.add_argument("--seed", type=int, help="generate the dataset from this seed")
-        p.add_argument("--n", type=_count, default=10,
-                       help="generated dataset size (default 10)")
+        p.add_argument("--n", type=_at_most(max_n), default=10,
+                       help=f"generated dataset size (default 10, at most {max_n})")
         if grid:
-            p.add_argument("--grid", type=_grid, default=200,
+            p.add_argument("--grid", type=_at_most(MAX_GRID), default=200,
                            help=f"plot sampling resolution (default 200, at most {MAX_GRID})")
         if point:
             p.add_argument("--point", required=True,
@@ -453,7 +449,8 @@ def build_parser() -> _Parser:
 
     common(sub.add_parser("depth", help="simplicial depth of a point"), point=True,
            plot=True, grid=True)
-    common(sub.add_parser("maxdepth", help="max-depth point search"), plot=True, grid=True)
+    common(sub.add_parser("maxdepth", help="max-depth point search"), plot=True, grid=True,
+           max_n=MAX_WALK_POINTS)
     common(sub.add_parser("dual", help="dual (surrounding) depth of a point"),
            point=True, plot=True, grid=True)
     common(sub.add_parser("maxdual", help="max dual-depth point search"),
@@ -461,7 +458,7 @@ def build_parser() -> _Parser:
     common(sub.add_parser("expose", help="exposure profile and arcs"), point=True)
 
     p = sub.add_parser("extremal", help="tangent-family tightness report")
-    p.add_argument("size", type=_extremal_size,
+    p.add_argument("size", type=_at_most(MAX_EXTREMAL),
                    help=f"family size, 3 <= n <= {MAX_EXTREMAL}")
     p.add_argument("--out", help="machine-readable JSON report path")
 
@@ -469,8 +466,9 @@ def build_parser() -> _Parser:
                           help="transversal line for a 2-colored point set"))
 
     p = sub.add_parser("sweep", help="argmax tracking along a motion path")
-    common(p, plot=True)
-    p.add_argument("--samples", type=int, default=21, help="sample count (default 21)")
+    common(p, plot=True, max_n=MAX_SWEEP_POINTS)
+    p.add_argument("--samples", type=_at_most(MAX_SAMPLES), default=21,
+                   help=f"sample count (default 21, at most {MAX_SAMPLES})")
     p.add_argument("--tau", default="0", help="heavy-region threshold fraction")
     p.add_argument("--jump-threshold", default="1/2",
                    help="argmax displacement flag threshold (default 1/2)")
@@ -479,8 +477,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the full verification battery")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_count, default=50,
-                   help="seeded-instance count knob (default 50 = full battery)")
+    p.add_argument("--trials", type=_at_most(MAX_TRIALS), default=50,
+                   help=f"seeded-instance count knob (default 50 = full battery, "
+                        f"at most {MAX_TRIALS})")
     p.add_argument("--out", help="machine-readable JSON report path")
     return parser
 

@@ -3,9 +3,8 @@
 The maximizing point is not a continuous function of the data: tracking it
 along a piecewise-linear motion exhibits jumps. What persists is the heavy
 region itself, witnessed here by a point of depth at least tau * C(n, 3) at
-every sampled time. The argmax and the witness both come from one pass of the
-segment-arrangement walk of ``selection``, which hands its scan engine each
-segment's best crossing for either score (at most two per segment); this
+every sampled time. The argmax and the witness are the count caps None and
+ceil(tau * C(n, 3)) of one pruned pass of ``selection``'s segment walk; this
 module holds no scan of its own. A ``ContinuityReport`` stores the
 per-sample records alone and derives every summary from them.
 """
@@ -13,10 +12,8 @@ per-sample records alone and derives every summary from them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
 from .exactgeom import Point, dehomog, homog, scalar
@@ -92,15 +89,10 @@ def sample_path(path: MotionPath, k: int):
     return [path.at(Fraction(j, k - 1)) for j in range(k)]
 
 
-def _at_least(tau, n):
-    """The witness scorer: True iff a count reaches tau * C(n, 3)."""
-    return partial(operator.le, math.ceil(scalar(tau) * binom(n, 3)))
-
-
-def _witness(tables, first):
-    """The walk's first qualifying (True, key) as (point, count), or None."""
-    qualifies, key = first
-    if not qualifies:
+def _witness(tables, first, cap):
+    """The walk's best (score, key) for ``cap`` as (point, count), or None."""
+    score, key = first
+    if score < cap:
         return None
     return dehomog(key), _closed_depth_homog(key, tables[0])
 
@@ -111,15 +103,16 @@ def heavy_region_witness(pset: LabeledPointSet, tau):
 
     The set {depth >= t} is closed and a union of faces of the segment
     arrangement, so its lexicographically least point is a data point or a
-    proper crossing of two segments: the walk of ``max_depth_point`` visits
-    them all. At tau <= 0 every point qualifies and the witness is the
-    lexicographically least data point."""
+    proper crossing of two segments: the walk of ``max_depth_point`` finds
+    it with the count cap ceil(tau * C(n, 3)). At tau <= 0 every point
+    qualifies and the witness is the lexicographically least data point."""
     if pset.dim != 2:
         raise DimensionError("heavy_region_witness is planar only")
     if pset.n < 3:
         raise DomainError("need at least 3 points")
-    tables, [first] = _walk_scan(pset, (_at_least(tau, pset.n),))
-    return _witness(tables, first)
+    cap = math.ceil(scalar(tau) * binom(pset.n, 3))
+    tables, [first] = _walk_scan(pset, (cap,))
+    return _witness(tables, first, cap)
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,7 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
         raise DimensionError("continuity_demo is planar only")
     if path.n < 3:
         raise DomainError("need at least 3 points")
-    scorers = (None, _at_least(tau, path.n))
+    cap = math.ceil(scalar(tau) * binom(path.n, 3))
     jump_threshold = scalar(jump_threshold)
     data_threshold = jump_threshold if data_threshold is None else scalar(data_threshold)
     for name, value in (("jump_threshold", jump_threshold),
@@ -204,7 +197,7 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
     for j, pset in enumerate(sample_path(path, k)):
         t = Fraction(j, k - 1)
         try:
-            tables, (best, first) = _walk_scan(pset, scorers)
+            tables, (best, first) = _walk_scan(pset, (None, cap))
         except DegeneracyError:
             records.append(SweepRecord(time=t, degenerate=True))
             prev = None
@@ -212,7 +205,7 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
         argmax, rep = _checked_max(pset, best, 0)
         records.append(SweepRecord(
             time=t, degenerate=False, argmax=argmax, count=rep.count,
-            witness=_witness(tables, first),
+            witness=_witness(tables, first, cap),
             jump=_jump_flag(prev, argmax, pset, jump_threshold, data_threshold)))
         prev = (argmax, pset)
     return ContinuityReport(tuple(records))

@@ -31,14 +31,12 @@ round to one float is sorted by exact fractions instead.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
-heavy-region witness, and ``dual``'s vertex and cell scans) runs through
-``_scan``, one in-process loop over a stream of (count, key) pairs that alone
-owns the tie-break (higher score, then lexicographically least point). It can
-score one stream several ways at once, so ``continuity`` walks each sample
-once. The walk counts every crossing of each segment it walks but hands
-``_scan`` only each segment's best crossing per scorer: points along a
-segment are in monotone lexicographic order, so that is the first (or last)
-crossing of the segment's top score. Only those O(n^2) crossings get
+heavy-region witness, and ``dual``'s vertex and cell scans) is a count cap c,
+scoring a count as min(count, c), or as itself for None, and keeps its best
+by ``_better`` alone: higher score, then lexicographically least point.
+``_scan`` runs searches over a stream of (count, key) pairs, ``_walk_scan``
+over the walk, where every search prunes and ``continuity`` walks each sample
+once for its two searches. Only the O(n^2) crossings a search may keep get
 homogeneous keys; ``_segment_vertices`` still yields every crossing, as a
 test oracle.
 """
@@ -51,6 +49,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import (
     DegeneracyError,
@@ -744,64 +743,26 @@ def _segment_vertices(i, j, *tables):
         yield count, _crossing_key(pi, pj, a, b)
 
 
-def _segment_best(counts, scorer, forward):
-    """Index of the best vertex of one segment for ``scorer``: the first of
-    its top score when the segment runs lexicographically ``forward``, else
-    the last. Points along a segment are in monotone lexicographic order, so
-    that vertex is the one ``_scan``'s tie-break would keep."""
-    scores = counts if scorer is None else list(map(scorer, counts))
-    top = max(scores)
-    if forward:
-        return scores.index(top)
-    return len(scores) - 1 - scores[::-1].index(top)
+def _segment_best(counts, cap):
+    """(score, index) of the first vertex of top score min(count, ``cap``)
+    (the count itself when ``cap`` is None) on a segment walked from its
+    lexicographically smaller end: the one ``_scan``'s tie-break keeps."""
+    top = max(counts)
+    if cap is not None and cap < top:
+        top = cap
+    return top, next(v for v, count in enumerate(counts) if count >= top)
 
 
-def _walk_pairs(tables, scorers):
-    """The walk's (count, key) stream for ``scorers``: the closed depth at
-    each data point p_i, followed, for every segment p_i p_j, j > i, by that
-    segment's best crossing for each scorer (``_segment_best``), each
-    crossing once and in order from p_i.
-
-    Keys are built only for the yielded crossings, at most len(scorers) per
-    segment. Each pair is a true vertex with its true count, and each
-    scorer's overall best is the best of every segment it lies on, so
-    ``_scan`` over this stream returns what it returns over every vertex.
-
-    The count scorer alone, ``scorers == (None,)``, skips segments: the
-    running best starts at the highest data-point depth, and a segment whose
-    exact bound is strictly below it is not walked (``_segment_walk``'s
-    ``floor``). None of its crossings can reach the final best, so neither
-    the best count nor its tie-break changes. Other scorers, such as the
-    witness threshold of ``continuity``, walk every segment in full."""
-    pts, depth = tables[0], tables[-1]
-    n = len(pts)
-    floor = max(depth) if scorers == (None,) else None
-    for i in range(n):
-        pi = pts[i]
-        yield depth[i], pi
-        for j in range(i + 1, n):
-            walk = _segment_walk(i, j, *tables, floor)
-            if walk is None or not walk[1]:
-                continue
-            _, counts, crossings = walk
-            pj = pts[j]
-            forward = _homog_lex_cmp(pi, pj) < 0
-            for v in sorted({_segment_best(counts, scorer, forward) for scorer in scorers}):
-                yield counts[v], _crossing_key(pi, pj, *crossings[v])
-                if floor is not None and counts[v] > floor:
-                    floor = counts[v]
-
-
-def _scan(pairs, scorers=(None,)):
+def _scan(pairs, caps=(None,)):
     """The max-search engine: one pass over the (count, key) pairs ``pairs``,
-    key a point's homogeneous coordinates, giving for each scorer the best
-    (score, key) pair, highest score first, then the lexicographically least
-    point; None when there are no pairs. A scorer maps a count to its score;
-    None scores a count as itself."""
-    bests = [None] * len(scorers)
+    key a point's homogeneous coordinates, giving for each count cap of
+    ``caps`` the best (score, key) pair, highest score first, then the
+    lexicographically least point; None when there are no pairs. A cap c
+    scores a count as min(count, c), None as the count itself."""
+    bests = [None] * len(caps)
     for count, key in pairs:
-        for s, scorer in enumerate(scorers):
-            score = count if scorer is None else scorer(count)
+        for s, cap in enumerate(caps):
+            score = count if cap is None or count < cap else cap
             best = bests[s]
             if best is None or _better(score, key, *best):
                 bests[s] = (score, key)
@@ -818,20 +779,64 @@ def _general_position(orient):
                           for b, row in enumerate(rows[a + 1:], a + 1))
 
 
-def _walk_scan(pset: LabeledPointSet, scorers):
-    """One pass of the segment walk over a planar set: the walk tables and the
-    best (score, key) of each scorer. The caller checks the dimension.
+def _open_rows(pts, best, cap):
+    """How many data points, in lexicographic order, start segments that can
+    still change a search's ``best`` for ``cap``: all while it is below its
+    cap, else those before its best point, the only ones a tie can take."""
+    score, key = best
+    if cap is None or score < cap:
+        return len(pts)
+    return sum(_homog_lex_cmp(p, key) < 0 for p in pts)
+
+
+def _walk_scan(pset: LabeledPointSet, caps):
+    """One pass of the segment walk over a planar set: the walk tables and,
+    for each count cap of ``caps``, the best (score, key) of ``_scan`` over
+    every data point and every proper crossing of two segments. The caller
+    checks the dimension.
 
     The general-position gate reads the orientation table's C(n, 3)
     determinants; only when one is zero (or n < 3) does
     ``general_position_report`` run, to locate the violations of the
-    DegeneracyError."""
+    DegeneracyError.
+
+    After the data points, each segment is walked from its lexicographically
+    smaller end p_i, in lexicographic order of p_i, when its exact bound
+    reaches the floor, the lowest best among the searches still open
+    (``_segment_walk``). A search at its cap closes once p_i is not before
+    its best, since its crossings all lie after p_i."""
     tables = _walk_tables([homog(p) for p in pset.points])
     if not _general_position(tables[1]):
         violations = general_position_report(pset.points)
         if violations:
             raise DegeneracyError("point set is not in general position", violations)
-    return tables, _scan(_walk_pairs(tables, scorers), scorers)
+    pts, depth = tables[0], tables[-1]
+    order = sorted(range(len(pts)), key=cmp_to_key(lambda k, m: _homog_lex_cmp(pts[k], pts[m])))
+    bests = _scan(zip(depth, pts), caps)
+    stop = 0
+    for a, i in enumerate(order):
+        if a >= stop:
+            ends = [_open_rows(pts, best, cap) for best, cap in zip(bests, caps)]
+            live = [s for s, end in enumerate(ends) if a < end]
+            if not live:
+                break
+            stop = min(ends[s] for s in live)
+            floor = min(bests[s][0] for s in live)
+        pi = pts[i]
+        for j in order[a + 1:]:
+            walk = _segment_walk(i, j, *tables, floor)
+            if walk is None or not walk[1]:
+                continue
+            _, counts, crossings = walk
+            for s in live:
+                score, v = _segment_best(counts, caps[s])
+                if score >= bests[s][0]:
+                    key = _crossing_key(pi, pts[j], *crossings[v])
+                    if _better(score, key, *bests[s]):
+                        bests[s] = (score, key)
+                        stop = a + 1
+            floor = min(bests[s][0] for s in live)
+    return tables, bests
 
 
 def _checked_max(pset: LabeledPointSet, best, witness_limit):
@@ -860,8 +865,7 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     bound on every crossing's count is below the running best, which starts
     at the best data point's depth, is skipped after one integer pass, or
     after its float pass when no two of its crossings share a float; on box
-    and near-convex sets that is nearly every segment. Keys are built only
-    for each walked segment's best crossing (see ``_walk_pairs``).
+    and near-convex sets that is nearly every segment (see ``_walk_scan``).
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
     ``threads`` is ignored; it stays only because the benchmark's workloads

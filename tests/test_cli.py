@@ -4,8 +4,19 @@ import multiprocessing.process
 
 import pytest
 
-from heavycover import dual
-from heavycover.cli import MAX_EXTREMAL, MAX_GRID, UsageError, build_parser, run_command
+from heavycover import cli, dual
+from heavycover.cli import (
+    MAX_EXTREMAL,
+    MAX_GRID,
+    MAX_POINTS,
+    MAX_SAMPLES,
+    MAX_SWEEP_POINTS,
+    MAX_TRIALS,
+    MAX_WALK_POINTS,
+    UsageError,
+    build_parser,
+    run_command,
+)
 from heavycover.datasets import (
     Dataset,
     emit_dataset,
@@ -299,6 +310,37 @@ def test_extremal_above_the_cap_is_a_usage_error():
         build_parser().parse_args(["extremal", "301"])
     with pytest.raises(UsageError, match="argument size: invalid int value: 'x'"):
         build_parser().parse_args(["extremal", "x"])
+
+
+@pytest.mark.parametrize("command, flag, bound", [
+    (["depth", "--point", "1,1"], "--n", MAX_POINTS),
+    (["dual", "--point", "1,1"], "--n", MAX_POINTS),
+    (["expose", "--point", "1,1"], "--n", MAX_POINTS),
+    (["transversal"], "--n", MAX_POINTS),
+    (["maxdual"], "--n", MAX_POINTS),
+    (["maxdepth"], "--n", MAX_WALK_POINTS),
+    (["sweep"], "--n", MAX_SWEEP_POINTS),
+    (["sweep"], "--samples", MAX_SAMPLES),
+    (["verify"], "--trials", MAX_TRIALS),
+], ids=["depth", "dual", "expose", "transversal", "maxdual", "maxdepth", "sweep-n",
+        "sweep-samples", "verify-trials"])
+def test_resource_bounds_are_usage_errors(command, flag, bound, monkeypatch, capsys):
+    # each bound sits above every size CI and the tests run; the bound itself
+    # parses, and one more exits 1 at the parser: no dataset is generated
+    # and no command runs
+    assert (MAX_POINTS, MAX_WALK_POINTS, MAX_SWEEP_POINTS, MAX_SAMPLES, MAX_TRIALS) == \
+        (400, 160, 40, 1001, 500)
+    args = build_parser().parse_args([*command, flag, str(bound)])
+    assert getattr(args, flag[2:]) == bound
+
+    def refuse(args):
+        raise AssertionError("a command ran past its bound")
+
+    monkeypatch.setitem(cli._COMMANDS, command[0], refuse)
+    assert run_command([*command, "--seed", "1", flag, str(bound + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {flag}: must be at most {bound}, got {bound + 1}\n"
 
 
 @pytest.mark.parametrize("flags, err", [

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from heavycover import selection
-from heavycover.continuity import _at_least
 from heavycover.datasets import colored_point_set, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
 from heavycover.exactgeom import (
@@ -26,13 +25,14 @@ from heavycover.selection import (
     _angular_counts,
     _avoiding,
     _closed_depth_homog,
+    _crossing_key,
     _exact_halves,
     _general_position,
     _opposite,
     _scan,
     _segment_vertices,
     _segment_walk,
-    _walk_pairs,
+    _walk_scan,
     _walk_tables,
     LabeledPointSet,
     binom,
@@ -259,11 +259,11 @@ def test_scan_contract_over_one_pass():
     # keys are homogeneous (x, y, w); (2, 4, 2) and (1, 2, 1) are one point
     stream = [(3, (4, 0, 2)), (5, (2, 6, 2)), (5, (2, 4, 2)), (5, (1, 2, 1)),
               (5, (1, 3, 1)), (4, (0, 9, 1)), (2, (-1, 7, 1))]
-    scorers = (None, lambda count: count >= 4)
-    expected = [(5, Point(1, 2)), (True, Point(0, 9))]
+    caps = (None, 4)
+    expected = [(5, Point(1, 2)), (4, Point(0, 9))]
     for perm in itertools.permutations(stream):
         pairs = (pair for pair in perm)
-        bests = _scan(pairs, scorers)
+        bests = _scan(pairs, caps)
         assert next(pairs, None) is None
         assert [(score, dehomog(key)) for score, key in bests] == expected
     # equal points tie whatever their scaling: the first one seen stays
@@ -444,8 +444,8 @@ def test_walk_on_projective_images_with_distinct_denominators():
                             for q, count in _walk_vertices(ps).items()}
 
 
-# pairs of points share an x coordinate, so some segments are vertical; the
-# lower point of each such pair comes second, so those segments run backwards
+# pairs of points share an x coordinate, so some segments are vertical and
+# the lexicographic order of the data points is decided by y, exactly
 VERTICALS = LabeledPointSet((Point(0, 3), Point(0, -2), Point(4, 5), Point(4, -1),
                              Point(-3, 1), Point(2, 2), Point(-3, -4),
                              Point(Fraction(3, 2), Fraction(-9, 2))))
@@ -472,49 +472,52 @@ def _walk_test_sets():
     return sets + images
 
 
+def _caps(every):
+    """Count caps at every kind of level for the (count, key) pairs
+    ``every``: below and at 0, the median and the top attained count, and
+    one above the top."""
+    attained = sorted({count for count, _ in every})
+    return (-1, 0, attained[len(attained) // 2], attained[-1], attained[-1] + 1)
+
+
 def test_pruned_walk_bests_equal_scan_over_every_vertex():
-    # per segment the walk yields only each scorer's first (or, on a segment
-    # running lexicographically backwards, last) vertex of top score; the
-    # bests must be those of _scan over every vertex, for monotone scorers,
-    # the witness threshold at every kind of level, and a scorer that is not
-    # monotone in the count
-    backward_ties = 0
+    # per segment the walk offers only each search's first vertex of top
+    # score, walking from the lexicographically smaller end; the bests must
+    # be those of _scan over every vertex, for the count and for caps at
+    # every kind of level
+    tied_tops = 0
     for ps in _walk_test_sets():
         assert not general_position_report(ps.points)
-        n = ps.n
         tables = _walk_tables([homog(p) for p in ps.points])
         every = list(_every_vertex_pair(tables))
-        attained = sorted({count for count, _ in every})
-        levels = [Fraction(-1), Fraction(0), Fraction(attained[len(attained) // 2], binom(n, 3)),
-                  Fraction(attained[-1], binom(n, 3)), Fraction(attained[-1] + 1, binom(n, 3))]
-        scorers = (None, lambda count: count % 3 == 0) + tuple(_at_least(t, n) for t in levels)
-        truth = {(count, dehomog(key)) for count, key in every}
-        pruned = list(_walk_pairs(tables, scorers))
-        assert {(count, dehomog(key)) for count, key in pruned} <= truth
-        expected = [(score, dehomog(key)) for score, key in _scan(every, scorers)]
-        got = [(score, dehomog(key)) for score, key in _scan(pruned, scorers)]
+        caps = (None,) + _caps(every)
+        expected = [(score, dehomog(key)) for score, key in _scan(every, caps)]
+        got = [(score, dehomog(key)) for score, key in _walk_scan(ps, caps)[1]]
         assert got == expected
-        assert expected[-1][0] is False and expected[2][0] is True
-        for i, j in itertools.combinations(range(n), 2):
+        assert expected[1][0] == caps[1] and expected[-1][0] < caps[-1]
+        for i, j in itertools.combinations(range(ps.n), 2):
             counts = _segment_walk(i, j, *tables)[1]
-            if counts and ps.points[j].coords < ps.points[i].coords:
-                backward_ties += counts.count(max(counts)) > 1
-    assert backward_ties > 0  # the "last vertex of top score" branch decides
+            tied_tops += counts.count(max(counts, default=0)) > 1
+    assert tied_tops > 0  # the "first vertex of top score" choice decides
 
 
-def test_walk_yields_at_most_one_key_per_segment_and_scorer():
-    # a walk yielding every crossing would exceed this by far
+def test_walk_yields_at_most_one_key_per_segment_and_scorer(monkeypatch):
+    # a walk keying every crossing would build far more keys than this
     ps = random_point_set(12, 1212, near_convex=True)
     n = ps.n
     tables = _walk_tables([homog(p) for p in ps.points])
     assert sum(1 for _ in _every_vertex_pair(tables)) > n + 3 * binom(n, 2)
-    for scorers in ((None,), (None, _at_least(Fraction(1, 5), n)),
-                    (None, _at_least(0, n), lambda count: count % 2 == 1)):
-        pairs = sum(1 for _ in _walk_pairs(tables, scorers))
-        # the count scorer alone may skip every segment, yielding the n data
-        # points only
-        assert (n <= pairs if scorers == (None,) else n < pairs)
-        assert pairs <= n + len(scorers) * binom(n, 2)
+    keys = []
+
+    def counted(*args):
+        keys.append(args)
+        return _crossing_key(*args)
+
+    monkeypatch.setattr(selection, "_crossing_key", counted)
+    for caps in ((None,), (None, math.ceil(Fraction(1, 5) * binom(n, 3))), (None, 0)):
+        keys.clear()
+        _walk_scan(ps, caps)
+        assert len(keys) <= len(caps) * binom(n, 2)
 
 
 # centrally symmetric, in general position: the five segments p, -p meet at
@@ -542,30 +545,82 @@ def test_count_walk_keeps_a_concurrent_winner():
     assert len(tight) == 5
 
 
-def test_count_walk_skips_segments_and_keeps_the_best():
-    # the count scorer alone skips every segment whose bound is below the
-    # running best; its best must be that of _scan over every vertex, and
-    # some segments must be skipped, or the bound would go untested
+def _skip_test_sets():
     rng = random.Random(2828)
     sets = _walk_test_sets() + [CONCURRENT, SHARED_FLOAT, FLOAT_CLASH]
-    sets += [random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
-             for n, near_convex in itertools.product(range(6, 31, 4), (False, True))]
+    return sets + [random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+                   for n, near_convex in itertools.product(range(6, 31, 4), (False, True))]
+
+
+def _walked(monkeypatch, ps, caps):
+    """The bests of ``_walk_scan(ps, caps)`` and each (i, j, walked) of its
+    ``_segment_walk`` calls, walked False where the bound skipped it."""
+    calls = []
+
+    def counted(i, j, *args):
+        walk = _segment_walk(i, j, *args)
+        calls.append((i, j, walk is not None))
+        return walk
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selection, "_segment_walk", counted)
+        return _walk_scan(ps, caps)[1], calls
+
+
+def test_count_walk_skips_segments_and_keeps_the_best(monkeypatch):
+    # the count search skips every segment whose bound is below the running
+    # best; its best must be that of _scan over every vertex, and some
+    # segments must be skipped, or the bound would go untested
     skipped = 0
-    for ps in sets:
+    for ps in _skip_test_sets():
         tables = _walk_tables([homog(p) for p in ps.points])
-        pruned = list(_walk_pairs(tables, (None,)))
         [expected] = _scan(_every_vertex_pair(tables))
-        [got] = _scan(pruned)
+        [got], calls = _walked(monkeypatch, ps, (None,))
         assert (got[0], dehomog(got[1])) == (expected[0], dehomog(expected[1]))
-        # two count scorers skip nothing and yield one crossing per walked
-        # segment, as the one count scorer does
-        skipped += sum(1 for _ in _walk_pairs(tables, (None, None))) - len(pruned)
+        assert len(calls) == binom(ps.n, 2)
+        skipped += sum(not walked for _, _, walked in calls)
         # a floor at a segment's own best skips nothing on it
         for i, j in itertools.combinations(range(ps.n), 2):
             walk = _segment_walk(i, j, *tables)
             if walk[1]:
                 assert _segment_walk(i, j, *tables, max(walk[1])) == walk
     assert skipped > 0
+
+
+def test_capped_walks_skip_segments_and_keep_the_best(monkeypatch):
+    # every search prunes. A witness search whose cap some data point
+    # reaches walks only segments whose lexicographically smaller end lies
+    # before its best, so at a cap <= 0, where the least data point wins,
+    # it walks none; one above C(n, 3) never reaches its cap and walks the
+    # segments the count search walks. Paired with the count search, each
+    # cap gives the bests of _scan over every crossing and still skips
+    # segments
+    skipped = dict.fromkeys(range(5), 0)
+    for ps in _skip_test_sets():
+        n = ps.n
+        tables = _walk_tables([homog(p) for p in ps.points])
+        every = list(_every_vertex_pair(tables))
+        least = min(ps.points, key=lambda p: p.coords)
+        for cap in _caps(every):
+            if cap > max(tables[-1]):
+                continue
+            [(score, key)], calls = _walked(monkeypatch, ps, (cap,))
+            [(_, expected)] = _scan(every, (cap,))
+            best = dehomog(key)
+            assert (score, best) == (cap, dehomog(expected))
+            assert all(min(ps.points[i].coords, ps.points[j].coords) < best.coords
+                       for i, j, _ in calls)
+            if cap <= 0:
+                assert (best, calls) == (least, [])
+        [count_best], count_calls = _walked(monkeypatch, ps, (None,))
+        [capped_best], capped_calls = _walked(monkeypatch, ps, (binom(n, 3) + 1,))
+        assert (capped_best, capped_calls) == (count_best, count_calls)
+        for k, cap in enumerate(_caps(every)):
+            expected = [(score, dehomog(key)) for score, key in _scan(every, (None, cap))]
+            bests, calls = _walked(monkeypatch, ps, (None, cap))
+            assert [(score, dehomog(key)) for score, key in bests] == expected
+            skipped[k] += sum(not walked for _, _, walked in calls) + binom(n, 2) - len(calls)
+    assert all(skipped.values())
 
 
 def test_orientation_table_entries_stay_small():
