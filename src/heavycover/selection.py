@@ -19,15 +19,22 @@ global maximizer is therefore a data point or a proper crossing of two
 segments between data points. ``max_depth_point`` walks each segment across
 its crossings in O(n^4 log n) integer steps at worst; it skips a segment
 whose exact bound on every crossing's count is below the best count found
-so far. The n data-point counts and every segment's start count are read
+so far. The first bound is O(1) per segment: no point off every segment
+lies in more than D(n) triangles, about n^3/24 (Boros & Furedi, Geom.
+Dedicata 1984), and averaging over a small circle around a crossing of g + 1
+segments, each the edge of n - 2 triangles that hold half the circle, gives
+that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``). The
+winner is re-counted by one angular count, which reads neither the walk nor
+its table. The n data-point counts and every segment's start count are read
 off the walk's orientation table, so the walk makes no angular sort. The
 table holds one determinant per triple, C(n, 3) in all, on each point's own
 homogeneous coordinates with no common denominator, so its entries stay as
 long as a few coordinates even when the points' denominators all differ; a
-zero among them fails the general-position gate. One function,
-``_segment_walk``, steps a segment's crossings: they are sorted by one
-correctly rounded float each, and only a segment on which two crossings
-round to one float is sorted by exact fractions instead.
+zero among them lowers a pair's count of points on either side, which fails
+the general-position gate. One function, ``_segment_walk``, steps a
+segment's crossings: they are sorted by one correctly rounded float each,
+and only a segment on which two crossings round to one float is sorted by
+exact fractions instead.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
@@ -611,6 +618,24 @@ def _walk_tables(pts):
     return pts, orient, left, depth
 
 
+def _cell_bound(n):
+    """D(n), the most triangles of n points in general position that a point
+    on no segment can lie in: C(n, 3) - (n - r) * C(h, 2) - r * C(h + 1, 2)
+    with (h, r) = divmod(C(n, 2), n), about n^3 / 24 (Boros & Furedi, Geom.
+    Dedicata 1984).
+
+    From such a point q, a triangle misses q iff, for exactly one of its
+    vertices k, the other two lie in the open half turn counterclockwise of
+    the direction to p_k; with u_k such points for each k, q lies in
+    C(n, 3) - sum C(u_k, 2) triangles. Every pair of points is counted in
+    exactly one u_k, so sum u_k = C(n, 2), and by convexity sum C(u_k, 2) is
+    least when the u_k differ by at most one: r of them h + 1, the rest h.
+    A point on the line of two points but off their segment lies in the same
+    triangles as the points near it off every such line."""
+    h, r = divmod(math.comb(n, 2), n)
+    return math.comb(n, 3) - (n - r) * math.comb(h, 2) - r * math.comb(h + 1, 2)
+
+
 def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     """The walk of the open segment p_i p_j: (start, counts, crossings), the
     closed depth just past p_i, the closed depth at each proper crossing in
@@ -645,20 +670,35 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     sorted by its exact fraction, and adjacent ones with a * b' == a' * b
     merge into one vertex.
 
-    The bound behind ``floor`` needs no order of the crossings. Let E be
-    the start count plus every positive step 2 * far - (n - 2); E bounds
-    each open edge's count (``_edge_bound``). A vertex where g crossings
-    meet counts (before + after) / 2 + g * (n - 2) / 2 <=
-    E + g * (n - 2) / 2, the half-turn charging of Boros & Furedi's count of
-    the triangles that cover a point (Geom. Dedicata 1984). With L and R
-    points on either side of the segment, g <= min(L, R): two segments
-    through one point of p_i p_j share no endpoint, or three points would be
-    collinear. Tier 1 reads E by integer compares alone and skips when
+    The bounds behind ``floor`` need no order of the crossings; each is
+    Boros & Furedi's count of the triangles that cover a point (Geom.
+    Dedicata 1984). A vertex where g crossings meet lies on g + 1 segments.
+    Each of their (g + 1) * (n - 2) triangles with one of them as an edge
+    holds the vertex on that edge, at none of its corners, and so holds half
+    of a small circle around it; every other triangle holds all of it or
+    none. The circle's points off the segments lie in at most D(n)
+    triangles each (``_cell_bound``), so the vertex counts at most
+    D(n) + (g + 1) * (n - 2) / 2, the average over the circle plus the
+    other half of each edge's triangles. With L and R points on either side
+    of the segment, g <= min(L, R): two segments through one point of
+    p_i p_j share no endpoint, or three points would be collinear. The cell
+    test reads L = left[i][j] alone and skips, before anything else, when
+    2 * (D(n) - floor) + (min(L, R) + 1) * (n - 2) < 0.
+
+    Where it cannot, let E be the start count plus every positive step
+    2 * far - (n - 2); E bounds each open edge's count (``_edge_bound``),
+    and the same half-turn charge gives a vertex where g crossings meet
+    (before + after) / 2 + g * (n - 2) / 2 <= E + g * (n - 2) / 2. Tier 1
+    reads E by integer compares alone and skips when
     2E + min(L, R) * (n - 2) < 2 * floor. Tier 2 follows the float pass:
     with ``shared`` empty no two crossings meet, and it skips when
     2E + (n - 2) < 2 * floor.
     """
     n = len(pts)
+    if floor is not None:
+        on_left = left[i][j]
+        if 2 * (_cell_bound(n) - floor) + (min(on_left, n - 2 - on_left) + 1) * (n - 2) < 0:
+            return None
     oi, oj = orient[i], orient[j]
     side = oi[j]
     lefts = [k for k in range(n) if side[k] > 0]
@@ -769,14 +809,15 @@ def _scan(pairs, caps=(None,)):
     return bests
 
 
-def _general_position(orient):
-    """True iff the walk's orientation table shows no collinear triple and no
-    coincident pair: n >= 3 and none of the C(n, 3) determinants
-    ``orient[a][b][c]``, a < b < c, is zero (two coincident points make
-    every triple through them zero)."""
-    n = len(orient)
-    return n >= 3 and all(all(row[b + 1:]) for a, rows in enumerate(orient)
-                          for b, row in enumerate(rows[a + 1:], a + 1))
+def _general_position(left):
+    """True iff the walk's ``left`` table shows no collinear triple and no
+    coincident pair: n >= 3 and left[a][b] + left[b][a] == n - 2 for each of
+    the C(n, 2) pairs a < b. The two count the points strictly on either
+    side of p_a -> p_b, so a third point on that line lowers their sum, and
+    a coincident pair, every determinant through which is zero, gives 0."""
+    n = len(left)
+    return n >= 3 and all(left[a][b] + left[b][a] == n - 2
+                          for a, b in itertools.combinations(range(n), 2))
 
 
 def _open_rows(pts, best, cap):
@@ -795,8 +836,8 @@ def _walk_scan(pset: LabeledPointSet, caps):
     every data point and every proper crossing of two segments. The caller
     checks the dimension.
 
-    The general-position gate reads the orientation table's C(n, 3)
-    determinants; only when one is zero (or n < 3) does
+    The general-position gate reads the ``left`` table's C(n, 2) pairs;
+    only when a pair has a point on its line, or n < 3, does
     ``general_position_report`` run, to locate the violations of the
     DegeneracyError.
 
@@ -806,7 +847,7 @@ def _walk_scan(pset: LabeledPointSet, caps):
     (``_segment_walk``). A search at its cap closes once p_i is not before
     its best, since its crossings all lie after p_i."""
     tables = _walk_tables([homog(p) for p in pset.points])
-    if not _general_position(tables[1]):
+    if not _general_position(tables[2]):
         violations = general_position_report(pset.points)
         if violations:
             raise DegeneracyError("point set is not in general position", violations)
@@ -840,15 +881,23 @@ def _walk_scan(pset: LabeledPointSet, caps):
 
 
 def _checked_max(pset: LabeledPointSet, best, witness_limit):
-    """The walk's best (count, key) as a point with its exhaustive
-    ``DepthReport``; InternalError when the two counts differ."""
+    """The walk's best (count, key) as a point with its ``DepthReport``,
+    re-derived by one angular count (``depth_planar_sweep``), which reads
+    neither the walk nor its orientation table; InternalError when the two
+    counts differ. The witnesses are the first ``witness_limit`` triangles
+    holding the point in combination order, as ``depth_naive`` lists them,
+    enumerated only until the limit is reached, so the report equals
+    ``depth_naive``'s but for its method."""
     best_count, key = best
     q = dehomog(key)
-    report = depth_naive(q, pset, witness_limit=witness_limit)
+    report = depth_planar_sweep(q, pset)
     if report.count != best_count:
         raise InternalError(
-            f"segment walk count {best_count} != exhaustive count {report.count}")
-    return q, replace(report, method="candidate_scan")
+            f"segment walk count {best_count} != angular count {report.count}")
+    hits = _planar_hits(homog(q), [homog(p) for p in pset.points],
+                        itertools.combinations(range(pset.n), 3))
+    witnesses = tuple(idx for idx, _ in itertools.islice(hits, max(witness_limit, 0)))
+    return q, replace(report, witnesses=witnesses, method="candidate_scan")
 
 
 def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
@@ -863,11 +912,18 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     by the float a / (a + b), or exactly where two crossings share one
     (see ``_segment_walk``), O(n^4 log n) at worst. A segment whose exact
     bound on every crossing's count is below the running best, which starts
-    at the best data point's depth, is skipped after one integer pass, or
-    after its float pass when no two of its crossings share a float; on box
-    and near-convex sets that is nearly every segment (see ``_walk_scan``).
+    at the best data point's depth, is skipped; on box and near-convex sets
+    that is nearly every segment (see ``_walk_scan``). The first test is
+    O(1): a crossing of g + 1 segments, g <= min(L, R) for the L and R points
+    on either side, counts at most D(n) + (g + 1)(n - 2)/2, where D(n), about
+    n^3/24, is Boros & Furedi's most triangles over a point on no segment
+    (Geom. Dedicata 1984), since averaging over a small circle around the
+    crossing halves each of its (g + 1)(n - 2) edge triangles
+    (``_cell_bound``). Only then come one integer pass and the float pass.
     Ties break toward the lexicographically smallest point. The winner's count
-    is re-derived by exhaustive enumeration as an internal consistency check.
+    is re-derived by an O(n log n) angular count that reads neither the walk
+    nor its table, and its witnesses are the first ``witness_limit``
+    triangles holding it, as ``depth_naive`` lists them (``_checked_max``).
     ``threads`` is ignored; it stays only because the benchmark's workloads
     pass it.
     """

@@ -8,7 +8,7 @@ frozen acceptance values, not tunables.
 
 from fractions import Fraction
 
-from heavycover import verification
+from heavycover import selection, verification
 from heavycover.verification import (
     check_base_cut_identity,
     check_continuity,
@@ -16,6 +16,7 @@ from heavycover.verification import (
     check_dual_bound,
     check_exposure_semantics,
     check_oracle_equivalence,
+    check_primal_maximality,
     check_selection_bound,
     check_tangent_tightness,
     check_transversal,
@@ -111,6 +112,25 @@ def test_criterion_9_determinism():
     # the battery serializes byte-identically across reruns
     check = check_determinism(SEED, trials=2, samples=11)
     _report(9, check)
+
+
+def test_primal_maximality_fails_a_walk_that_skips_every_segment(monkeypatch):
+    # the primal searches equal the scan of every line-arrangement vertex on
+    # 10 seeded sets at n = 5..9, some with a crossing for maximum; a walk
+    # that skips every segment it is given a floor for returns the best data
+    # point there, and the check must fail on each of them
+    check = check_primal_maximality(SEED, trials=5)
+    assert check["details"]["crossing_maxima"] >= 1
+    _report("primal maximality", check)
+
+    def skip_all(i, j, pts, orient, left, depth, floor=None):
+        return None if floor is not None else walk(i, j, pts, orient, left, depth)
+
+    walk = selection._segment_walk
+    monkeypatch.setattr(selection, "_segment_walk", skip_all)
+    check = check_primal_maximality(SEED, trials=5)
+    assert not check["passed"]
+    assert len(check["failures"]) == check["details"]["crossing_maxima"]
 
 
 def test_determinism_check_fails_a_differing_rerun(monkeypatch):

@@ -418,10 +418,10 @@ def test_verify_command_smoke(tmp_path, capsys):
     assert "PASS oracle_equivalence" in captured
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
-    assert len(report["checks"]) == 10
+    assert len(report["checks"]) == 11
     # the same bytes on Python 3.11, 3.12 and 3.13
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "0ddaf1ee946b67781fda1024cd20b37bc86c00be0cee9bee8ddfc66400e86652"
+        "45f5fb8799eed49d5887d967279ce0fd2d7ccc909f380e130c94ca86ac32c735"
 
 
 # sha256 of the canonical --out JSON of fixed-seed runs; any change to a

@@ -8,7 +8,7 @@ import pytest
 
 from heavycover import selection
 from heavycover.datasets import colored_point_set, random_point_set
-from heavycover.errors import DegeneracyError, DomainError
+from heavycover.errors import DegeneracyError, DomainError, InternalError
 from heavycover.exactgeom import (
     ContainmentVerdict,
     Point,
@@ -24,6 +24,8 @@ from heavycover.selection import (
     _angle_keys,
     _angular_counts,
     _avoiding,
+    _cell_bound,
+    _checked_max,
     _closed_depth_homog,
     _crossing_key,
     _exact_halves,
@@ -537,12 +539,60 @@ def test_count_walk_keeps_a_concurrent_winner():
     q, rep = max_depth_point(ps)
     assert (q, rep.count) == (Point(0, 0), 60)
     # on the five segments through the origin the bound is exactly 60: one
-    # more and they are skipped, so the comparison must stay strict
+    # more and they are skipped, so the comparison must stay strict. It is
+    # also the cell bound D(10) + 5 * 8 / 2, with four points on either side
     tables = _walk_tables([homog(p) for p in ps.points])
+    assert _cell_bound(10) + 5 * 8 // 2 == 60
     tight = [(i, j) for i, j in itertools.combinations(range(ps.n), 2)
              if _segment_walk(i, j, *tables, 61) is None
              and max(_segment_walk(i, j, *tables)[1], default=0) == 60]
     assert len(tight) == 5
+    for i, j in tight:
+        assert tables[2][i][j] == 4
+        assert max(_segment_walk(i, j, *tables, 60)[1]) == 60
+
+
+def _least_sum_of_pair_counts(n):
+    """The least sum of C(u, 2) over n integers u in 0..n-1 that add up to
+    C(n, 2), by exhaustive dynamic programming over the n terms."""
+    total = math.comb(n, 2)
+    costs = [u * (u - 1) // 2 for u in range(n)]
+    least = [0] + [math.inf] * total
+    for _ in range(n):
+        least = [min(least[s - u] + c for u, c in enumerate(costs[:s + 1]))
+                 for s in range(total + 1)]
+    return least[total]
+
+
+def test_cell_bound_is_the_least_balanced_sum():
+    # D(n) = C(n, 3) less the least sum of C(u_k, 2) with sum u_k = C(n, 2)
+    for n in range(3, 41):
+        assert _cell_bound(n) == math.comb(n, 3) - _least_sum_of_pair_counts(n), n
+    assert _cell_bound(18) == 240
+
+
+def test_no_point_off_the_segments_exceeds_the_cell_bound():
+    # random rational points and points a 10^-12 step from the maximum, none
+    # on a segment or at a data point (count == strict_count): none lies in
+    # more than D(n) triangles, and some reach it exactly
+    rng = random.Random(3131)
+    attained = 0
+    for n, near_convex in itertools.product(range(5, 31), (False, True)):
+        ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
+        q, _ = max_depth_point(ps, witness_limit=0)
+        eps = Fraction(1, 10 ** 12)
+        queries = [Point(q.x + a * eps, q.y + 3 * b * eps)
+                   for a, b in itertools.product((1, -1), repeat=2)]
+        lo = [min(p.coords[c] for p in ps.points) for c in (0, 1)]
+        hi = [max(p.coords[c] for p in ps.points) for c in (0, 1)]
+        queries += [Point(*(lo[c] + (hi[c] - lo[c]) * Fraction(rng.randrange(10 ** 6), 10 ** 6)
+                            for c in (0, 1))) for _ in range(12)]
+        for r in queries:
+            rep = depth_planar_sweep(r, ps)
+            assert rep.count == rep.strict_count
+            assert rep.count <= _cell_bound(n)
+            attained += rep.count == _cell_bound(n)
+    assert attained > 0
 
 
 def _skip_test_sets():
@@ -585,6 +635,40 @@ def test_count_walk_skips_segments_and_keeps_the_best(monkeypatch):
             if walk[1]:
                 assert _segment_walk(i, j, *tables, max(walk[1])) == walk
     assert skipped > 0
+
+
+def test_every_crossing_is_within_its_cell_bound():
+    # a crossing on p_i p_j counts at most D(n) + (g + 1)(n - 2) / 2 with
+    # g = min(L, R), L = left[i][j] and R = n - 2 - L; the bound is met with
+    # equality on CONCURRENT's five diameters
+    tight = 0
+    for ps in _skip_test_sets():
+        n = ps.n
+        tables = _walk_tables([homog(p) for p in ps.points])
+        left = tables[2]
+        for i, j in itertools.combinations(range(n), 2):
+            g = min(left[i][j], n - 2 - left[i][j])
+            bound = 2 * _cell_bound(n) + (g + 1) * (n - 2)
+            for count, _ in _segment_vertices(i, j, *tables):
+                assert 2 * count <= bound
+                tight += 2 * count == bound
+    assert tight >= 5
+
+
+def test_max_depth_report_equals_the_exhaustive_one():
+    # the angular re-check and the witnesses listed up to the limit give
+    # depth_naive's report, but for its method; a count the walk got wrong
+    # is an InternalError
+    sets = [TRI, SQUARE, HEXAGON, CONCURRENT, SHARED_FLOAT] + [
+        random_point_set(n, 4040 + n, near_convex=n % 2 == 1) for n in range(5, 21, 3)]
+    for ps in sets:
+        for limit in (-1, 0, 3, 10):
+            q, rep = max_depth_point(ps, witness_limit=limit)
+            assert rep == replace(depth_naive(q, ps, witness_limit=limit),
+                                  method="candidate_scan")
+            assert len(rep.witnesses) == min(max(limit, 0), rep.count)
+        with pytest.raises(InternalError):
+            _checked_max(ps, (rep.count + 1, homog(q)), 0)
 
 
 def test_capped_walks_skip_segments_and_keep_the_best(monkeypatch):
@@ -635,10 +719,11 @@ def test_orientation_table_entries_stay_small():
     assert widest.bit_length() <= sum(longest[:3]) + 3
 
 
-def test_general_position_gate_reads_the_orientation_table():
+def test_general_position_gate_reads_the_left_table():
     # a tiny coordinate grid forces collinear triples and coincident points;
-    # the table's verdict agrees with general_position_report, and a rejected
-    # set carries exactly the report's located violations
+    # the verdict of the left table's side counts agrees with
+    # general_position_report, and a rejected set carries exactly the
+    # report's located violations
     rng = random.Random(505)
     rejected = 0
     for _ in range(300):
@@ -646,8 +731,8 @@ def test_general_position_gate_reads_the_orientation_table():
         ps = LabeledPointSet(tuple(Point(rng.randrange(4), rng.randrange(4))
                                    for _ in range(n)))
         violations = general_position_report(ps.points)
-        orient = _walk_tables([homog(p) for p in ps.points])[1]
-        assert _general_position(orient) == (not violations)
+        left = _walk_tables([homog(p) for p in ps.points])[2]
+        assert _general_position(left) == (not violations)
         if violations:
             rejected += 1
             with pytest.raises(DegeneracyError) as err:
