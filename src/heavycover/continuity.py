@@ -171,8 +171,8 @@ def continuity_demo(path: MotionPath, k: int, tau, jump_threshold=Fraction(1, 2)
 
     At every non-degenerate sample one walk of the segment arrangement (its
     counts read off the orientation table, then integer steps) gives both the
-    argmax, as ``max_depth_point`` finds it and re-checks it by an angular
-    count, and the witness (lexicographically least point of depth >= tau * C(n, 3)), as
+    argmax, as ``max_depth_point`` finds it and re-checks it exhaustively, and
+    the witness (lexicographically least point of depth >= tau * C(n, 3)), as
     ``heavy_region_witness`` finds it. Jumps of the argmax are recorded as events
     while the witness chain documents that the heavy region itself persists.
     A jump is flagged when the argmax moves farther (in max-coordinate

@@ -23,18 +23,17 @@ so far. The first bound is O(1) per segment: no point off every segment
 lies in more than D(n) triangles, about n^3/24 (Boros & Furedi, Geom.
 Dedicata 1984), and averaging over a small circle around a crossing of g + 1
 segments, each the edge of n - 2 triangles that hold half the circle, gives
-that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``). The
-winner is re-counted by one angular count, which reads neither the walk nor
-its table. The n data-point counts and every segment's start count are read
-off the walk's orientation table, so the walk makes no angular sort. The
-table holds one determinant per triple, C(n, 3) in all, on each point's own
-homogeneous coordinates with no common denominator, so its entries stay as
-long as a few coordinates even when the points' denominators all differ; a
-zero among them lowers a pair's count of points on either side, which fails
-the general-position gate. One function, ``_segment_walk``, steps a
-segment's crossings: they are sorted by one correctly rounded float each,
-and only a segment on which two crossings round to one float is sorted by
-exact fractions instead.
+that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``). The n
+data-point counts and every segment's start count are read off the walk's
+orientation table, so the walk makes no angular sort. The table holds one
+determinant per triple, C(n, 3) in all, on each point's own homogeneous
+coordinates with no common denominator, so its entries stay as long as a
+few coordinates even when the points' denominators all differ; a zero among
+them lowers a pair's count of points on either side, which fails the
+general-position gate. One function, ``_segment_walk``, steps a segment's
+crossings: they are sorted by one correctly rounded float each, and only a
+segment on which two crossings round to one float is sorted by exact
+fractions instead.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
@@ -213,19 +212,29 @@ def _planar_hits(qh, pts_h, triples):
     triples into the planar homogeneous points ``pts_h``, that contains q.
 
     One table per query: T[i][j] = det(q, p_i, p_j) = (q x p_i) . p_j, three
-    multiplies an entry over the 2x2 minors q x p_i. Kept as sign bits (1 for
-    > 0, 2 for < 0), since only signs decide. A triangle (i, j, k), in any
-    vertex order, has barycentric numerators b = (T[j][k], T[k][i], T[i][j]):
-    it is OUTSIDE when one b is > 0 and another < 0, and INTERIOR when all
-    three are nonzero and agree. By w_q * det(p_i, p_j, p_k) = b0*w_i + b1*w_j
-    + b2*w_k with every w > 0, the triangle's own orientation is nonzero when
+    multiplies an entry over the 2x2 minors q x p_i, computed for i < j only
+    since T[j][i] = -T[i][j]. Kept as sign bits (1 for > 0, 2 for < 0),
+    since only signs decide. A triangle (i, j, k), in any vertex order, has
+    barycentric numerators b = (T[j][k], T[k][i], T[i][j]): it is OUTSIDE
+    when one b is > 0 and another < 0, and INTERIOR when all three are
+    nonzero and agree. By w_q * det(p_i, p_j, p_k) = b0*w_i + b1*w_j +
+    b2*w_k with every w > 0, the triangle's own orientation is nonzero when
     the b agree and one is nonzero (q is then on its boundary), and zero when
     all b are zero: a flat triangle with q on its line, which keeps the exact
     ``_in_closed_hull`` test."""
     qx, qy, qw = qh
-    minors = [(qy * w - qw * y, qw * x - qx * w, qx * y - qy * x) for x, y, w in pts_h]
-    table = [[a * x + b * y + c * w for x, y, w in pts_h] for a, b, c in minors]
-    signs = [[(t > 0) | (t < 0) << 1 for t in row] for row in table]
+    n = len(pts_h)
+    signs = [[0] * n for _ in pts_h]
+    for i, (x, y, w) in enumerate(pts_h):
+        a, b, c = qy * w - qw * y, qw * x - qx * w, qx * y - qy * x
+        row = signs[i]
+        for j in range(i + 1, n):
+            xj, yj, wj = pts_h[j]
+            t = a * xj + b * yj + c * wj
+            if t > 0:
+                row[j], signs[j][i] = 1, 2
+            elif t < 0:
+                row[j], signs[j][i] = 2, 1
     q = None
     for idx in triples:
         i, j, k = idx
@@ -580,26 +589,25 @@ def _walk_tables(pts):
     is computed once per triple a < b < c, C(n, 3) in all, and written with
     its sign into the six slots of the triple (zero where two indices meet).
     Each is xa*(yb*wc - wb*yc) - ya*(xb*wc - wb*xc) + wa*(xb*yc - yb*xc),
-    three multiplies over three n x n tables of 2x2 minors, so an entry is
-    about as long as three coordinates together.
+    three multiplies over the three 2x2 minors of the pair b < c, kept as
+    one triple per pair, so an entry is about as long as three coordinates
+    together.
 
     In general position a triangle without vertex i misses p_i iff, for
     exactly one of its vertices k, the other two lie left of p_i -> p_k, so
     depth(p_i) = C(n-1, 2) + C(n-1, 3) - sum over k of C(left[i][k], 2): the
     ``depth_planar_sweep`` identity read off the table, with no sort."""
     n = len(pts)
-    mxy = [[xb * yc - yb * xc for xc, yc, _ in pts] for xb, yb, _ in pts]
-    mxw = [[xb * wc - wb * xc for xc, _, wc in pts] for xb, _, wb in pts]
-    myw = [[yb * wc - wb * yc for _, yc, wc in pts] for _, yb, wb in pts]
+    minors = [[(yb * wc - wb * yc, xb * wc - wb * xc, xb * yc - yb * xc)
+               for xc, yc, wc in pts[b + 1:]] for b, (xb, yb, wb) in enumerate(pts)]
     orient = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a, (xa, ya, wa) in enumerate(pts):
         oa = orient[a]
         for b in range(a + 1, n):
             oab, ob = oa[b], orient[b]
             oba = ob[a]
-            ryw, rxw, rxy = myw[b], mxw[b], mxy[b]
-            for c in range(b + 1, n):
-                d = xa * ryw[c] - ya * rxw[c] + wa * rxy[c]
+            for c, (myw, mxw, mxy) in enumerate(minors[b], b + 1):
+                d = xa * myw - ya * mxw + wa * mxy
                 oc = orient[c]
                 oab[c] = ob[c][a] = oc[a][b] = d
                 oba[c] = oa[c][b] = oc[b][a] = -d
@@ -881,23 +889,15 @@ def _walk_scan(pset: LabeledPointSet, caps):
 
 
 def _checked_max(pset: LabeledPointSet, best, witness_limit):
-    """The walk's best (count, key) as a point with its ``DepthReport``,
-    re-derived by one angular count (``depth_planar_sweep``), which reads
-    neither the walk nor its orientation table; InternalError when the two
-    counts differ. The witnesses are the first ``witness_limit`` triangles
-    holding the point in combination order, as ``depth_naive`` lists them,
-    enumerated only until the limit is reached, so the report equals
-    ``depth_naive``'s but for its method."""
+    """The walk's best (count, key) as a point with its exhaustive
+    ``DepthReport``; InternalError when the two counts differ."""
     best_count, key = best
     q = dehomog(key)
-    report = depth_planar_sweep(q, pset)
+    report = depth_naive(q, pset, witness_limit=witness_limit)
     if report.count != best_count:
         raise InternalError(
-            f"segment walk count {best_count} != angular count {report.count}")
-    hits = _planar_hits(homog(q), [homog(p) for p in pset.points],
-                        itertools.combinations(range(pset.n), 3))
-    witnesses = tuple(idx for idx, _ in itertools.islice(hits, max(witness_limit, 0)))
-    return q, replace(report, witnesses=witnesses, method="candidate_scan")
+            f"segment walk count {best_count} != exhaustive count {report.count}")
+    return q, replace(report, method="candidate_scan")
 
 
 def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
@@ -921,9 +921,7 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     crossing halves each of its (g + 1)(n - 2) edge triangles
     (``_cell_bound``). Only then come one integer pass and the float pass.
     Ties break toward the lexicographically smallest point. The winner's count
-    is re-derived by an O(n log n) angular count that reads neither the walk
-    nor its table, and its witnesses are the first ``witness_limit``
-    triangles holding it, as ``depth_naive`` lists them (``_checked_max``).
+    is re-derived by exhaustive enumeration as an internal consistency check.
     ``threads`` is ignored; it stays only because the benchmark's workloads
     pass it.
     """

@@ -2,10 +2,10 @@
 
 Every quantitative claim the library makes is re-checked here: oracle
 equivalences between independent counting routes, the 2/9 selection and dual
-bounds with their small-n slack, the primal searches' winners against a
-scan that reads no walk, the tangent-family tightness, the per-line cut
-identity, exposure semantics, transversal floors, heavy-region persistence
-along motions, and byte-level determinism of this very battery.
+bounds with their small-n slack, the primal maximum against a scan that
+reads no walk, the tangent-family tightness, the per-line cut identity,
+exposure semantics, transversal floors, heavy-region persistence along
+motions, and byte-level determinism of this very battery.
 
 The same functions back both tests/test_acceptance.py and the ``verify`` CLI
 subcommand. All report values are exact (rationals serialize as "p/q"), so
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
-from .continuity import MotionPath, continuity_demo, heavy_region_witness
+from .continuity import MotionPath, continuity_demo
 from .datasets import (
     emit_dataset,
     generate,
@@ -176,14 +175,11 @@ def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
 # ---------------------------------------------------------------------------
 
 def check_primal_maximality(seed, trials=50):
-    """max_depth_point and heavy_region_witness at tau = 1/5 equal the
-    lexicographically least best point of closed_depth_count over every
-    candidate_vertices point, on 2 * trials seeded box and near-convex sets
-    at n = 5..10; a walk that skips a segment it should walk shows here.
-    At these sizes every data point has depth C(n - 1, 2) >= C(n, 3) / 5, so
-    the witness at tau = 1/5 is the least data point, and only the maxima
-    can be crossings (``crossing_maxima`` counts them)."""
-    tau = Fraction(1, 5)
+    """max_depth_point equals the lexicographically least best point of
+    closed_depth_count over every candidate_vertices point, on 2 * trials
+    seeded box and near-convex sets at n = 5..10; a walk that skips a
+    segment it should walk shows here whenever the maximum is a crossing
+    (``crossing_maxima`` counts those sets)."""
     failures = []
     crossing_maxima = 0
     for t in range(2 * trials):
@@ -191,25 +187,19 @@ def check_primal_maximality(seed, trials=50):
         ps = random_point_set(n, seed * 9403 + t, near_convex=t % 2 == 1)
         counts = {q: closed_depth_count(q, ps.points) for q in candidate_vertices(ps).points}
         top = max(counts.values())
-        cap = math.ceil(tau * math.comb(n, 3))
         expected = min((q for q, c in counts.items() if c == top), key=lambda q: q.coords)
         q, rep = max_depth_point(ps, witness_limit=0)
         if (q, rep.count) != (expected, top):
             failures.append(f"trial {t} (n={n}): max_depth_point {point_json(q)} count "
                             f"{rep.count} != scan {point_json(expected)} count {top}")
         crossing_maxima += expected not in ps.points
-        heavy = [q for q, c in counts.items() if c >= cap]
-        least = min(heavy, key=lambda q: q.coords) if heavy else None
-        witness = heavy_region_witness(ps, tau)
-        if witness != (None if least is None else (least, counts[least])):
-            failures.append(f"trial {t} (n={n}): witness {witness} != scan {least}")
     return _check(
         "primal_maximality",
-        "max_depth_point and heavy_region_witness equal the lexicographically "
-        "least best point of a closed count at every line-arrangement vertex",
+        "max_depth_point equals the lexicographically least best point of a "
+        "closed count at every line-arrangement vertex",
         failures,
         2 * trials,
-        tau=frac(tau), crossing_maxima=crossing_maxima)
+        crossing_maxima=crossing_maxima)
 
 
 # ---------------------------------------------------------------------------

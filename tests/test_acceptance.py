@@ -115,9 +115,9 @@ def test_criterion_9_determinism():
 
 
 def test_primal_maximality_fails_a_walk_that_skips_every_segment(monkeypatch):
-    # the primal searches equal the scan of every line-arrangement vertex on
-    # 10 seeded sets at n = 5..9, some with a crossing for maximum; a walk
-    # that skips every segment it is given a floor for returns the best data
+    # max_depth_point equals the scan of every line-arrangement vertex on 10
+    # seeded sets at n = 5..9, some with a crossing for maximum; a walk that
+    # skips every segment it is given a floor for returns the best data
     # point there, and the check must fail on each of them
     check = check_primal_maximality(SEED, trials=5)
     assert check["details"]["crossing_maxima"] >= 1

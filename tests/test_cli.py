@@ -421,7 +421,7 @@ def test_verify_command_smoke(tmp_path, capsys):
     assert len(report["checks"]) == 11
     # the same bytes on Python 3.11, 3.12 and 3.13
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "45f5fb8799eed49d5887d967279ce0fd2d7ccc909f380e130c94ca86ac32c735"
+        "61e00386f0334a318f9b39fe1d88db4ca0d5426f110e62a50cd5e45e15886acd"
 
 
 # sha256 of the canonical --out JSON of fixed-seed runs; any change to a
