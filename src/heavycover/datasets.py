@@ -258,14 +258,29 @@ def colored_point_set(n, seed, classes=3) -> LabeledPointSet:
     return LabeledPointSet(base.points, colors=colors, provenance=base.provenance)
 
 
-def random_line_family(n, seed, coeff_span=12) -> LineFamily:
+LINE_COEFF_SPAN = 12  # normals of random lines lie in [-span, span]^2
+
+
+def random_line_coeffs(rng, span=LINE_COEFF_SPAN) -> tuple:
+    """One line drawn from ``rng`` as ``random_line_family`` draws each of
+    its lines: a nonzero normal (a, b) from [-span, span]^2 through the
+    jittered anchor (X/D, Y/D), D = 9973, in [-6, 6]^2, as the reduced
+    integer triple (``_reduce_line``) of (a·D, b·D, a·X + b·Y)."""
+    a = b = 0
+    while a == 0 and b == 0:
+        a = rng.randrange(-span, span + 1)
+        b = rng.randrange(-span, span + 1)
+    x, y = _rand_numerator(rng, 6), _rand_numerator(rng, 6)
+    return _reduce_line(a * _DENOM, b * _DENOM, a * x + b * y)
+
+
+def random_line_family(n, seed, coeff_span=LINE_COEFF_SPAN) -> LineFamily:
     """Seeded general-position line family: random integer normals through
     jittered rational anchor points.
 
-    The line with normal (a, b) through the anchor (X/D, Y/D), D = 9973, is
-    built from its integer triple (a·D, b·D, a·X + b·Y), reduced
-    (``_reduce_line``), so the family's ``coeffs`` are the drawn integers
-    and no ``Fraction`` is converted back.
+    Each line is drawn as its reduced integer triple (``random_line_coeffs``),
+    so the family's ``coeffs`` are the drawn integers and no ``Fraction`` is
+    converted back.
 
     The first ``MAX_RETRIES`` draws take normals from [-coeff_span,
     coeff_span]^2. From about n = 28 at the default span two of them are
@@ -278,15 +293,7 @@ def random_line_family(n, seed, coeff_span=12) -> LineFamily:
     for doublings in range(LINE_SPAN_DOUBLINGS + 1):
         span = coeff_span << doublings
         for _ in range(MAX_RETRIES):
-            draws = []
-            for _ in range(n):
-                a = b = 0
-                while a == 0 and b == 0:
-                    a = rng.randrange(-span, span + 1)
-                    b = rng.randrange(-span, span + 1)
-                draws.append((a, b, _rand_numerator(rng, 6), _rand_numerator(rng, 6)))
-            coeffs = [_reduce_line(a * _DENOM, b * _DENOM, a * x + b * y)
-                      for a, b, x, y in draws]
+            coeffs = [random_line_coeffs(rng, span) for _ in range(n)]
             if len(set(coeffs)) < n:
                 continue  # reduced triples are canonical: a coincident pair
             family = LineFamily(tuple(map(_line_from_coeffs, coeffs)),

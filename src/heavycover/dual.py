@@ -527,41 +527,37 @@ def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
     coeffs = family.coeffs
     if family.parallel_pair:
         raise DegeneracyError("parallel lines in the family")
-    qh = homog(q)
-    qx, qy, qw = qh
+    qx, qy, qw = homog(q)
     for a, b, c in coeffs:
         if a * qx + b * qy == c * qw:
             raise DegeneracyError("query point lies on a line")
     ai, bi, ci = coeffs[i]
     # boundary of H: the parallel of line i through q; tau = side of line i
-    boundary = (ai * qw, bi * qw, ai * qx + bi * qy)
+    level = ai * qx + bi * qy
+    boundary = (ai * qw, bi * qw, level)
     g = gcd(gcd(abs(boundary[0]), abs(boundary[1])), abs(boundary[2]))
     boundary = tuple(v // g for v in boundary)
-    tau = 1 if ci * qw - (ai * qx + bi * qy) > 0 else -1
-
-    def side_of_boundary(z):
-        zx, zy, zw = z
-        val = (ai * zx + bi * zy) * qw - (ai * qx + bi * qy) * zw
-        return (val > 0) - (val < 0)
-
-    def along(z):
-        zx, zy, zw = z
-        return Fraction(-bi * zx + ai * zy, zw)
-
-    crossings = {}
-    for j in range(n):
-        if j == i:
-            continue
-        crossings[j] = intersect_lines_homog(boundary, coeffs[j])
-    s_q = along(qh)
-    count = 0
+    tau = 1 if ci * qw - level > 0 else -1
+    # the position of z = (x, y, w) along the boundary is (-bi·x + ai·y) / w.
+    # Each crossing's is compared with q's once, by cross-multiplication
+    # (every w is positive), and the closed interval between the crossings
+    # of lines j and k holds q's position iff their two signs differ or one
+    # is zero
+    along_q = -bi * qx + ai * qy
     others = [j for j in range(n) if j != i]
+    where = [0] * n
+    for j in others:
+        x, y, w = intersect_lines_homog(boundary, coeffs[j])
+        d = (-bi * x + ai * y) * qw - along_q * w
+        where[j] = (d > 0) - (d < 0)
+    count = 0
     for j, k in itertools.combinations(others, 2):
-        v = intersect_lines_homog(coeffs[j], coeffs[k])
-        if side_of_boundary(v) != -tau:
-            continue  # apex not strictly inside H (away side)
-        s_j, s_k = along(crossings[j]), along(crossings[k])
-        if min(s_j, s_k) <= s_q <= max(s_j, s_k):
+        if where[j] * where[k] > 0:
+            continue
+        # the apex v_jk must lie strictly inside H, on the side away from
+        # line i: (ai·x + bi·y)·qw − level·w of sign −tau
+        x, y, w = intersect_lines_homog(coeffs[j], coeffs[k])
+        if ((ai * x + bi * y) * qw - level * w) * tau < 0:
             count += 1
     return count
 

@@ -8,9 +8,11 @@ On integers: ``orientation``, ``point_in_simplex`` (``_simplex_verdict``),
 ``segment_crosses_ray``, ``general_position_report`` (in the plane, one
 2x2-minor line per pair and one dot product per triple) and
 ``_line_violations`` (on the reduced lines of ``line_coeffs_int``), with the
-line helpers ``intersect_lines_homog`` and ``line_through_homog``. On
-``Fraction``s: ``Hyperplane.side``, ``project_onto_hyperplane``,
-``_solve_exact`` and the flat-simplex hull test.
+line helpers ``intersect_lines_homog`` and ``line_through_homog``, and
+``_solve_exact``, fraction-free elimination on rows cleared of denominators
+that makes one ``Fraction`` per solution entry. On ``Fraction``s:
+``Hyperplane.side``, ``project_onto_hyperplane`` and the flat-simplex hull
+test, which solves through ``_solve_exact``.
 
 Each object caches its integer form on first use, so a conversion happens
 once per object: ``Point._homog`` (``homog``) and ``Hyperplane._coeffs``
@@ -316,22 +318,40 @@ def _solve_exact(a_rows, b_col):
     """Solve A x = b exactly over the rationals.
 
     Returns ("unique", xs), ("inconsistent", None), or ("underdetermined", None).
+
+    Each row of [A | b] is scaled by the least common multiple of its
+    denominators to integers, and fraction-free Gauss–Jordan elimination
+    (Bareiss, Math. Comp. 22, 1968) runs on them: a step with pivot p over
+    the previous pivot p' sets every other row to (p·row − f·pivot row) / p',
+    an exact integer division, so after the last step each pivot row reads
+    d·x_c = its right-hand side, with d the last pivot. The only
+    ``Fraction``s are the n entries of the solution.
     """
-    rows = [list(r) + [bv] for r, bv in zip(a_rows, b_col)]
+    rows = []
+    for r, bv in zip(a_rows, b_col):
+        row = [*r, bv]
+        w = 1
+        for v in row:
+            den = v.denominator
+            w = w * den // gcd(w, den)
+        rows.append([v.numerator * (w // v.denominator) for v in row])
     nrows = len(rows)
     ncols = len(a_rows[0]) if nrows else 0
     pivots = []
     r = 0
+    prev = 1
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -341,9 +361,9 @@ def _solve_exact(a_rows, b_col):
             return ("inconsistent", None)
     if len(pivots) < ncols:
         return ("underdetermined", None)
-    xs = [Fraction(0)] * ncols
+    xs = [None] * ncols
     for i, c in enumerate(pivots):
-        xs[c] = rows[i][-1]
+        xs[c] = Fraction(rows[i][-1], prev)
     return ("unique", xs)
 
 
@@ -537,15 +557,22 @@ def _reduce_line(a, b, c) -> tuple:
     return (a, b, c)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _line_from_coeffs(coeffs) -> Hyperplane:
     """The canonical ``Hyperplane`` of a reduced integer line (a, b, c), as
     ``_reduce_line`` gives it, with ``coeffs`` cached: one exact division of
-    each entry by the lead coefficient, and no ``line_coeffs_int`` work."""
+    each entry after the lead coefficient by it, whose own entry is 1, and
+    no ``line_coeffs_int`` work."""
     a, b, c = coeffs
-    lead = a or b
     h = object.__new__(Hyperplane)
-    object.__setattr__(h, "normal", (Fraction(a, lead), Fraction(b, lead)))
-    object.__setattr__(h, "offset", Fraction(c, lead))
+    if a:
+        object.__setattr__(h, "normal", (_ONE, Fraction(b, a)))
+        object.__setattr__(h, "offset", Fraction(c, a))
+    else:
+        object.__setattr__(h, "normal", (_ZERO, _ONE))
+        object.__setattr__(h, "offset", Fraction(c, b))
     object.__setattr__(h, "_coeffs", coeffs)
     return h
 

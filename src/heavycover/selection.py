@@ -23,7 +23,9 @@ so far. The first bound is O(1) per segment: no point off every segment
 lies in more than D(n) triangles, about n^3/24 (Boros & Furedi, Geom.
 Dedicata 1984), and averaging over a small circle around a crossing of g + 1
 segments, each the edge of n - 2 triangles that hold half the circle, gives
-that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``). The n
+that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``); with
+g <= min(L, R) for the L and R points on either side, the search reads that
+test off the ``left`` table before it calls the walk (``_cell_reach``). The n
 data-point counts and every segment's start count are read off the walk's
 orientation table, so the walk makes no angular sort. The table holds one
 determinant per triple, C(n, 3) in all, on each point's own homogeneous
@@ -644,6 +646,17 @@ def _cell_bound(n):
     return math.comb(n, 3) - (n - r) * math.comb(h, 2) - r * math.comb(h + 1, 2)
 
 
+def _cell_reach(n, floor):
+    """The least min(L, R), for a segment with L and R points on either
+    side, at which the cell bound lets a crossing on it reach ``floor``. A
+    crossing of g + 1 segments, g <= min(L, R), counts at most
+    D(n) + (g + 1)(n - 2)/2 (``_cell_bound``, ``_segment_walk``), so a
+    segment with min(L, R) below ceil(2(floor - D(n)) / (n - 2)) - 1 has no
+    crossing at ``floor``. The one form of the cell test, shared by
+    ``_segment_walk`` and the rows of ``_walk_scan``. Needs n >= 3."""
+    return -(2 * (_cell_bound(n) - floor) // (n - 2)) - 1
+
+
 def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     """The walk of the open segment p_i p_j: (start, counts, crossings), the
     closed depth just past p_i, the closed depth at each proper crossing in
@@ -691,7 +704,9 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     of the segment, g <= min(L, R): two segments through one point of
     p_i p_j share no endpoint, or three points would be collinear. The cell
     test reads L = left[i][j] alone and skips, before anything else, when
-    2 * (D(n) - floor) + (min(L, R) + 1) * (n - 2) < 0.
+    2 * (D(n) - floor) + (min(L, R) + 1) * (n - 2) < 0, that is when
+    min(L, R) is below ``_cell_reach(n, floor)``; ``_walk_scan`` makes the
+    same test on the row before it calls the walk.
 
     Where it cannot, let E be the start count plus every positive step
     2 * far - (n - 2); E bounds each open edge's count (``_edge_bound``),
@@ -705,7 +720,7 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     n = len(pts)
     if floor is not None:
         on_left = left[i][j]
-        if 2 * (_cell_bound(n) - floor) + (min(on_left, n - 2 - on_left) + 1) * (n - 2) < 0:
+        if min(on_left, n - 2 - on_left) < _cell_reach(n, floor):
             return None
     oi, oj = orient[i], orient[j]
     side = oi[j]
@@ -852,8 +867,12 @@ def _walk_scan(pset: LabeledPointSet, caps):
     After the data points, each segment is walked from its lexicographically
     smaller end p_i, in lexicographic order of p_i, when its exact bound
     reaches the floor, the lowest best among the searches still open
-    (``_segment_walk``). A search at its cap closes once p_i is not before
-    its best, since its crossings all lie after p_i."""
+    (``_segment_walk``). The O(1) cell test runs on the row first: the
+    segment p_i p_j is handed to the walk only when left[i][j] and the
+    n - 2 - left[i][j] points on its other side both reach
+    ``_cell_reach(n, floor)``, recomputed whenever the floor rises. A search
+    at its cap closes once p_i is not before its best, since its crossings
+    all lie after p_i."""
     tables = _walk_tables([homog(p) for p in pset.points])
     if not _general_position(tables[2]):
         violations = general_position_report(pset.points)
@@ -862,6 +881,7 @@ def _walk_scan(pset: LabeledPointSet, caps):
     pts, depth = tables[0], tables[-1]
     order = sorted(range(len(pts)), key=cmp_to_key(lambda k, m: _homog_lex_cmp(pts[k], pts[m])))
     bests = _scan(zip(depth, pts), caps)
+    n, left = len(pts), tables[2]
     stop = 0
     for a, i in enumerate(order):
         if a >= stop:
@@ -871,8 +891,12 @@ def _walk_scan(pset: LabeledPointSet, caps):
                 break
             stop = min(ends[s] for s in live)
             floor = min(bests[s][0] for s in live)
-        pi = pts[i]
+            reach = _cell_reach(n, floor)
+        pi, row = pts[i], left[i]
         for j in order[a + 1:]:
+            # _segment_walk's cell test, read off the row before the call
+            if not reach <= row[j] <= n - 2 - reach:
+                continue
             walk = _segment_walk(i, j, *tables, floor)
             if walk is None or not walk[1]:
                 continue
@@ -884,7 +908,9 @@ def _walk_scan(pset: LabeledPointSet, caps):
                     if _better(score, key, *bests[s]):
                         bests[s] = (score, key)
                         stop = a + 1
-            floor = min(bests[s][0] for s in live)
+            low = min(bests[s][0] for s in live)
+            if low != floor:
+                floor, reach = low, _cell_reach(n, low)
     return tables, bests
 
 

@@ -10,6 +10,11 @@ motions, and byte-level determinism of this very battery.
 The same functions back both tests/test_acceptance.py and the ``verify`` CLI
 subcommand. All report values are exact (rationals serialize as "p/q"), so
 reports are byte-comparable across runs.
+
+The inner loops build only what their oracles read. The surround loop draws
+its line triples as integers from one seeded stream (``_surround_triple``)
+and makes ``Hyperplane``s only for the two surround tests; the exposure
+check builds each sampled direction's ``Point`` once for all pairs of feet.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .datasets import (
     emit_dataset,
     generate,
     parse_dataset,
+    random_line_coeffs,
     random_line_family,
     random_motion_path,
     random_point_set,
@@ -47,8 +53,10 @@ from .errors import DegeneracyError
 from .exactgeom import (
     Hyperplane,
     Point,
+    _line_from_coeffs,
     _solve_exact,
     homog,
+    intersect_lines_homog,
     orientation,
     point_in_simplex,
     project_onto_hyperplane,
@@ -91,6 +99,22 @@ def _rand_query(rng, span=6, denom=11):
                  Fraction(rng.randrange(-span * denom, span * denom + 1), denom))
 
 
+def _surround_triple(rng):
+    """Three integer lines in general position, each drawn from ``rng`` as
+    ``random_line_family`` draws a line at its first span
+    (``random_line_coeffs``). A triple with a parallel pair (coincident lines
+    are parallel too) or with the third line through the first two's
+    crossing is drawn again, so the triples have the distribution of
+    ``random_line_family(3, ·)``, with no ``LineFamily`` built."""
+    while True:
+        first, second, third = (random_line_coeffs(rng) for _ in range(3))
+        x, y, w = intersect_lines_homog(first, second)
+        a, b, c = third
+        if (w and a * first[1] != first[0] * b and a * second[1] != second[0] * b
+                and a * x + b * y != c * w):
+            return [first, second, third]
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: oracle equivalence, exact
 # ---------------------------------------------------------------------------
@@ -98,7 +122,10 @@ def _rand_query(rng, span=6, denom=11):
 def check_oracle_equivalence(seed, planar_sets=200, dual_sets=200, triples=10_000):
     """depth_planar_sweep == depth_naive and dual_depth_fast ==
     dual_depth_naive on (count, strict_count), surround_projection ==
-    surround_direct; zero mismatches allowed."""
+    surround_direct; zero mismatches allowed. The surround triples come from
+    one stream seeded at seed * 4001 (``_surround_triple``), each with a
+    query from the check's query stream; a query on one of its lines is
+    drawn again with a new triple."""
     rng = random.Random(seed * 11 + 1)
     failures = []
     for t in range(planar_sets):
@@ -119,15 +146,17 @@ def check_oracle_equivalence(seed, planar_sets=200, dual_sets=200, triples=10_00
         if (a.count, a.strict_count) != (b.count, b.strict_count):
             failures.append(f"dual trial {t}: fast {a.count} (strict {a.strict_count}) "
                             f"!= naive {b.count} (strict {b.strict_count})")
+    line_rng = random.Random(seed * 4001)
     done = 0
     t = 0
     while done < triples:
-        fam = random_line_family(3, seed * 4001 + t)
+        coeffs = _surround_triple(line_rng)
         q = _rand_query(rng)
         t += 1
-        if 0 in _sides(homog(q), fam.coeffs):
+        if 0 in _sides(homog(q), coeffs):
             continue
-        if surround_projection(q, fam.lines) != surround_direct(q, fam.lines):
+        lines = [_line_from_coeffs(c) for c in coeffs]
+        if surround_projection(q, lines) != surround_direct(q, lines):
             failures.append(f"surround triple {t}: projection != direct at {point_json(q)}")
         done += 1
     return _check(
@@ -336,9 +365,10 @@ def check_exposure_semantics(seed, trials=50):
         feet = [project_onto_hyperplane(q, h) for h in fam.lines]
         for i in range(profile.n_arcs):
             for d in profile.directions_inside_arc(i, count=3):
+                ray = Point(*d)
                 crossings = sum(
                     1 for a, b in itertools.combinations(feet, 2)
-                    if segment_crosses_ray(a, b, q, Point(*d)))
+                    if segment_crosses_ray(a, b, q, ray))
                 if crossings != profile.arc_counts[i]:
                     failures.append(
                         f"trial {t} arc {i} dir {d}: enumeration {crossings} != "

@@ -6,10 +6,15 @@ The check engines live in heavycover.verification and also back the
 frozen acceptance values, not tunables.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 from heavycover import selection, verification
+from heavycover.datasets import random_line_family
+from heavycover.exactgeom import _line_violations
 from heavycover.verification import (
+    _surround_triple,
     check_base_cut_identity,
     check_continuity,
     check_determinism,
@@ -131,6 +136,42 @@ def test_primal_maximality_fails_a_walk_that_skips_every_segment(monkeypatch):
     check = check_primal_maximality(SEED, trials=5)
     assert not check["passed"]
     assert len(check["failures"]) == check["details"]["crossing_maxima"]
+
+
+def test_surround_triples_are_in_general_position():
+    # every triple of the surround loop has no parallel pair and no common
+    # point, and its lines are random_line_family(3, seed)'s: a fresh stream
+    # at that seed draws and rejects exactly as the family's first round does
+    for seed in range(300):
+        rng = random.Random(seed)
+        first = _surround_triple(rng)
+        assert first == list(random_line_family(3, seed).coeffs)
+        for coeffs in [first] + [_surround_triple(rng) for _ in range(9)]:
+            assert all(a1 * b2 != a2 * b1
+                       for (a1, b1, _), (a2, b2, _) in itertools.combinations(coeffs, 2))
+            assert _line_violations(coeffs) == []
+
+
+def test_oracle_equivalence_fails_a_flipped_surround_verdict(monkeypatch):
+    # a projection route that calls every 7th surrounded triple unsurrounded
+    # must fail the surround loop, once per flipped verdict
+    check = check_oracle_equivalence(SEED, planar_sets=0, dual_sets=0, triples=500)
+    assert check["passed"]
+    surrounded = [0]
+
+    def flip_every_seventh(q, lines):
+        verdict = projection(q, lines)
+        if verdict:
+            surrounded[0] += 1
+            return surrounded[0] % 7 != 0
+        return verdict
+
+    projection = verification.surround_projection
+    monkeypatch.setattr(verification, "surround_projection", flip_every_seventh)
+    check = check_oracle_equivalence(SEED, planar_sets=0, dual_sets=0, triples=500)
+    assert not check["passed"]
+    assert surrounded[0] >= 7
+    assert len(check["failures"]) == min(20, surrounded[0] // 7)
 
 
 def test_determinism_check_fails_a_differing_rerun(monkeypatch):

@@ -572,6 +572,37 @@ def test_base_cut_identity_seeded():
         assert total == dual_depth_naive(q, fam).count
 
 
+def test_base_cut_count_at_tied_boundary_positions():
+    # the count reads each crossing's position along the parallel of line i
+    # through q against q's own, with the closed test min <= s_q <= max. A
+    # query at a crossing's position lies on that crossing's line, where the
+    # count raises; the tie a query can reach is two crossings at one
+    # position, with q on the parallel of line i through the vertex of lines
+    # j and k. There the count must equal the filtered surround_direct count
+    rng = random.Random(32)
+    counts = []
+    for n in range(5, 13):
+        for trial in range(3):
+            fam = random_line_family(n, 3200 + 10 * n + trial)
+            for i, j, k in rng.sample(list(itertools.permutations(range(n), 3)), 4):
+                x, y, w = intersect_lines_homog(fam.coeffs[j], fam.coeffs[k])
+                v = Point(Fraction(x, w), Fraction(y, w))
+                step = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), 8)
+                # q = v moved along line i's direction, and a point of line j
+                q, on_j = (Point(v.x - step * b / (abs(a) + abs(b)),
+                                 v.y + step * a / (abs(a) + abs(b)))
+                           for a, b, _ in (fam.coeffs[i], fam.coeffs[j]))
+                with pytest.raises(DegeneracyError):
+                    base_cut_count(on_j, i, fam)
+                if any(h.contains(q) for h in fam.lines):
+                    continue
+                expected = sum(1 for pair in itertools.combinations(set(range(n)) - {i}, 2)
+                               if surround_direct(q, [fam.lines[m] for m in (i, *pair)]))
+                assert base_cut_count(q, i, fam) == expected
+                counts.append(expected)
+    assert len(counts) >= 80 and sum(c > 0 for c in counts) >= 20
+
+
 def test_exposure_profile_two_line_example():
     profile = exposure_profile(Point(1, 1), LineFamily((Y0, X0)))
     assert profile.pair_total == 1

@@ -13,6 +13,7 @@ from heavycover.exactgeom import (
     Point,
     _line_violations,
     _orientation_homog,
+    _solve_exact,
     general_position_report,
     homog,
     line_coeffs_int,
@@ -502,3 +503,77 @@ def test_line_violations_equal_reference_on_degenerate_families():
             _reference_line_violations(lines)
         kinds.update(kind for kind, _ in report)
     assert kinds == {"parallel", "coincident", "concurrent"}
+
+
+def _fraction_solve(a_rows, b_col):
+    """Gauss–Jordan elimination over ``Fraction``s, kept as the oracle of
+    ``_solve_exact``: each pivot row is divided by its pivot and the pivot
+    column cleared from every other row."""
+    rows = [list(r) + [bv] for r, bv in zip(a_rows, b_col)]
+    nrows = len(rows)
+    ncols = len(a_rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if rows[i][-1] != 0:
+            return ("inconsistent", None)
+    if len(pivots) < ncols:
+        return ("underdetermined", None)
+    xs = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        xs[c] = rows[i][-1]
+    return ("unique", xs)
+
+
+def test_solve_exact_equals_fraction_elimination():
+    # seeded rational systems from 1x1 to 5x5, and with one row or column
+    # more or less, many with a zero row, a row that is a rational multiple
+    # or sum of others (singular), or a right-hand side off the column span
+    # (inconsistent); status and every solution entry must equal the
+    # Fraction oracle's, each entry a Fraction in lowest terms
+    rng = random.Random(32)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 7, 9973)))
+
+    seen = {"unique": 0, "inconsistent": 0, "underdetermined": 0}
+    zero_rows = 0
+    for size in range(1, 6):
+        for nrows, ncols in ((size, size), (size + 1, size), (size, size + 1)):
+            for _ in range(60):
+                a_rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+                b_col = [entry() for _ in range(nrows)]
+                shape = rng.randrange(4)
+                if shape == 1:
+                    a_rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+                elif shape == 2 and nrows > 1:
+                    k = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+                    i, j = rng.sample(range(nrows), 2)
+                    a_rows[j] = [k * v + w for v, w in zip(a_rows[i], a_rows[j - 1])]
+                elif shape == 3 and nrows > 1:
+                    i, j = rng.sample(range(nrows), 2)
+                    a_rows[j] = list(a_rows[i])
+                    b_col[j] = b_col[i] + rng.choice((0, 1))
+                zero_rows += any(not any(r) for r in a_rows)
+                got = _solve_exact(a_rows, b_col)
+                assert got == _fraction_solve(a_rows, b_col), (a_rows, b_col)
+                seen[got[0]] += 1
+                if got[0] == "unique":
+                    assert all(type(x) is Fraction for x in got[1])
+    assert min(seen.values()) >= 20 and zero_rows >= 20

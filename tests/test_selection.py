@@ -617,24 +617,93 @@ def _walked(monkeypatch, ps, caps):
         return _walk_scan(ps, caps)[1], calls
 
 
+def _count_walk_visits(monkeypatch, ps):
+    """The walk tables of ``ps``, the count search's best, and each segment
+    the search visits, in its order (rows by lexicographic order of the
+    smaller end), as (i, j, floor, kind). ``kind`` is "row" for a segment
+    ``_walk_scan`` skips before any ``_segment_walk`` call, "call" for a
+    call that returned None and "walked" for a walk. ``floor`` is the
+    running best when the segment is reached, replayed from the calls: it
+    starts at the best data point's depth, and a walk raises it to its best
+    crossing's count; each segment must be called at most once, and at the
+    replayed floor."""
+    tables = _walk_tables([homog(p) for p in ps.points])
+    calls = {}
+
+    def recorded(i, j, *args):
+        walk = _segment_walk(i, j, *args)
+        assert (i, j) not in calls
+        calls[i, j] = (args[-1], walk)
+        return walk
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selection, "_segment_walk", recorded)
+        [best] = _walk_scan(ps, (None,))[1]
+    order = sorted(range(ps.n), key=lambda k: ps.points[k].coords)
+    floor = max(tables[-1])
+    visits = []
+    for a, i in enumerate(order):
+        for j in order[a + 1:]:
+            if (i, j) not in calls:
+                visits.append((i, j, floor, "row"))
+                continue
+            called_at, walk = calls.pop((i, j))
+            assert called_at == floor
+            visits.append((i, j, floor, "call" if walk is None else "walked"))
+            if walk is not None and walk[1]:
+                floor = max(floor, *walk[1])
+    assert not calls
+    return tables, best, visits
+
+
 def test_count_walk_skips_segments_and_keeps_the_best(monkeypatch):
     # the count search skips every segment whose bound is below the running
-    # best; its best must be that of _scan over every vertex, and some
-    # segments must be skipped, or the bound would go untested
-    skipped = 0
+    # best: the O(1) cell test on the row before any _segment_walk call, or
+    # the call's own bounds. Its best must be that of _scan over every
+    # vertex, walked, call-skipped and row-skipped segments make up all
+    # C(n, 2), and both kinds of skip must happen, or a bound would go
+    # untested
+    skipped = {"row": 0, "call": 0}
     for ps in _skip_test_sets():
-        tables = _walk_tables([homog(p) for p in ps.points])
+        tables, got, visits = _count_walk_visits(monkeypatch, ps)
         [expected] = _scan(_every_vertex_pair(tables))
-        [got], calls = _walked(monkeypatch, ps, (None,))
         assert (got[0], dehomog(got[1])) == (expected[0], dehomog(expected[1]))
-        assert len(calls) == binom(ps.n, 2)
-        skipped += sum(not walked for _, _, walked in calls)
+        kinds = [kind for _, _, _, kind in visits]
+        walked, call_skipped, row_skipped = map(kinds.count, ("walked", "call", "row"))
+        assert walked + call_skipped + row_skipped == binom(ps.n, 2)
+        skipped["row"] += row_skipped
+        skipped["call"] += call_skipped
         # a floor at a segment's own best skips nothing on it
         for i, j in itertools.combinations(range(ps.n), 2):
             walk = _segment_walk(i, j, *tables)
             if walk[1]:
                 assert _segment_walk(i, j, *tables, max(walk[1])) == walk
-    assert skipped > 0
+    assert all(skipped.values())
+
+
+def test_row_filter_skips_exactly_the_cell_test_skips(monkeypatch):
+    # _walk_scan reads _segment_walk's O(1) cell test off the left table
+    # before calling it: at the floor each segment is reached at, the row
+    # skips exactly the segments on which _segment_walk returns None before
+    # its O(L * R) _edge_bound pass
+    passes = [0]
+
+    def counted(*args):
+        passes[0] += 1
+        return edge_bound(*args)
+
+    edge_bound = selection._edge_bound
+    row_skips = 0
+    for ps in _skip_test_sets():
+        tables, _, visits = _count_walk_visits(monkeypatch, ps)
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "_edge_bound", counted)
+            for i, j, floor, kind in visits:
+                before = passes[0]
+                cell_skip = _segment_walk(i, j, *tables, floor) is None and passes[0] == before
+                assert cell_skip == (kind == "row"), (i, j, floor, kind)
+                row_skips += cell_skip
+    assert row_skips > 0
 
 
 def test_every_crossing_is_within_its_cell_bound():
