@@ -23,9 +23,10 @@ each line through q (``selection._strict_surrounding``).
 
 The max searches count by one walk along each line (``_line_walk``), the dual
 twin of the primal segment walk: the closed count at every vertex and the
-strict count of every cell in O(n^2 log n) per family, on tables
-(``_dual_tables``) of the C(n, 2) vertices and each line's vertices sorted
-once, a sort that is also the general-position gate. Each search checks
+strict count of every cell in O(n^2 log n) per family, on integer tables
+(``_dual_tables``) of the C(n, 2) vertices, each line's vertices sorted once
+(a sort that is also the general-position gate) and each line's place and
+sign in the half-turn order, which give every turn sign. Each search checks
 its winner by an angular count that reads neither the half-turn order nor
 the walk (``selection._strict_surrounding``, O(n log n)), so no search does
 O(n^3) work; ``dual_depth_naive`` stays the exhaustive oracle of the tests,
@@ -325,9 +326,11 @@ def _vertex_table(coeffs):
 
 def _dual_tables(family):
     """The shared tables of one dual search: the integer lines, their
-    half-turn order, ``turn[i][k]``, the sign of cross(n_i, n_k), the vertex
-    table (``_vertex_table``) and each line's pairs (x, v), its vertex v with
-    line x, in order along it (``_line_order``).
+    half-turn order, ``(pos, sign)``, each line's place and sign g in it, the
+    vertex table (``_vertex_table``) and each line's pairs (x, v), its vertex
+    v with line x, in order along it (``_line_order``). turn[i][k], the sign
+    of cross(n_i, n_k), is sign[i]·sign[k]·sgn(pos[k] − pos[i]), since each
+    upward normal g·(a, b) has its angle in [0, π) and no two are parallel.
 
     That sort is the general-position gate: two vertices of a line at one
     exact parameter are three concurrent lines, and ``family.parallel_pair``
@@ -343,10 +346,11 @@ def _dual_tables(family):
     if family.parallel_pair or None in lines:
         raise DegeneracyError("line family is not in general position",
                               _line_violations(coeffs))
-    normals = family.normals
-    turn = [[(c > 0) - (c < 0) for c in (_icross(u, v) for v in normals)]
-            for u in normals]
-    return coeffs, family.order, turn, vertices, lines
+    pos, sign = [0] * len(coeffs), [0] * len(coeffs)
+    for p, (i, g) in enumerate(family.order):
+        pos[i] = p
+        sign[i] = g
+    return coeffs, family.order, (pos, sign), vertices, lines
 
 
 def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
@@ -414,11 +418,11 @@ def _line_order(line, crossings):
 
 
 def _line_walk(tables):
-    """(closed, cuts, place) of a family in general position, from its
+    """(closed, gs, fs, place) of a family in general position, from its
     ``_dual_tables``, by one sweep along each line's sorted vertices:
     ``closed[i][k]`` is the closed count at L_i ∩ L_k, ``place[i][k]`` its
-    index along L_i, and ``cuts[i][c]`` the strict counts (side +1, side −1
-    of L_i) beside cut c of L_i, the edge after its first c vertices.
+    index along L_i, and ``gs[i][c]`` and ``fs[i][c]`` the G and F below at
+    cut c of L_i, the edge after its first c vertices.
 
     With m = n − 2, the lines x_0, x_1, … crossing L_k in the tables' order
     along it have angle ranks r(x) = (pos(x) − pos(k)) mod n − 1 against
@@ -430,50 +434,47 @@ def _line_walk(tables):
 
     G, the triples without i surrounding a point of L_i, is 0 before the
     first vertex (far out on that ray) and gains N_after − N_before of L_k at
-    its vertex with L_i, "before" being side turn[i][k]. At that vertex,
-    index t on L_i and t′ on L_k, the closed count is G − N_before plus
-    ``_surrounded_hits``' m corners and t(m − t) + t′(m − t′) edges; at cut c
-    of L_i the strict count on side σ is G + N_σ."""
-    coeffs, order, turn, _, lines = tables
-    n = len(coeffs)
+    its vertex with L_i, "before" being side turn[i][k]; the first pass
+    stores F there times sign[k]·sgn(pos[k] − pos[i]) = sign[i]·turn[i][k].
+    At that vertex, index t on L_i and t′ on L_k, the closed count is
+    G − N_before plus ``_surrounded_hits``' m corners and t(m − t) +
+    t′(m − t′) edges; at cut c of L_i the strict count on side σ is G + N_σ."""
+    _, _, (pos, sign), _, lines = tables
+    n = len(lines)
     m = n - 2
-    pos = [0] * n
-    for p, (i, _) in enumerate(order):
-        pos[i] = p
     place = [[0] * n for _ in range(n)]
     f_vertex = [[0] * n for _ in range(n)]
-    walks = []
+    fs = []
     for k, row in enumerate(lines):
-        xs = [x for x, _ in row]
-        pk, place_k, fv_k = pos[k], place[k], f_vertex[k]
+        pk, sk, place_k, fv_k = pos[k], sign[k], place[k], f_vertex[k]
         f = 0
         f_cut = [0]
         ranks = []
-        for t, x in enumerate(xs):
-            r = (pos[x] - pk) % n - 1
+        for t, (x, _) in enumerate(row):
+            px = pos[x]
+            r = (px - pk) % n - 1
             below = bisect_left(ranks, r)
             ranks.insert(below, r)
             place_k[x] = t
-            fv_k[x] = f - 2 * below + t
+            fv_k[x] = (f - 2 * below + t) * (sk if pk > px else -sk)
             f += m - 2 * r
             f_cut.append(f)
-        walks.append((xs, f_cut))
+        fs.append(f_cut)
     closed = [[0] * n for _ in range(n)]
-    cuts = []
-    for i, (xs, f_cut) in enumerate(walks):
-        turn_i, closed_i = turn[i], closed[i]
+    gs = []
+    for i, row in enumerate(lines):
+        si, closed_i = sign[i], closed[i]
         g = 0
-        gs = [g]
-        for t, x in enumerate(xs):
+        g_cut = [g]
+        for t, (x, _) in enumerate(row):
             u = place[x][i]
             # N_after − N_before on L_x at its vertex with L_i
-            step = -turn_i[x] * f_vertex[x][i]
+            step = -si * f_vertex[x][i]
             closed_i[x] = g + m + t * (m - t) + (u * (m - u) + step) // 2
             g += step
-            gs.append(g)
-        cuts.append([(g + (c * (m + 1 - c) + f) // 2, g + (c * (m + 1 - c) - f) // 2)
-                     for c, (g, f) in enumerate(zip(gs, f_cut))])
-    return closed, cuts, place
+            g_cut.append(g)
+        gs.append(g_cut)
+    return closed, gs, fs, place
 
 
 def _max_closed_dual(family, tables, walk):
@@ -850,27 +851,28 @@ def tangent_family(n: int, params=None) -> LineFamily:
     The tangency point for parameter t is ((1-t^2)/(1+t^2), 2t/(1+t^2)) and the
     tangent line is x*x0 + y*y0 = 1. For t = p/q that is the integer line
     (q^2 - p^2)·x + 2pq·y = q^2 + p^2, and each line is built from that
-    triple, reduced, with no ``Fraction`` arithmetic.
+    triple, reduced, which takes out the common factor of the default
+    parameters' unreduced integer pairs (k, n - 1); only parameters a caller
+    passes go through ``Fraction`` and its checks.
     """
     if n < 3:
         raise DomainError("tangent_family needs n >= 3")
     if params is None:
-        params = [Fraction(k, n - 1) for k in range(n)]
+        pairs = [(k, n - 1) for k in range(n)]
     else:
         params = [scalar(t) for t in params]
-    if len(params) != n:
-        raise DomainError(f"expected {n} parameters, got {len(params)}")
-    if len(set(params)) != n:
-        raise DomainError("tangent parameters must be distinct")
-    if any(t < 0 or t > 1 for t in params):
-        raise DomainError("tangent parameters must lie in [0, 1]")
-    if sorted(params) != params:
-        raise DomainError("tangent parameters must be ascending")
-    lines = []
-    for t in params:
-        p, q = t.numerator, t.denominator
-        lines.append(_line_from_coeffs(_reduce_line(q * q - p * p, 2 * p * q, q * q + p * p)))
-    return LineFamily(tuple(lines), provenance=f"tangent:{n}")
+        if len(params) != n:
+            raise DomainError(f"expected {n} parameters, got {len(params)}")
+        if len(set(params)) != n:
+            raise DomainError("tangent parameters must be distinct")
+        if any(t < 0 or t > 1 for t in params):
+            raise DomainError("tangent parameters must lie in [0, 1]")
+        if sorted(params) != params:
+            raise DomainError("tangent parameters must be ascending")
+        pairs = [(t.numerator, t.denominator) for t in params]
+    lines = tuple(_line_from_coeffs(_reduce_line(q * q - p * p, 2 * p * q, q * q + p * p))
+                  for p, q in pairs)
+    return LineFamily(lines, provenance=f"tangent:{n}")
 
 
 @dataclass(frozen=True)
@@ -920,47 +922,44 @@ def classify_tangents(q: Point, family: LineFamily) -> TangentClassification:
 
 
 def _cell_point(coeffs, key, i, j, sx, sy):
-    """The exact rational point strictly inside the cell on side (sx, sy) of
-    the vertex v = L_i ∩ L_j: v + t·w with w = sx·u_i + sy·u_j and t half the
-    parameter of the first line the ray v + s·w meets (1 when it meets none)."""
+    """The reduced key of v + t·w, strictly inside the cell on side (sx, sy)
+    of v = L_i ∩ L_j = (X, Y, W): w = sx·u_i + sy·u_j, and t is half the
+    least s > 0 at which the ray v + s·w meets a line, 1 when none does.
+    Line (a, b, c) meets it at s = num / (W·den), num = c·W − a·X − b·Y and
+    den = a·w_x + b·w_y made positive, compared by cross-multiplication."""
     vx, vy, vw = key
-    ui = (-coeffs[i][1], coeffs[i][0])
-    uj = (-coeffs[j][1], coeffs[j][0])
-    w = (sx * ui[0] + sy * uj[0], sx * ui[1] + sy * uj[1])
-    nearest = None
+    (ai, bi, _), (aj, bj, _) = coeffs[i], coeffs[j]
+    wx, wy = -sx * bi - sy * bj, sx * ai + sy * aj
+    bn, bd = 1, 0  # no line yet; a parallel line, den = 0, never passes
     for a, b, c in coeffs:
+        den = a * wx + b * wy
         num = c * vw - a * vx - b * vy
-        den = vw * (a * w[0] + b * w[1])
-        if den == 0 or num == 0:
-            continue
-        s = Fraction(num, den)
-        if s > 0 and (nearest is None or s < nearest):
-            nearest = s
-    t = nearest / 2 if nearest is not None else Fraction(1)
-    return Point(Fraction(vx, vw) + t * w[0], Fraction(vy, vw) + t * w[1])
-
-
-def _cell_pair(cell, coeffs):
-    """A ``_walk_cells`` entry as one (count, key) pair keyed by its cell
-    point."""
-    count, key, i, j, sx, sy = cell
-    return count, reduce_homog(homog(_cell_point(coeffs, key, i, j, sx, sy)))
+        if den < 0:
+            num, den = -num, -den
+        if num > 0 and num * bd < bn * den:
+            bn, bd = num, den
+    if not bd:
+        return reduce_homog((vx + vw * wx, vy + vw * wy, vw))
+    return reduce_homog((2 * bd * vx + bn * wx, 2 * bd * vy + bn * wy, 2 * bd * vw))
 
 
 def _walk_cells(tables, walk):
     """(strict count, key, i, j, sx, sy) of the cell on side (sx, sy) of each
     vertex-table row (i, j, key), the four cells around every vertex, which
     cover every cell with a positive count. Moving from L_i ∩ L_j along
-    sx·u_i + sy·u_j (u = (−b, a)) enters cut place_i(j) + [sx > 0] of L_i on
-    side sy·turn[i][j]; its count is read off the ``_line_walk``."""
-    _, _, turn, vertices, _ = tables
-    _, cuts, place = walk
+    sx·u_i + sy·u_j (u = (−b, a)) enters cut c = place_i(j) + [sx > 0] of L_i
+    on side σ = sy·turn[i][j], where the ``_line_walk``'s G and F give the
+    count G + (c(m + 1 − c) + σ·F)/2."""
+    _, _, (pos, sign), vertices, _ = tables
+    _, gs, fs, place = walk
+    m = len(pos) - 2
     for i, j, key in vertices:
-        c, t = place[i][j], turn[i][j]
-        cut_i = cuts[i]
-        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            plus, minus = cut_i[c + (sx > 0)]
-            yield plus if sy == t else minus, key, i, j, sx, sy
+        c = place[i][j]
+        t = sign[i] * sign[j] if pos[j] > pos[i] else -sign[i] * sign[j]
+        for sx, cut in ((1, c + 1), (-1, c)):
+            g, h, tf = gs[i][cut], cut * (m + 1 - cut), t * fs[i][cut]
+            yield g + (h + tf) // 2, key, i, j, sx, 1
+            yield g + (h - tf) // 2, key, i, j, sx, -1
 
 
 def _max_strict_dual(family: LineFamily, tables, walk):
@@ -982,7 +981,8 @@ def _max_strict_dual(family: LineFamily, tables, walk):
             top, cells = cell[0], [cell]
         elif cell[0] == top:
             cells.append(cell)
-    [(best_count, best_key)] = _scan(_cell_pair(cell, coeffs) for cell in cells)
+    [(best_count, best_key)] = _scan((count, _cell_point(coeffs, *cell))
+                                     for count, *cell in cells)
     strict = _strict_surrounding([(s * a, s * b) for s, (a, b)
                                   in zip(_sides(best_key, coeffs), family.normals) if s])
     if strict != best_count:

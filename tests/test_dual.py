@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dual_oracles import _cell_counts, _vertex_pair
+from dual_oracles import _cell_counts, _cross_turn, _fraction_cell_point, _vertex_pair
 from heavycover import dual
 from heavycover.datasets import random_line_family
 from heavycover.errors import DegeneracyError, DimensionError, DomainError
@@ -21,6 +22,7 @@ from heavycover.exactgeom import (
     line_coeffs_int,
     point_in_simplex,
     project_onto_hyperplane,
+    reduce_homog,
     segment_crosses_ray,
 )
 from heavycover.selection import _avoiding, _exact_halves, binom
@@ -324,8 +326,22 @@ def test_cell_strict_count_matches_naive_at_every_cell():
         assert len(cells) == 4 * binom(fam.n, 2)
         assert list(dual._walk_cells(tables, dual._line_walk(tables))) == cells
         for count, *cell in cells:
-            q = dual._cell_point(coeffs, *cell)
+            q = dehomog(dual._cell_point(coeffs, *cell))
             assert count == dual_depth_naive(q, fam).strict_count
+
+
+def test_integer_cell_point_equals_the_fraction_construction():
+    # at every cell of every oracle family the integer key is the reduced
+    # key of the Fraction construction's point, both where the cell's ray
+    # meets a line and where it meets none
+    branches = collections.Counter()
+    for fam in _oracle_families():
+        coeffs = fam.coeffs
+        for i, j, key in dual._dual_tables(fam)[3]:
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                q = _fraction_cell_point(coeffs, key, i, j, sx, sy, branches)
+                assert dual._cell_point(coeffs, key, i, j, sx, sy) == reduce_homog(homog(q))
+    assert branches["meets"] > 0 and branches["none"] > 0
 
 
 def _small_general_position_families():
@@ -481,6 +497,32 @@ def test_half_turn_order_on_boundary_normals():
             assert g * b > 0 or (b == 0 and g * a > 0)  # angle in [0, pi)
         angles = [(g * fam.normals[i][0], g * fam.normals[i][1]) for i, g in fam.order]
         assert all(dual._icross(u, v) > 0 for u, v in zip(angles, angles[1:]))
+
+
+# the first two normals share the float key -1.0 but are not parallel, so
+# the half-turn order takes the exact angle keys; x = 3 has the normal
+# (1, 0) at angle 0; no three of the lines meet
+FLOAT_TIE_NORMALS = (Hyperplane((10 ** 20 + 2, 10 ** 20 + 1), 1),
+                     Hyperplane((10 ** 20 + 1, 10 ** 20), 0), Hyperplane((1, -2), 4),
+                     Hyperplane((0, 1), -1), Hyperplane((1, 0), 3))
+
+
+def test_turn_from_the_order_equals_the_cross_product_sign(monkeypatch):
+    # turn[i][k] = sign[i]·sign[k]·sgn(pos[k] − pos[i]), read off the
+    # tables' places and signs in the half-turn order, is the sign of
+    # cross(n_i, n_k) for every ordered pair of lines
+    angle_keys = dual._angle_keys
+    exact = []
+    monkeypatch.setattr(dual, "_angle_keys", lambda dirs: exact.append(dirs) or angle_keys(dirs))
+    families = ([random_line_family(n, 1100 + n) for n in range(4, 21)]
+                + [tangent_family(n) for n in (3, 9, 30, 61)]
+                + [LineFamily(FLOAT_TIE_NORMALS), BOUNDARY_FAMILIES[1]])
+    assert len(exact) == 1  # only the float-tie family took the exact keys
+    for fam in families:
+        pos, sign = dual._dual_tables(fam)[2]
+        for i, k in itertools.permutations(range(fam.n), 2):
+            derived = sign[i] * sign[k] * (1 if pos[k] > pos[i] else -1)
+            assert derived == _cross_turn(fam.coeffs, i, k)
 
 
 @pytest.mark.parametrize("fam", BOUNDARY_FAMILIES)
