@@ -25,13 +25,13 @@ The max searches count by one walk along each line (``_line_walk``), the dual
 twin of the primal segment walk: the closed count at every vertex and the
 strict count of every cell in O(n^2 log n) per family, on integer tables
 (``_dual_tables``) of the C(n, 2) vertices, each line's vertices sorted once
-(a sort that is also the general-position gate) and each line's place and
-sign in the half-turn order, which give every turn sign. Each search checks
-its winner by an angular count that reads neither the half-turn order nor
-the walk (``selection._strict_surrounding``, O(n log n)), so no search does
-O(n^3) work; ``dual_depth_naive`` stays the exhaustive oracle of the tests,
-the battery and the CLI. ``extremal_report`` shares one walk between its
-strict and closed searches.
+on floats or ``_angle_keys`` (a sort that is also the general-position gate)
+and each line's place and sign in the half-turn order, which give every turn
+sign. Each search checks its winner by an angular count that reads neither the
+half-turn order nor the walk (``selection._strict_surrounding``, O(n log n)),
+so no search does O(n^3) work; ``dual_depth_naive`` stays the exhaustive
+oracle of the tests, the battery and the CLI. ``extremal_report`` shares one
+walk between its strict and closed searches.
 
 Exposure profiles read the same order: the arc counts around a point are one
 O(n) pass (``_arc_profile``), with no per-query sort. ``ExposureProfile``
@@ -392,26 +392,20 @@ def dual_depth_fast(q: Point, family: LineFamily) -> DepthReport:
     return DepthReport(count, binom(n, 3), n, 2, strict, method="projection_sweep")
 
 
-def _exact_params(a, b, crossings):
-    """The exact parameters (−b·X + a·Y)/W of the vertices (X, Y, W) in
-    ``crossings`` along the line with normal (a, b)."""
-    return [Fraction(a * y - b * x, w) for _, (x, y, w) in crossings]
-
-
 def _line_order(line, crossings):
     """The crossings (x, v) of the integer ``line`` (a, b, c), v = (X, Y, W)
-    with W > 0, in the order of v along (−b, a), keyed by the correctly rounded float of the
-    parameter (−b·X + a·Y)/W. Rounding is monotone, so distinct floats are
-    exact; where two tie or one overflows, the line sorts by exact fractions
-    (``_exact_params``), as ``_segment_walk`` does. None when two exact
-    parameters tie: two crossings at one point, three concurrent lines."""
+    with W > 0, in the order of v along (−b, a): by the correctly rounded
+    float of the parameter (a·Y − b·X)/W, exact where the floats are
+    distinct, else by the ``_angle_keys`` of (b·X − a·Y, W), as
+    ``_segment_walk`` does. None when two exact keys tie: three concurrent
+    lines."""
     a, b, _ = line
     try:
         keys = [(a * y - b * x) / w for _, (x, y, w) in crossings]
     except OverflowError:
         keys = []  # fewer keys than vertices: the exact keys below
     if len(set(keys)) < len(crossings):
-        keys = _exact_params(a, b, crossings)
+        keys, _ = _angle_keys([(b * x - a * y, w) for _, (x, y, w) in crossings])
         if len(set(keys)) < len(crossings):
             return None
     return [crossings[t] for t in sorted(range(len(keys)), key=keys.__getitem__)]

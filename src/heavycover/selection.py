@@ -34,8 +34,7 @@ few coordinates even when the points' denominators all differ; a zero among
 them lowers a pair's count of points on either side, which fails the
 general-position gate. One function, ``_segment_walk``, steps a segment's
 crossings: they are sorted by one correctly rounded float each, and only a
-segment on which two crossings round to one float is sorted by exact
-fractions instead.
+segment where two share a float is sorted by ``_angle_keys`` instead.
 ``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
@@ -298,18 +297,20 @@ def _icross(a, b):
 
 def _angle_keys(dirs):
     """Exact integer angle keys of nonzero integer directions, and ``half``,
-    the key distance of a half turn. They run where float keys cannot order
-    the directions: in ``_angular_counts`` and ``dual._half_turn_order`` when
-    two directions that are not parallel share a float or a ratio overflows.
-    ``transversal`` orders its critical directions by them, and the tests
-    use them as the float keys' oracle.
+    the key distance of a half turn: the exact order of every float-keyed
+    sort where two floats tie or one overflows (``_angular_counts``,
+    ``_segment_walk``, ``dual._half_turn_order``, ``dual._line_order``), of
+    ``transversal``'s critical directions, and the float keys' test oracle.
 
     With B = 1 + max |coordinate|, s = B^2 and r = B*s + 2, the key is 0 on
     the +x axis, r - floor(x*s/y) for y > 0, 2r on the -x axis and
     3r - floor(x*s/y) for y < 0, so keys grow with the angle in [0, 2pi).
     Distinct ratios x/y of such directions differ by more than 1/s, so equal
     directions share a key and a direction's opposite lies exactly ``half``
-    = 2r away."""
+    = 2r away. For den > 0 the key of (-num, den) is r + ceil(num*s/den): it
+    grows with num/den, is equal exactly for equal ratios, and backs the
+    float num/den, that direction's -x/y. ``_segment_walk`` keys a / (a + b)
+    as (-a, a + b), and ``dual._line_order`` (a*Y - b*X)/W as (b*X - a*Y, W)."""
     b = 1
     for x, y in dirs:
         x, y = abs(x), abs(y)
@@ -688,8 +689,8 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     float a / (a + b), the first on a float in ``firsts`` and any later one in
     ``shared``. With ``shared`` empty the floats are distinct and their order
     is exact, since correct rounding is monotone. Otherwise every crossing is
-    sorted by its exact fraction, and adjacent ones with a * b' == a' * b
-    merge into one vertex.
+    sorted stably by the ``_angle_keys`` of (-a, a + b), and adjacent ones
+    with a * b' == a' * b merge into one vertex.
 
     The bounds behind ``floor`` need no order of the crossings; each is
     Boros & Furedi's count of the triangles that cover a point (Geom.
@@ -751,7 +752,9 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
             else:
                 firsts[t] = (a, b, lk[m])
     if shared:
-        steps = sorted([*firsts.values(), *shared], key=lambda s: Fraction(s[0], s[0] + s[1]))
+        steps = [*firsts.values(), *shared]
+        keys, _ = _angle_keys([(-a, a + b) for a, b, _ in steps])
+        steps = [steps[t] for t in sorted(range(len(steps)), key=keys.__getitem__)]
     elif floor is not None and slack + n - 2 < 0:
         return None
     else:

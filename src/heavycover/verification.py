@@ -55,6 +55,7 @@ from .exactgeom import (
     Point,
     _line_from_coeffs,
     _solve_exact,
+    dehomog,
     homog,
     intersect_lines_homog,
     orientation,
@@ -64,8 +65,8 @@ from .exactgeom import (
 )
 from .selection import (
     LabeledPointSet,
-    candidate_vertices,
-    closed_depth_count,
+    _candidate_homogs,
+    _closed_depth_homog,
     colorful_depth,
     depth_naive,
     depth_planar_sweep,
@@ -204,19 +205,20 @@ def check_selection_bound(seed, trials=50, sizes=(10, 15, 20), threads=1):
 # ---------------------------------------------------------------------------
 
 def check_primal_maximality(seed, trials=50):
-    """max_depth_point equals the lexicographically least best point of
-    closed_depth_count over every candidate_vertices point, on 2 * trials
-    seeded box and near-convex sets at n = 5..10; a walk that skips a
-    segment it should walk shows here whenever the maximum is a crossing
-    (``crossing_maxima`` counts those sets)."""
+    """max_depth_point equals the lexicographically least best point of the
+    angular count at every line-arrangement vertex (``_candidate_homogs``),
+    on 2 * trials seeded box and near-convex sets at n = 5..10; a walk that
+    skips a segment it should walk shows here whenever the maximum is a
+    crossing (``crossing_maxima`` counts those sets)."""
     failures = []
     crossing_maxima = 0
     for t in range(2 * trials):
         n = 5 + (t // 2) % 6
         ps = random_point_set(n, seed * 9403 + t, near_convex=t % 2 == 1)
-        counts = {q: closed_depth_count(q, ps.points) for q in candidate_vertices(ps).points}
-        top = max(counts.values())
-        expected = min((q for q, c in counts.items() if c == top), key=lambda q: q.coords)
+        pts_h = [homog(p) for p in ps.points]
+        counts = [(_closed_depth_homog(key, pts_h), key) for key, _ in _candidate_homogs(pts_h)]
+        top = max(counts)[0]
+        expected = min((dehomog(k) for c, k in counts if c == top), key=lambda q: q.coords)
         q, rep = max_depth_point(ps, witness_limit=0)
         if (q, rep.count) != (expected, top):
             failures.append(f"trial {t} (n={n}): max_depth_point {point_json(q)} count "

@@ -504,6 +504,30 @@ def test_shared_float_out_is_pinned(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of maxdual --out on the line families of tests/test_dual.py whose
+# vertex parameters share a float (SHARED_FLOAT_LINES) or overflow one
+# (OVERFLOW_LINES), so that some lines sort their vertices by exact keys
+_LINE = '{{"normal":["{}","{}"],"offset":"{}"}}'
+PINNED_EXACT_LINE_ORDERS = {
+    "shared_float_lines": (
+        [(0, 1, 0), (1, 0, 10 ** 20), (1, 1, 10 ** 20 + 1), (1, -2, 3), (2, 1, -5), (1, 3, 7)],
+        "b07cfcbe1ab0c376cc86556c7dc6e97e27ed337961e1dbaef4727f65ba23e846"),
+    "overflow_lines": (
+        [(10 ** 400, 1, 0), (1, 1, 2), (2, -1, -1), (1, -3, 4)],
+        "b8fe15f43bb5b12fce35f67ee4ce04f313ccab1a4e5cd5204b6a346195f8f34a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT_LINE_ORDERS))
+def test_exact_line_order_out_is_pinned(name, tmp_path):
+    lines, digest = PINNED_EXACT_LINE_ORDERS[name]
+    data = tmp_path / "in.json"
+    data.write_text('{"kind":"LINES","lines":[%s]}' % ",".join(_LINE.format(*c) for c in lines))
+    out = tmp_path / "out.json"
+    assert run_command(["maxdual", "--in", str(data), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of the --plot SVG at --grid 40 for fixed-seed runs; every landscape
 # cell count, band colour and formatted coordinate shows here
 PINNED_PLOT = {

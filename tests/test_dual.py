@@ -397,16 +397,21 @@ OVERFLOW_LINES = LineFamily((Hyperplane((10 ** 400, 1), 0), Hyperplane((1, 1), 2
     (tangent_family(30), []),
 ], ids=["shared-float", "overflow", "random20", "tangent30"])
 def test_line_order_takes_exact_params_on_float_ties_and_overflow(fam, exact_lines, monkeypatch):
-    # only a line whose floats tie or overflow sorts by exact fractions, and
-    # the walk there still equals the scans
-    exact = dual._exact_params
-    calls = []
+    # only a line whose floats tie or overflow sorts by the exact keys of its
+    # parameters, and the walk there still equals the scans
+    line_order, angle_keys = dual._line_order, dual._angle_keys
+    current, calls = [], []
 
-    def counted(a, b, crossings):
-        calls.append([c[:2] for c in fam.coeffs].index((a, b)))
-        return exact(a, b, crossings)
+    def traced(line, crossings):
+        current[:] = [fam.coeffs.index(line)]
+        return line_order(line, crossings)
 
-    monkeypatch.setattr(dual, "_exact_params", counted)
+    def counted(dirs):
+        calls.extend(current)
+        return angle_keys(dirs)
+
+    monkeypatch.setattr(dual, "_line_order", traced)
+    monkeypatch.setattr(dual, "_angle_keys", counted)
     _assert_walk_equals_scans(fam)
     assert calls == exact_lines
     for (a, b, _), crossings in zip(fam.coeffs, dual._dual_tables(fam)[4]):

@@ -937,6 +937,27 @@ def _random_directions(rng, m, span):
     return dirs
 
 
+def _random_ratios(rng, m, span):
+    """m pairs (num, den) with den > 0: negative numerators, den = 1, equal
+    ratios in unreduced form and entries past 2^1100 mixed in."""
+    big = 2 ** 1100
+    ratios = []
+    while len(ratios) < m:
+        roll = rng.random()
+        if ratios and roll < 0.25:
+            num, den = rng.choice(ratios)
+            k = rng.choice([2, 3, big])
+            ratios.append((k * num, k * den))  # the same ratio, unreduced
+        elif roll < 0.4:
+            ratios.append((rng.randrange(-span, span + 1), 1))
+        elif roll < 0.55:
+            den = big + rng.randrange(span)
+            ratios.append((rng.randrange(-2 * den, 2 * den), den))
+        else:
+            ratios.append((rng.randrange(-span, span + 1), rng.randrange(1, span + 1)))
+    return ratios
+
+
 @pytest.mark.parametrize("span", [3, 10 ** 3, 10 ** 12, 10 ** 30])
 def test_angle_keys_order_equals_reference_comparator(span):
     rng = random.Random(span)
@@ -948,6 +969,14 @@ def test_angle_keys_order_equals_reference_comparator(span):
             assert (ka > kb) - (ka < kb) == _reference_angle_cmp(a, b)
             opposite = a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] < 0
             assert opposite == (abs(ka - kb) == half)
+    # the ratio property the walks' fallbacks read: the keys of (-num, den),
+    # den > 0, order the ratios num / den, and are equal exactly when they are
+    for _ in range(150):
+        ratios = _random_ratios(rng, rng.randrange(1, 12), span)
+        keys, _ = _angle_keys([(-num, den) for num, den in ratios])
+        for (a, ka), (b, kb) in itertools.product(zip(ratios, keys), repeat=2):
+            a, b = Fraction(*a), Fraction(*b)
+            assert (ka > kb) - (ka < kb) == (a > b) - (a < b)
 
 
 @pytest.mark.parametrize("span", [2, 10 ** 3, 10 ** 30])
