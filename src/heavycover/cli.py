@@ -55,16 +55,19 @@ EXIT_INTERNAL = 3
 # the plot's drawable width in pixels: a finer grid draws no more detail,
 # at grid^2 the work
 MAX_GRID = CANVAS - 2 * MARGIN
-# the largest extremal family: memory bounds it, not time; a run peaks at
-# about 57 MiB at n = 300 (0.4 s), 132 MiB at 500 and 247 MiB at 700 (see
-# README)
-MAX_EXTREMAL = 300
 # The bounds below keep a run within about 40 s and 128 MiB: wall time and
-# peak RSS of `heavycover ... --seed 1` on one core of a 2-core Xeon guest,
-# CPython 3.11. --n for depth, dual, expose, transversal and maxdual, at 400:
-# maxdual 11.3 s, 90 MiB; dual 9.8 s; transversal 4.1 s, 70 MiB; others 3.1 s
+# peak RSS of `heavycover ... --seed 1` on one core of a 2-core Intel Xeon
+# guest, CPython 3.11.7, whose speed drifts by up to 30% between runs.
+# The largest extremal family: memory bounds it, not time; `extremal 300`
+# takes 0.4 s and 48 MiB, and extremal_report peaks at 106 MiB at n = 500
+# and 194 MiB at 700 (see README)
+MAX_EXTREMAL = 300
+# --n for depth, dual, expose, transversal and maxdual, at 400: maxdual
+# 9.2-12.1 s, 74 MiB; dual 8.5-9.7 s, 48 MiB; transversal 3.5 s, 70 MiB;
+# depth 2.4 s; expose 1.2 s
 MAX_POINTS = 400
-# maxdepth --n, n^3 walk-table entries: 23 s, 100 MiB (37 s, 176 MiB at 200)
+# maxdepth --n, n^3 walk-table entries: 11.8-13.9 s, 99 MiB (the search at
+# 200 peaks at 175 MiB)
 MAX_WALK_POINTS = 160
 # sweep --n and --samples, a walk per sample: 37.5 s, 41 MiB at both bounds
 MAX_SWEEP_POINTS = 40

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuity import MotionPath
-from .dual import LineFamily, tangent_family
+from .dual import LineFamily, _dual_tables, tangent_family
 from .errors import (
+    DegeneracyError,
     DomainError,
     GenerationError,
     HeavyCoverError,
@@ -25,7 +26,6 @@ from .exactgeom import (
     Hyperplane,
     Point,
     _line_from_coeffs,
-    _line_violations,
     _reduce_line,
     general_position_report,
     scalar,
@@ -286,7 +286,12 @@ def random_line_family(n, seed, coeff_span=LINE_COEFF_SPAN) -> LineFamily:
     coeff_span]^2. From about n = 28 at the default span two of them are
     likely parallel; when all those draws fail, each further round of
     ``MAX_RETRIES`` draws doubles the span, up to ``LINE_SPAN_DOUBLINGS``
-    rounds. Every family the first round finds is therefore kept as is."""
+    rounds. Every family the first round finds is therefore kept as is.
+
+    A draw is kept iff no two of its lines are parallel and the dual search's
+    tables build on it (``_dual_tables``): their line orders are the
+    general-position gate, O(n^2 log n) where locating the violations
+    (``_line_violations``) is O(n^3)."""
     if n < 1:
         raise DomainError("need n >= 1")
     rng = random.Random(seed)
@@ -298,9 +303,13 @@ def random_line_family(n, seed, coeff_span=LINE_COEFF_SPAN) -> LineFamily:
                 continue  # reduced triples are canonical: a coincident pair
             family = LineFamily(tuple(map(_line_from_coeffs, coeffs)),
                                 provenance=f"seed:{seed}")
-            # the O(n^3) report runs only once no two lines are parallel
-            if not family.parallel_pair and not _line_violations(family.coeffs):
-                return family
+            if family.parallel_pair:
+                continue  # most rejected draws, rejected before any table
+            try:
+                _dual_tables(family)
+            except DegeneracyError:
+                continue
+            return family
     raise GenerationError("no general-position line family after "
                           f"{MAX_RETRIES * (LINE_SPAN_DOUBLINGS + 1)} tries")
 

@@ -25,9 +25,12 @@ Dedicata 1984), and averaging over a small circle around a crossing of g + 1
 segments, each the edge of n - 2 triangles that hold half the circle, gives
 that crossing at most D(n) + (g + 1)(n - 2)/2 (``_cell_bound``); with
 g <= min(L, R) for the L and R points on either side, the search reads that
-test off the ``left`` table before it calls the walk (``_cell_reach``). The n
-data-point counts and every segment's start count are read off the walk's
-orientation table, so the walk makes no angular sort. The table holds one
+test off the ``left`` table before it calls the walk (``_cell_reach``). The
+walk reads each segment's side pairs once: one loop gives its start count,
+its crossings and a second bound E, tested before any float
+(``_segment_walk``). The n data-point counts and every segment's start count
+are read off the walk's orientation table, so the walk makes no angular
+sort. The table holds one
 determinant per triple, C(n, 3) in all, on each point's own homogeneous
 coordinates with no common denominator, so its entries stay as long as a
 few coordinates even when the points' denominators all differ; a zero among
@@ -649,12 +652,18 @@ def _cell_bound(n):
 
 def _cell_reach(n, floor):
     """The least min(L, R), for a segment with L and R points on either
-    side, at which the cell bound lets a crossing on it reach ``floor``. A
-    crossing of g + 1 segments, g <= min(L, R), counts at most
-    D(n) + (g + 1)(n - 2)/2 (``_cell_bound``, ``_segment_walk``), so a
-    segment with min(L, R) below ceil(2(floor - D(n)) / (n - 2)) - 1 has no
-    crossing at ``floor``. The one form of the cell test, shared by
-    ``_segment_walk`` and the rows of ``_walk_scan``. Needs n >= 3."""
+    side, at which the cell bound lets a crossing on it reach ``floor``.
+
+    A crossing of g + 1 segments, g <= min(L, R) (``_segment_walk``), is on
+    none of the corners of the (g + 1)(n - 2) triangles with one of those
+    segments as an edge, so each holds half of a small circle around it;
+    every other triangle holds all of it or none. The circle's points off
+    the segments lie in at most D(n) triangles each (``_cell_bound``), so
+    the crossing counts at most D(n) + (g + 1)(n - 2)/2, the average over
+    the circle plus the other half of each edge's triangles. A segment with
+    min(L, R) below ceil(2(floor - D(n)) / (n - 2)) - 1 therefore has no
+    crossing at ``floor``. The cell test ``_walk_scan`` makes on each row
+    before it calls the walk. Needs n >= 3."""
     return -(2 * (_cell_bound(n) - floor) // (n - 2)) - 1
 
 
@@ -670,8 +679,8 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     lies in the closed cone at p_i spanned by p_k and p_m: always when j is
     k or m (n - 2 triangles), and otherwise iff p_k and p_m lie on opposite
     sides of p_i -> p_j with orient(p_i, p_k, p_m) < 0 for p_k the left one.
-    Those are the pairs with a > 0 in the crossing loop, so the start count
-    costs no sort.
+    Those are the pairs with a > 0 in the one loop over the segment's
+    L * R side pairs, so the start count costs no sort.
 
     Depth on the open segment changes only where it crosses a segment p_k p_m
     with k, m outside {i, j}. Crossing p_k p_m adds the triangles k m r with r
@@ -685,56 +694,37 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
     b * (x_i, y_i, w_i) + a * (x_j, y_j, w_j) (``_crossing_key``), at parameter
     a*w_j / (a*w_j + b*w_i) from p_i. That parameter and a / (a + b) both grow
     with a / b, so a / (a + b) orders the crossings of one segment; the
-    weights drop out. Each crossing is filed under the correctly rounded
-    float a / (a + b), the first on a float in ``firsts`` and any later one in
-    ``shared``. With ``shared`` empty the floats are distinct and their order
-    is exact, since correct rounding is monotone. Otherwise every crossing is
-    sorted stably by the ``_angle_keys`` of (-a, a + b), and adjacent ones
-    with a * b' == a' * b merge into one vertex.
+    weights drop out. The loop keeps each crossing's (a, b, far), and the
+    float pass files the kept crossings under the correctly rounded float
+    a / (a + b), the first on each float in ``firsts``. Unless two share a
+    float (``shared``), the floats are distinct and their order is exact,
+    since correct rounding is monotone. Otherwise every crossing is sorted
+    stably by the ``_angle_keys`` of (-a, a + b), and adjacent ones with
+    a * b' == a' * b merge into one vertex.
 
-    The bounds behind ``floor`` need no order of the crossings; each is
-    Boros & Furedi's count of the triangles that cover a point (Geom.
-    Dedicata 1984). A vertex where g crossings meet lies on g + 1 segments.
-    Each of their (g + 1) * (n - 2) triangles with one of them as an edge
-    holds the vertex on that edge, at none of its corners, and so holds half
-    of a small circle around it; every other triangle holds all of it or
-    none. The circle's points off the segments lie in at most D(n)
-    triangles each (``_cell_bound``), so the vertex counts at most
-    D(n) + (g + 1) * (n - 2) / 2, the average over the circle plus the
-    other half of each edge's triangles. With L and R points on either side
-    of the segment, g <= min(L, R): two segments through one point of
-    p_i p_j share no endpoint, or three points would be collinear. The cell
-    test reads L = left[i][j] alone and skips, before anything else, when
-    2 * (D(n) - floor) + (min(L, R) + 1) * (n - 2) < 0, that is when
-    min(L, R) is below ``_cell_reach(n, floor)``; ``_walk_scan`` makes the
-    same test on the row before it calls the walk.
-
-    Where it cannot, let E be the start count plus every positive step
-    2 * far - (n - 2); E bounds each open edge's count (``_edge_bound``),
-    and the same half-turn charge gives a vertex where g crossings meet
-    (before + after) / 2 + g * (n - 2) / 2 <= E + g * (n - 2) / 2. Tier 1
-    reads E by integer compares alone and skips when
+    The bounds behind ``floor`` need no order of the crossings. Let E be the
+    start count plus ``gain``, every positive step 2 * far - (n - 2) summed
+    in the same loop: E bounds each open edge's count. A vertex where g crossings
+    meet lies on g + 1 segments, and each of their (g + 1) * (n - 2)
+    triangles with one of them as an edge holds the vertex on that edge, at
+    none of its corners, and so holds half of a small circle around it
+    (``_cell_reach``); that half-turn charge gives the vertex
+    (before + after) / 2 + g * (n - 2) / 2 <= E + g * (n - 2) / 2. With L
+    and R points on either side of the segment, g <= min(L, R): two segments
+    through one point of p_i p_j share no endpoint, or three points would be
+    collinear. Tier 1 reads E before any float and skips when
     2E + min(L, R) * (n - 2) < 2 * floor. Tier 2 follows the float pass:
-    with ``shared`` empty no two crossings meet, and it skips when
-    2E + (n - 2) < 2 * floor.
+    unless ``shared``, no two crossings meet, and it skips when
+    2E + (n - 2) < 2 * floor. The O(1) cell test on min(L, R) alone
+    (``_cell_reach``) is ``_walk_scan``'s, made on the row before the call.
     """
     n = len(pts)
-    if floor is not None:
-        on_left = left[i][j]
-        if min(on_left, n - 2 - on_left) < _cell_reach(n, floor):
-            return None
     oi, oj = orient[i], orient[j]
     side = oi[j]
     lefts = [k for k in range(n) if side[k] > 0]
     rights = [k for k in range(n) if side[k] < 0]
-    base = depth[i] - math.comb(n - 1, 2) + (n - 2)
-    if floor is not None:
-        slack = 2 * (_edge_bound(oi, oj, lefts, rights, left, base) - floor)
-        if slack + min(len(lefts), len(rights)) * (n - 2) < 0:
-            return None
-    cone = 0
-    firsts = {}
-    shared = []
+    cone = gain = 0
+    steps = []
     for k in lefts:
         oik, ojk, lk = oi[k], oj[k], left[k]
         for m in rights:
@@ -746,20 +736,28 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
             cone += 1
             if b <= 0:
                 continue
-            t = a / (a + b)
-            if t in firsts:
-                shared.append((a, b, lk[m]))
-            else:
-                firsts[t] = (a, b, lk[m])
+            far = lk[m]
+            if 2 * far > n - 2:
+                gain += 2 * far - (n - 2)
+            steps.append((a, b, far))
+    start = depth[i] - math.comb(n - 1, 2) + (n - 2) + cone
+    if floor is not None:
+        slack = 2 * (start + gain - floor)
+        if slack + min(len(lefts), len(rights)) * (n - 2) < 0:
+            return None
+    firsts = {}
+    for step in steps:
+        a, b, _ = step
+        firsts.setdefault(a / (a + b), step)
+    shared = len(firsts) < len(steps)
     if shared:
-        steps = [*firsts.values(), *shared]
         keys, _ = _angle_keys([(-a, a + b) for a, b, _ in steps])
         steps = [steps[t] for t in sorted(range(len(steps)), key=keys.__getitem__)]
     elif floor is not None and slack + n - 2 < 0:
         return None
     else:
         steps = [firsts[t] for t in sorted(firsts)]
-    start = before = base + cone
+    before = start
     counts = []
     crossings = []
     for a, b, far in steps:
@@ -770,26 +768,6 @@ def _segment_walk(i, j, pts, orient, left, depth, floor=None):
             crossings.append((a, b))
         before += 2 * far - (n - 2)
     return start, counts, crossings
-
-
-def _edge_bound(oi, oj, lefts, rights, left, edge):
-    """E of ``_segment_walk``'s pruning, for the segment p_i p_j with
-    orientation rows ``oi`` and ``oj`` and the points ``lefts`` and ``rights``
-    on either side: ``edge``, the start count less its cone term, plus one
-    for each pair of the cone and every positive step 2 * far - (n - 2) of a
-    crossing. One pass of integer compares and table lookups: no float, no
-    dict and no sort."""
-    m2 = len(left) - 2
-    for k in lefts:
-        oik, ojk, lk = oi[k], oj[k], left[k]
-        for m in rights:
-            if oik[m] < 0:
-                edge += 1
-                if ojk[m] > 0:
-                    step = 2 * lk[m] - m2
-                    if step > 0:
-                        edge += step
-    return edge
 
 
 def _crossing_key(pi, pj, a, b):
@@ -868,12 +846,12 @@ def _walk_scan(pset: LabeledPointSet, caps):
     DegeneracyError.
 
     After the data points, each segment is walked from its lexicographically
-    smaller end p_i, in lexicographic order of p_i, when its exact bound
-    reaches the floor, the lowest best among the searches still open
-    (``_segment_walk``). The O(1) cell test runs on the row first: the
-    segment p_i p_j is handed to the walk only when left[i][j] and the
-    n - 2 - left[i][j] points on its other side both reach
-    ``_cell_reach(n, floor)``, recomputed whenever the floor rises. A search
+    smaller end p_i, in lexicographic order of p_i, when its exact bounds
+    reach the floor, the lowest best among the searches still open. The
+    O(1) cell test is made here, on the row: the segment p_i p_j is handed
+    to the walk only when left[i][j] and the n - 2 - left[i][j] points on
+    its other side both reach ``_cell_reach(n, floor)``, recomputed whenever
+    the floor rises. The walk's own tiers follow (``_segment_walk``). A search
     at its cap closes once p_i is not before its best, since its crossings
     all lie after p_i."""
     tables = _walk_tables([homog(p) for p in pset.points])
@@ -897,7 +875,7 @@ def _walk_scan(pset: LabeledPointSet, caps):
             reach = _cell_reach(n, floor)
         pi, row = pts[i], left[i]
         for j in order[a + 1:]:
-            # _segment_walk's cell test, read off the row before the call
+            # the cell test, read off the row before the walk
             if not reach <= row[j] <= n - 2 - reach:
                 continue
             walk = _segment_walk(i, j, *tables, floor)
@@ -948,7 +926,9 @@ def max_depth_point(pset: LabeledPointSet, witness_limit: int = 3,
     n^3/24, is Boros & Furedi's most triangles over a point on no segment
     (Geom. Dedicata 1984), since averaging over a small circle around the
     crossing halves each of its (g + 1)(n - 2) edge triangles
-    (``_cell_bound``). Only then come one integer pass and the float pass.
+    (``_cell_bound``). Only then does the walk make its one integer pass
+    over the segment's side pairs, whose bound it tests before the float
+    pass.
     Ties break toward the lexicographically smallest point. The winner's count
     is re-derived by exhaustive enumeration as an internal consistency check.
     ``threads`` is ignored; it stays only because the benchmark's workloads

@@ -1,9 +1,13 @@
 import hashlib
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from float_fuzz import clash_lines
+from heavycover import datasets
 from heavycover.datasets import (
     Dataset,
     emit_dataset,
@@ -14,13 +18,14 @@ from heavycover.datasets import (
     random_point_set,
     random_tangent_family,
 )
-from heavycover.dual import tangent_family
+from heavycover.dual import LineFamily, tangent_family
 from heavycover.errors import ParseError
 from heavycover.exactgeom import (
     Hyperplane,
     Point,
     _line_violations,
     general_position_report,
+    intersect_lines_homog,
     line_coeffs_int,
 )
 
@@ -150,6 +155,62 @@ def test_line_family_draws_are_pinned_up_to_n_40():
             digest.update(emit_dataset(Dataset("LINES", lines=fam)).encode())
     assert digest.hexdigest() == \
         "0c29a4a4cbc9aa11bb3858c89776ee9b78e6dc8ea2e8265c12d4dd8d3482d9e6"
+
+
+def _through_a_vertex(rng, fam):
+    """``fam`` and one more line through the vertex of its first two lines,
+    parallel to none of them: three concurrent lines."""
+    x, y, w = intersect_lines_homog(fam.coeffs[0], fam.coeffs[1])
+    while True:
+        a, b = rng.randrange(-9, 10), rng.randrange(1, 10)
+        if all(a * b2 != a2 * b for a2, b2, _ in fam.coeffs):
+            return LineFamily(fam.lines + (Hyperplane((a, b), Fraction(a * x + b * y, w)),))
+
+
+def test_line_family_gates_agree_on_every_draw(monkeypatch):
+    # the generator's gate, no parallel pair and tables that build, keeps a
+    # draw iff _line_violations finds nothing: on every draw of its own
+    # stream, rejected draws included, at one seed for each n from 4 to 40,
+    # and on built families drawn into that stream, with a parallel pair,
+    # three or four concurrent lines, and float-tie lines alone and with a
+    # line through one of their vertices
+    draws = []
+
+    def recorded(*args, **kwargs):
+        draws.append(LineFamily(*args, **kwargs))
+        return draws[-1]
+
+    rejected = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(datasets, "LineFamily", recorded)
+        for n in range(4, 41):
+            draws.clear()
+            fam = random_line_family(n, n % 5 + 1)
+            assert draws[-1] is fam
+            for draw in draws:
+                assert (draw is fam) == (_line_violations(draw.coeffs) == [])
+            rejected += len(draws) - 1
+    assert rejected > 0
+    rng = random.Random(4141)
+    origin = [Hyperplane((0, 1), 0), Hyperplane((1, 0), 0), Hyperplane((1, -1), 0),
+              Hyperplane((1, 1), 0)]
+    clashes = [clash_lines(rng, n) for n in (4, 6, 9, 12) for _ in range(3)]
+    built = [LineFamily((Hyperplane((0, 1), 0), Hyperplane((0, 1), 2), Hyperplane((1, 0), 1))),
+             LineFamily(tuple(origin[:3]) + (Hyperplane((1, 2), 5),)),
+             LineFamily(tuple(origin) + (Hyperplane((2, 1), 7),))]
+    built += clashes + [_through_a_vertex(rng, fam) for fam in clashes]
+    kinds = Counter()
+    for fam in built:
+        # the generator draws fam's lines, then a family it accepts
+        violations = _line_violations(fam.coeffs)
+        good = random_line_family(fam.n, 1)
+        stream = iter(fam.coeffs + good.coeffs)
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "random_line_coeffs", lambda rng, span: next(stream))
+            drawn = random_line_family(fam.n, 0)
+        assert drawn.coeffs == (good if violations else fam).coeffs
+        kinds.update({kind for kind, _ in violations} or {"none"})
+    assert kinds["parallel"] == 1 and kinds["concurrent"] == 14 and kinds["none"] == 12, kinds
 
 
 def test_line_family_beyond_the_narrow_span():

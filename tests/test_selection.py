@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from heavycover.selection import (
     _angular_counts,
     _avoiding,
     _cell_bound,
+    _cell_reach,
     _checked_max,
     _closed_depth_homog,
     _crossing_key,
@@ -682,28 +684,71 @@ def test_count_walk_skips_segments_and_keeps_the_best(monkeypatch):
 
 
 def test_row_filter_skips_exactly_the_cell_test_skips(monkeypatch):
-    # _walk_scan reads _segment_walk's O(1) cell test off the left table
-    # before calling it: at the floor each segment is reached at, the row
-    # skips exactly the segments on which _segment_walk returns None before
-    # its O(L * R) _edge_bound pass
-    passes = [0]
-
-    def counted(*args):
-        passes[0] += 1
-        return edge_bound(*args)
-
-    edge_bound = selection._edge_bound
+    # at the floor each segment is reached at, _walk_scan skips the row
+    # exactly when min(L, R) is below _cell_reach(n, floor), and every
+    # crossing on a skipped segment counts below that floor
     row_skips = 0
     for ps in _skip_test_sets():
         tables, _, visits = _count_walk_visits(monkeypatch, ps)
-        with monkeypatch.context() as patch:
-            patch.setattr(selection, "_edge_bound", counted)
-            for i, j, floor, kind in visits:
-                before = passes[0]
-                cell_skip = _segment_walk(i, j, *tables, floor) is None and passes[0] == before
-                assert cell_skip == (kind == "row"), (i, j, floor, kind)
-                row_skips += cell_skip
+        n, left = ps.n, tables[2]
+        for i, j, floor, kind in visits:
+            cell_skip = min(left[i][j], n - 2 - left[i][j]) < _cell_reach(n, floor)
+            assert cell_skip == (kind == "row"), (i, j, floor, kind)
+            if cell_skip:
+                assert max(_segment_walk(i, j, *tables)[1], default=floor - 1) < floor
+            row_skips += cell_skip
     assert row_skips > 0
+
+
+def _edge_oracle(i, j, pts, orient, left, depth):
+    """E of ``_segment_walk``'s tiers for p_i p_j, summed apart from the walk,
+    and whether two of its crossings share a float a / (a + b): the start
+    count less its cone term, plus one for each pair of the cone and every
+    positive step 2 * far - (n - 2) of a crossing."""
+    n = len(pts)
+    oi, oj = orient[i], orient[j]
+    lefts = [k for k in range(n) if oi[j][k] > 0]
+    rights = [m for m in range(n) if oi[j][m] < 0]
+    edge = depth[i] - math.comb(n - 1, 2) + (n - 2)
+    floats = []
+    for k in lefts:
+        for m in rights:
+            if oi[k][m] < 0:
+                edge += 1
+                if oj[k][m] > 0:
+                    edge += max(0, 2 * left[k][m] - (n - 2))
+                    floats.append(-oi[k][m] / (oj[k][m] - oi[k][m]))
+    return edge, len(set(floats)) < len(floats)
+
+
+def test_walk_tiers_skip_exactly_where_the_edge_bound_says(monkeypatch):
+    # at the floor each segment is reached at, the oracle's E says where
+    # _segment_walk stops: tier 1 when 2E + min(L, R)(n - 2) < 2 floor,
+    # else tier 2 when no two crossings share a float and
+    # 2E + (n - 2) < 2 floor, else it walks. Every skip must be sound, and
+    # row skips, both tiers and walks must all happen, or a bound would go
+    # untested
+    census = Counter()
+    for ps in _skip_test_sets():
+        tables, _, visits = _count_walk_visits(monkeypatch, ps)
+        n, left = ps.n, tables[2]
+        for i, j, floor, kind in visits:
+            if kind == "row":
+                census[kind] += 1
+                continue
+            edge, shared = _edge_oracle(i, j, *tables)
+            slack = 2 * (edge - floor)
+            if slack + min(left[i][j], n - 2 - left[i][j]) * (n - 2) < 0:
+                tier = "tier 1"
+            elif not shared and slack + n - 2 < 0:
+                tier = "tier 2"
+            else:
+                tier = "walked"
+            assert (tier == "walked") == (kind == "walked"), (i, j, floor, tier)
+            if tier != "walked":
+                assert max(_segment_walk(i, j, *tables)[1], default=floor - 1) < floor
+            census[tier] += 1
+    assert all(census[kind] > 0 for kind in ("row", "tier 1", "tier 2", "walked")), census
 
 
 def test_every_crossing_is_within_its_cell_bound():
