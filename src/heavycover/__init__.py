@@ -24,11 +24,9 @@ from .exactgeom import (
     segment_crosses_ray,
 )
 from .selection import (
-    CandidateSet,
     DepthReport,
     LabeledPointSet,
     binom,
-    candidate_vertices,
     closed_depth_count,
     colorful_depth,
     depth_naive,
@@ -61,9 +59,7 @@ from .transversal import (
     TransversalReport,
     complement_basis,
     find_transversal_line_2d,
-    project_to_complement,
     transversal_bound,
-    tuple_touches_flat,
     verify_transversal,
 )
 from .continuity import (

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .continuity import continuity_demo
 from .datasets import Dataset, generate, parse_dataset
 from .dual import (
+    _witness_triples,
     dual_depth_fast,
     dual_depth_naive,
     exposure_profile,
@@ -45,7 +46,7 @@ from .selection import (
 )
 from .svgplot import CANVAS, MARGIN, bounding_box, depth_grid, emit_svg, emit_timeline_svg
 from .transversal import find_transversal_line_2d
-from .verification import battery_json, run_battery
+from .verification import battery_json, frac, point_json, run_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,9 +63,9 @@ MAX_GRID = CANVAS - 2 * MARGIN
 # takes 0.4 s and 48 MiB, and extremal_report peaks at 106 MiB at n = 500
 # and 194 MiB at 700 (see README)
 MAX_EXTREMAL = 300
-# --n for depth, dual, expose, transversal and maxdual, at 400: maxdual
-# 9.2-12.1 s, 74 MiB; dual 8.5-9.7 s, 48 MiB; transversal 3.5 s, 70 MiB;
-# depth 2.4 s; expose 1.2 s
+# --n for depth, dual, expose, transversal and maxdual, at 400: dual
+# 8.5-9.7 s, 48 MiB; transversal 3.5 s, 70 MiB; depth 2.4 s; maxdual
+# 1.7-1.8 s, 74 MiB; expose 1.2 s
 MAX_POINTS = 400
 # maxdepth --n, n^3 walk-table entries: 11.8-13.9 s, 99 MiB (the search at
 # 200 peaks at 175 MiB)
@@ -113,14 +114,6 @@ def _at_most(limit):
     return parse
 
 
-def _fr(x) -> str:
-    return str(Fraction(x))
-
-
-def _point_json(p: Point):
-    return [str(c) for c in p.coords]
-
-
 def _parse_point(text) -> Point:
     try:
         return Point(*(scalar(part.strip()) for part in text.split(",")))
@@ -154,13 +147,13 @@ def _load_dataset(args, kinds, default_kind, **gen_params) -> Dataset:
 
 def _depth_report_json(rep, q):
     return {
-        "query": _point_json(q),
+        "query": point_json(q),
         "count": rep.count,
         "total": rep.total,
-        "fraction": _fr(rep.fraction),
-        "bound": _fr(rep.bound),
+        "fraction": frac(rep.fraction),
+        "bound": frac(rep.bound),
         "meets_bound": rep.meets_bound,
-        "slack_bound": _fr(rep.slack_bound),
+        "slack_bound": frac(rep.slack_bound),
         "meets_slack_bound": rep.meets_slack_bound,
         "strict_count": rep.strict_count,
         "witnesses": [list(w) for w in rep.witnesses],
@@ -180,9 +173,9 @@ def _plot_points(args, pset, q=None, argmax=None, witness=None, title=""):
     report = {
         "bbox": [str(v) for v in bbox],
         "grid": grid,
-        "points": [_point_json(p) for p in pset.points],
-        "argmax": _point_json(argmax) if argmax else (_point_json(q) if q else None),
-        "witness": _point_json(witness) if witness else None,
+        "points": [point_json(p) for p in pset.points],
+        "argmax": point_json(argmax) if argmax else (point_json(q) if q else None),
+        "witness": point_json(witness) if witness else None,
         "title": title,
     }
     _write(args.plot, emit_svg(report))
@@ -200,7 +193,7 @@ def _plot_lines(args, family, argmax=None, title=""):
         "grid": grid,
         "lines": [{"normal": [str(c) for c in h.normal], "offset": str(h.offset)}
                   for h in family.lines],
-        "argmax": _point_json(argmax) if argmax else None,
+        "argmax": point_json(argmax) if argmax else None,
         "title": title,
     }
     _write(args.plot, emit_svg(report))
@@ -234,7 +227,7 @@ def _cmd_maxdepth(args):
     q, rep = max_depth_point(ds.points)
     print(f"max depth {rep.count} of {rep.total} at {tuple(map(str, q.coords))} "
           f"(fraction {rep.fraction}, slack bound {rep.slack_bound})")
-    _emit_report(args, {"command": "maxdepth", "argmax": _point_json(q),
+    _emit_report(args, {"command": "maxdepth", "argmax": point_json(q),
                         **_depth_report_json(rep, q)})
     _plot_points(args, ds.points, argmax=q,
                  title=f"max depth {rep.count}/{rep.total}")
@@ -267,11 +260,11 @@ def _cmd_dual(args):
 def _cmd_maxdual(args):
     ds = _load_dataset(args, ("LINES",), "LINES", tangent=args.tangent)
     q, rep = max_dual_depth_point(ds.lines)
-    rep = replace(rep, witnesses=_recount(q, rep, ds.lines).witnesses)
+    rep = replace(rep, witnesses=_witness_triples(q, ds.lines))
     print(f"max dual depth {rep.count} of {rep.total} at "
           f"{tuple(map(str, q.coords))} (fraction {rep.fraction}, "
           f"boundary triples {rep.boundary_count})")
-    _emit_report(args, {"command": "maxdual", "argmax": _point_json(q),
+    _emit_report(args, {"command": "maxdual", "argmax": point_json(q),
                         **_depth_report_json(rep, q)})
     _plot_lines(args, ds.lines, argmax=q, title=f"max dual {rep.count}/{rep.total}")
     return EXIT_OK if rep.meets_slack_bound else EXIT_BOUND_FAILED
@@ -299,11 +292,11 @@ def _cmd_expose(args):
           f"{' (full circle)' if almost.full_circle else ''}")
     _emit_report(args, {
         "command": "expose",
-        "query": _point_json(q),
+        "query": point_json(q),
         "directions": [list(d) for d in profile.directions],
         "arc_counts": list(profile.arc_counts),
         "pair_total": profile.pair_total,
-        "threshold": _fr(profile.threshold),
+        "threshold": frac(profile.threshold),
         "exposed": arcs_json(exp),
         "almost_exposed": arcs_json(almost),
     })
@@ -321,14 +314,14 @@ def _cmd_extremal(args):
         "command": "extremal",
         "n": rep.n,
         "max_count": rep.max_count,
-        "max_point": _point_json(rep.max_point),
-        "fraction": _fr(rep.fraction),
-        "product_bound": _fr(rep.product_bound),
+        "max_point": point_json(rep.max_point),
+        "fraction": frac(rep.fraction),
+        "product_bound": frac(rep.product_bound),
         "product_bound_floor": rep.product_bound_floor,
-        "gromov_floor": _fr(rep.gromov_floor),
-        "distance_to_bound": _fr(rep.distance_to_bound),
+        "gromov_floor": frac(rep.gromov_floor),
+        "distance_to_bound": frac(rep.distance_to_bound),
         "closed_max_count": rep.closed_max_count,
-        "closed_max_point": _point_json(rep.closed_max_point),
+        "closed_max_point": point_json(rep.closed_max_point),
         "closed_boundary_count": rep.closed_boundary_count,
     })
     return EXIT_OK
@@ -348,12 +341,12 @@ def _cmd_transversal(args):
               f"half bound met: {srep.meets_bound})")
     _emit_report(args, {
         "command": "transversal",
-        "line": {"base": _point_json(flat.base),
-                 "direction": _point_json(flat.directions[0])},
+        "line": {"base": point_json(flat.base),
+                 "direction": point_json(flat.directions[0])},
         "per_set": [{
-            "count": s.count, "total": s.total, "fraction": _fr(s.fraction),
-            "bound": _fr(s.bound), "meets_bound": s.meets_bound,
-            "slack_bound": _fr(s.slack_bound),
+            "count": s.count, "total": s.total, "fraction": frac(s.fraction),
+            "bound": frac(s.bound), "meets_bound": s.meets_bound,
+            "slack_bound": frac(s.slack_bound),
             "meets_slack_bound": s.meets_slack_bound,
             "median_floor_count": s.median_floor_count,
             "meets_median_floor": s.meets_median_floor,
@@ -374,21 +367,21 @@ def _cmd_sweep(args):
     samples_json = []
     for rec in report.records:
         samples_json.append({
-            "time": _fr(rec.time),
+            "time": frac(rec.time),
             "degenerate": rec.degenerate,
-            "argmax": _point_json(rec.argmax) if rec.argmax else None,
+            "argmax": point_json(rec.argmax) if rec.argmax else None,
             "count": rec.count,
-            "witness": ({"point": _point_json(rec.witness[0]),
+            "witness": ({"point": point_json(rec.witness[0]),
                          "count": rec.witness[1]} if rec.witness else None),
             "jump": rec.jump,
         })
     _emit_report(args, {
         "command": "sweep",
-        "tau": _fr(tau),
+        "tau": frac(tau),
         "samples": samples_json,
         "jump_events": [{
-            "time_before": _fr(e[0]), "time_after": _fr(e[1]),
-            "argmax_before": _point_json(e[2]), "argmax_after": _point_json(e[3]),
+            "time_before": frac(e[0]), "time_after": frac(e[1]),
+            "argmax_before": point_json(e[2]), "argmax_after": point_json(e[3]),
             "count_before": e[4], "count_after": e[5],
         } for e in report.jump_events],
         "all_witnessed": report.all_witnessed,
@@ -402,9 +395,9 @@ def _cmd_sweep(args):
             bbox = bounding_box(pts)
             frame = {
                 "bbox": [str(v) for v in bbox],
-                "points": [_point_json(p) for p in pts],
-                "argmax": _point_json(rec.argmax) if rec.argmax else None,
-                "witness": _point_json(rec.witness[0]) if rec.witness else None,
+                "points": [point_json(p) for p in pts],
+                "argmax": point_json(rec.argmax) if rec.argmax else None,
+                "witness": point_json(rec.witness[0]) if rec.witness else None,
                 "title": f"t={rec.time}" + (" (degenerate)" if rec.degenerate else ""),
             }
             _write(f"{stem}_{j:03d}.svg", emit_svg(frame))

@@ -86,6 +86,8 @@ def _parse_lines(raw, location):
         loc = f"{location}[{i}]"
         if not isinstance(row, dict) or "normal" not in row or "offset" not in row:
             raise ParseError("expected {normal, offset}", loc)
+        if not isinstance(row["normal"], list):
+            raise ParseError("expected a coefficient list", f"{loc}.normal")
         normal = [_num(v, f"{loc}.normal[{j}]") for j, v in enumerate(row["normal"])]
         if len(normal) != 2:
             raise ParseError("lines are planar: normal must have 2 entries", loc)
@@ -168,12 +170,8 @@ def _num_float_reject(text):
     return _num(text, "")
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _emit_points(pset: LabeledPointSet):
-    return [[_frac_str(c) for c in p.coords] for p in pset.points]
+    return [[str(c) for c in p.coords] for p in pset.points]
 
 
 def emit_dataset(ds: Dataset) -> str:
@@ -186,12 +184,12 @@ def emit_dataset(ds: Dataset) -> str:
         if ds.kind == "COLORED_POINTS":
             obj["colors"] = list(ds.points.colors)
     elif ds.kind == "LINES":
-        obj["lines"] = [{"normal": [_frac_str(c) for c in h.normal],
-                         "offset": _frac_str(h.offset)} for h in ds.lines.lines]
+        obj["lines"] = [{"normal": [str(c) for c in h.normal],
+                         "offset": str(h.offset)} for h in ds.lines.lines]
         if ds.lines.provenance is not None:
             obj["provenance"] = ds.lines.provenance
     else:
-        obj["keyframes"] = [{"time": _frac_str(t), "points": _emit_points(ps)}
+        obj["keyframes"] = [{"time": str(t), "points": _emit_points(ps)}
                             for t, ps in ds.path.keyframes]
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

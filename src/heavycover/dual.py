@@ -30,8 +30,10 @@ and each line's place and sign in the half-turn order, which give every turn
 sign. Each search checks its winner by an angular count that reads neither the
 half-turn order nor the walk (``selection._strict_surrounding``, O(n log n)),
 so no search does O(n^3) work; ``dual_depth_naive`` stays the exhaustive
-oracle of the tests, the battery and the CLI. ``extremal_report`` shares one
-walk between its strict and closed searches.
+oracle of the tests, the battery and ``dual --point``, and ``maxdual`` takes
+its winner's witnesses as the first hits of the same scan
+(``_witness_triples``). ``extremal_report`` shares one walk between its
+strict and closed searches.
 
 Exposure profiles read the same order: the arc counts around a point are one
 O(n) pass (``_arc_profile``), with no per-query sort. ``ExposureProfile``
@@ -234,6 +236,15 @@ def dual_depth_naive(q: Point, family: LineFamily, witness_limit: int = 0) -> De
         _surrounded_hits(_sides(homog(q), coeffs), _vertex_table(coeffs), coeffs),
         witness_limit)
     return DepthReport(count, binom(n, 3), n, 2, strict, witnesses, "naive")
+
+
+def _witness_triples(q: Point, family: LineFamily):
+    """The first three triples whose closed triangle holds q, in combination
+    order: the witnesses of ``dual_depth_naive(q, family, witness_limit=3)``,
+    read off a lazy slice of ``_surrounded_hits`` with no full count."""
+    coeffs = family.coeffs
+    hits = _surrounded_hits(_sides(homog(q), coeffs), _vertex_table(coeffs), coeffs)
+    return tuple(idx for idx, _ in itertools.islice(hits, 3))
 
 
 def _reduce_dir(d):
@@ -561,13 +572,6 @@ def base_cut_count(q: Point, i: int, family: LineFamily) -> int:
 # Exposure analysis
 # ---------------------------------------------------------------------------
 
-def _in_closed_cone(a, b, p):
-    """p in the closed cone spanned by non-collinear directions a, b."""
-    if _icross(a, b) < 0:
-        a, b = b, a
-    return _icross(a, p) >= 0 and _icross(p, b) >= 0
-
-
 def _arc_representative(s, e):
     """An exact direction strictly inside the ccw open arc from s to e."""
     c = _icross(s, e)
@@ -606,16 +610,6 @@ class ExposureProfile:
     def threshold(self) -> Fraction:
         """The exposure threshold: an arc crossed by fewer pairs is exposed."""
         return DUAL_BOUND * self.pair_total
-
-    def count_at(self, direction) -> int:
-        """Crossing count for the ray aimed exactly at ``direction`` (closed
-        wedges, so critical directions count both adjacent arcs' pairs)."""
-        p = _reduce_dir(tuple(direction))
-        c = 0
-        for a, b in itertools.combinations(self.directions, 2):
-            if _in_closed_cone(a, b, p):
-                c += 1
-        return c
 
     def exposed(self) -> DirectionArcSet:
         """The arcs of ray directions crossed by fewer than 2/9 of

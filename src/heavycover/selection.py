@@ -38,7 +38,8 @@ them lowers a pair's count of points on either side, which fails the
 general-position gate. One function, ``_segment_walk``, steps a segment's
 crossings: they are sorted by one correctly rounded float each, and only a
 segment where two share a float is sorted by ``_angle_keys`` instead.
-``candidate_vertices`` keeps the line-arrangement superset as a test oracle.
+``_candidate_homogs`` keeps the line-arrangement superset as the oracle of
+the battery's maximality check and the tests.
 
 Every max search in the package (this walk, ``continuity``'s argmax and
 heavy-region witness, and ``dual``'s vertex and cell scans) is a count cap c,
@@ -517,14 +518,6 @@ def colorful_depth(q: Point, pset: LabeledPointSet, witness_limit: int = 0) -> D
     return DepthReport(count, total, pset.n, d, strict, witnesses, "colorful")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated max-depth candidates: data points and pair-line crossings."""
-
-    points: tuple
-    tags: tuple  # "data" | "intersection", aligned with points
-
-
 def _candidate_homogs(pts_h):
     """Reduced homogeneous candidates: data points plus all pairwise
     intersections of distinct lines through data-point pairs."""
@@ -547,19 +540,6 @@ def _candidate_homogs(pts_h):
         if key not in seen:
             seen[key] = "intersection"
     return list(seen.items())
-
-
-def candidate_vertices(pset: LabeledPointSet) -> CandidateSet:
-    """Data points and every vertex of the arrangement of lines through data
-    pairs: a superset of the segment crossings ``max_depth_point`` walks, kept
-    as the independent search space that tests use as an oracle."""
-    if pset.dim != 2:
-        raise DimensionError("candidate_vertices is planar only")
-    if pset.n < 2:
-        raise DomainError("need at least 2 points")
-    items = _candidate_homogs([homog(p) for p in pset.points])
-    return CandidateSet(points=tuple(dehomog(k) for k, _ in items),
-                        tags=tuple(tag for _, tag in items))
 
 
 def _homog_lex_cmp(a, b):

@@ -16,7 +16,7 @@ from math import gcd
 
 from .dual import _reduce_dir
 from .errors import DegeneracyError, DimensionError, DomainError, InternalError
-from .exactgeom import Point, homog, point_in_simplex
+from .exactgeom import Point, homog
 from .selection import (
     LabeledPointSet,
     _angle_keys,
@@ -84,32 +84,6 @@ def complement_basis(flat: AffineFlat):
 
 def _complement_coords(p: Point, basis):
     return Point(*(p.dot(b) / b.dot(b) for b in basis))
-
-
-def project_to_complement(pset: LabeledPointSet, flat: AffineFlat) -> LabeledPointSet:
-    """Coordinates of each point's orthogonal projection onto the complement of
-    the flat's direction space, in the complement_basis chart."""
-    if pset.dim != flat.dim:
-        raise DimensionError("point set and flat dimensions differ")
-    basis = complement_basis(flat)
-    pts = tuple(_complement_coords(p, basis) for p in pset.points)
-    return LabeledPointSet(pts, colors=pset.colors, provenance=pset.provenance)
-
-
-def tuple_touches_flat(points, flat: AffineFlat) -> bool:
-    """True iff the convex hull of the (d-m+1)-tuple meets the flat (closed)."""
-    points = list(points)
-    d = flat.dim
-    k = d - flat.m + 1
-    if len(points) != k:
-        raise DomainError(f"expected a {k}-tuple for d={d}, m={flat.m}")
-    for p in points:
-        if p.dim != d:
-            raise DimensionError("tuple dimension mismatch")
-    basis = complement_basis(flat)
-    image = [_complement_coords(p, basis) for p in points]
-    target = _complement_coords(flat.base, basis)
-    return point_in_simplex(target, image).in_closed
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ the vertex-table row and the lines, not the walk's order along each line,
 and each turn sign from the cross product of two lines' normals, not from
 the half-turn order's places and signs, so they share no step rule with it.
 Also here: ``_fraction_cell_point``, the ``Fraction`` construction of a
-cell's point that ``dual._cell_point`` computes on integers.
+cell's point that ``dual._cell_point`` computes on integers, and
+``_in_closed_cone``, the closed-wedge test the exposure arc counts are
+enumerated against.
 """
 
 import operator
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from heavycover.dual import _sides, _surrounding
 from heavycover.exactgeom import Point
+from heavycover.selection import _icross
 
 
 def _cross_turn(coeffs, i, k):
@@ -91,3 +94,10 @@ def _fraction_cell_point(coeffs, key, i, j, sx, sy, branches=None):
         branches["none" if nearest is None else "meets"] += 1
     t = nearest / 2 if nearest is not None else Fraction(1)
     return Point(Fraction(vx, vw) + t * w[0], Fraction(vy, vw) + t * w[1])
+
+
+def _in_closed_cone(a, b, p):
+    """p in the closed cone spanned by non-collinear directions a, b."""
+    if _icross(a, b) < 0:
+        a, b = b, a
+    return _icross(a, p) >= 0 and _icross(p, b) >= 0

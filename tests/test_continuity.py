@@ -14,11 +14,11 @@ from heavycover.continuity import (
 )
 from heavycover.datasets import random_motion_path, random_point_set
 from heavycover.errors import DegeneracyError, DomainError
-from heavycover.exactgeom import Point
+from heavycover.exactgeom import Point, dehomog, homog
 from heavycover.selection import (
     LabeledPointSet,
+    _candidate_homogs,
     binom,
-    candidate_vertices,
     closed_depth_count,
     max_depth_point,
 )
@@ -134,8 +134,8 @@ def test_heavy_region_witness_matches_line_arrangement_oracle():
     rng = random.Random(909)
     for n, near_convex in itertools.product(range(5, 13), (False, True)):
         ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
-        counts = sorted((q.coords, closed_depth_count(q, ps.points), q)
-                        for q in candidate_vertices(ps).points)
+        candidates = (dehomog(k) for k, _ in _candidate_homogs([homog(p) for p in ps.points]))
+        counts = sorted((q.coords, closed_depth_count(q, ps.points), q) for q in candidates)
         total = binom(n, 3)
         best = Fraction(max(c for _, c, _ in counts), total)
         for tau in (best, best + Fraction(1, 2 * total), Fraction(2, 9),

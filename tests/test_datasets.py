@@ -8,6 +8,7 @@ import pytest
 
 from float_fuzz import clash_lines
 from heavycover import datasets
+from heavycover.cli import run_command
 from heavycover.datasets import (
     Dataset,
     emit_dataset,
@@ -82,6 +83,24 @@ def test_parse_rejects_colors_that_are_not_strings_or_integers():
         with pytest.raises(ParseError) as err:
             parse_dataset(text)
         assert str(err.value).startswith("colors[2]: ")
+
+
+@pytest.mark.parametrize("normal", ['"12"', "7", '{"a": 1, "b": 2}'],
+                         ids=["string", "int", "object"])
+def test_parse_rejects_a_line_normal_that_is_not_a_list(normal, tmp_path, capsys):
+    # a string was read one character per coefficient, "12" as x + 2y
+    text = ('{"kind":"LINES","lines":['
+            f'{{"normal":{normal},"offset":"0"}},'
+            '{"normal":["1","0"],"offset":"0"},{"normal":["1","-1"],"offset":"1"}]}')
+    with pytest.raises(ParseError) as err:
+        parse_dataset(text)
+    assert err.value.location == "lines[0].normal"
+    path = tmp_path / "lines.json"
+    path.write_text(text)
+    assert run_command(["dual", "--in", str(path), "--point", "1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lines[0].normal: ")
+    assert "Traceback" not in err
 
 
 def test_parse_error_carries_location():

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from dual_oracles import _cell_counts, _cross_turn, _fraction_cell_point, _vertex_pair
+from dual_oracles import (
+    _cell_counts,
+    _cross_turn,
+    _fraction_cell_point,
+    _in_closed_cone,
+    _vertex_pair,
+)
 from heavycover import dual
 from heavycover.datasets import random_line_family
 from heavycover.errors import DegeneracyError, DimensionError, DomainError
@@ -582,6 +588,27 @@ def test_max_dual_depth_vertex_scan_matches_naive_oracle():
     assert rep.count == best
 
 
+def test_witness_triples_are_the_exhaustive_first_three():
+    # maxdual's witnesses: the first three hits of the triple scan, which
+    # dual_depth_naive keeps at witness_limit=3, at each winner and at a
+    # point on line 0 between two of its vertices
+    fams = [random_line_family(n, 2600 + n) for n in (5, 6, 7, 9, 12, 16, 24, 40)]
+    fams += [tangent_family(n) for n in (5, 8, 13, 40)]
+    for fam in fams:
+        q, _ = max_dual_depth_point(fam)
+        a, b = (dehomog(intersect_lines_homog(fam.coeffs[0], fam.coeffs[k])) for k in (1, 2))
+        for p in (q, Point((a.x + b.x) / 2, (a.y + b.y) / 2)):
+            expected = dual_depth_naive(p, fam, witness_limit=3).witnesses
+            assert dual._witness_triples(p, fam) == expected
+    # x = 0, y = 0 and x = y meet at the origin, and x + y = 3 and 4 are
+    # parallel: points on one, two and three lines, and on none
+    fam = LineFamily((X0, Y0, Hyperplane((1, -1), 0), Hyperplane((1, 1), 3), DIAG))
+    for p in (Point(0, 5), Point(0, 3), Point(0, 0), Point(1, Fraction(1, 3))):
+        expected = dual_depth_naive(p, fam, witness_limit=3).witnesses
+        assert dual._witness_triples(p, fam) == expected
+    assert dual._witness_triples(Point(0, 0), fam) == ((0, 1, 2), (0, 1, 3), (0, 1, 4))
+
+
 def test_max_dual_depth_threads_match_serial():
     fam = random_line_family(12, 31)
     q1, r1 = max_dual_depth_point(fam, threads=1)
@@ -703,8 +730,6 @@ def test_exposure_wedge_bookkeeping():
             profile = exposure_profile(q, fam)
         except DegeneracyError:
             continue
-        from heavycover.dual import _in_closed_cone
-
         incidences = 0
         for i in range(profile.n_arcs):
             rep = profile.directions_inside_arc(i, count=1)[0]
@@ -746,15 +771,7 @@ def test_arc_counts_at_vertices_match_the_wedge_enumeration(fam):
         for k, (d, count) in enumerate(arcs):
             rep = dual._arc_representative(d, dirs[(k + 1) % len(dirs)])
             assert count == sum(1 for a, b in itertools.combinations(dirs, 2)
-                                if dual._in_closed_cone(a, b, rep))
-
-
-def test_exposure_count_at_critical_directions():
-    profile = exposure_profile(Point(1, 1), TRIANGLE)
-    for i, d in enumerate(profile.directions):
-        left = profile.arc_counts[i - 1]
-        right = profile.arc_counts[i]
-        assert profile.count_at(d) >= max(left, right)
+                                if _in_closed_cone(a, b, rep))
 
 
 def test_exposed_arcs_two_line_example():

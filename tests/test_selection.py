@@ -25,6 +25,7 @@ from heavycover.selection import (
     _angle_keys,
     _angular_counts,
     _avoiding,
+    _candidate_homogs,
     _cell_bound,
     _cell_reach,
     _checked_max,
@@ -40,7 +41,6 @@ from heavycover.selection import (
     _walk_tables,
     LabeledPointSet,
     binom,
-    candidate_vertices,
     closed_depth_count,
     colorful_depth,
     depth_naive,
@@ -206,22 +206,27 @@ def test_colorful_total_is_class_product():
     assert 0 <= rep.count <= rep.total
 
 
+def _candidates(ps):
+    """The data points and line-arrangement vertices of ``ps`` in
+    ``_candidate_homogs``' order, each with its tag, "data" or
+    "intersection"."""
+    return [(dehomog(k), tag) for k, tag in _candidate_homogs([homog(p) for p in ps.points])]
+
+
 def test_candidate_vertices_examples():
-    cands = candidate_vertices(TRI)
-    assert set(cands.points) == set(TRI.points)
-    sq = candidate_vertices(SQUARE)
-    assert Point(2, 2) in sq.points  # diagonal crossing
-    assert set(SQUARE.points) <= set(sq.points)
-    tag_of = dict(zip(sq.points, sq.tags))
-    assert tag_of[Point(2, 2)] == "intersection"
+    # the line-arrangement candidates of the battery's maximality check
+    assert {q for q, _ in _candidates(TRI)} == set(TRI.points)
+    tag_of = dict(_candidates(SQUARE))
+    assert set(SQUARE.points) <= set(tag_of)
+    assert tag_of[Point(2, 2)] == "intersection"  # diagonal crossing
     assert tag_of[Point(0, 0)] == "data"
 
 
 def test_candidate_vertices_frozen_seeded_count():
     # frozen from an independent slope-intercept intersection enumeration
-    cands = candidate_vertices(random_point_set(8, 5))
-    assert len(cands.points) == 218
-    assert len(set(cands.points)) == 218
+    cands = _candidates(random_point_set(8, 5))
+    assert len(cands) == 218
+    assert len({q for q, _ in cands}) == 218
 
 
 def test_max_depth_point_examples():
@@ -248,7 +253,7 @@ def test_max_depth_point_degenerate_input():
 def test_max_depth_dominates_every_candidate():
     ps = random_point_set(7, 31)
     _, rep = max_depth_point(ps)
-    for cand in candidate_vertices(ps).points:
+    for cand, _ in _candidates(ps):
         assert depth_naive(cand, ps).count <= rep.count
 
 
@@ -312,8 +317,7 @@ def test_max_depth_point_matches_line_arrangement_oracle():
     rng = random.Random(2024)
     for n, near_convex in itertools.product(range(5, 15), (False, True)):
         ps = random_point_set(n, rng.randrange(10 ** 6), near_convex=near_convex)
-        counts = {q: closed_depth_count(q, ps.points)
-                  for q in candidate_vertices(ps).points}
+        counts = {q: closed_depth_count(q, ps.points) for q, _ in _candidates(ps)}
         best = max(counts.values())
         expected = min((q for q, c in counts.items() if c == best),
                        key=lambda q: q.coords)

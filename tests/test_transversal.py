@@ -11,15 +11,29 @@ from heavycover.exactgeom import Point, point_in_simplex
 from heavycover.selection import LabeledPointSet, binom, depth_naive, selection_bound
 from heavycover.transversal import (
     AffineFlat,
+    _complement_coords,
     complement_basis,
     find_transversal_line_2d,
-    project_to_complement,
     transversal_bound,
-    tuple_touches_flat,
     verify_transversal,
 )
 
 X_AXIS = AffineFlat(base=Point(0, 0), directions=(Point(1, 0),))
+
+
+def _project(points, flat):
+    """Each point's coordinates in the ``complement_basis`` chart, as
+    ``verify_transversal`` projects them."""
+    basis = complement_basis(flat)
+    return [_complement_coords(p, basis) for p in points]
+
+
+def _touches(points, flat):
+    """True iff the hull of the (d - m + 1)-tuple ``points`` meets the flat
+    (closed): ``verify_transversal`` counts the one tuple of m + 1 copies of
+    the set."""
+    sets = [LabeledPointSet(tuple(points))] * (flat.m + 1)
+    return verify_transversal(flat, sets).per_set[0].count == 1
 
 
 def rand_point(rng, d, span=6, denom=13):
@@ -37,12 +51,8 @@ def test_affine_flat_validation():
 
 
 def test_project_to_complement_examples():
-    ps = LabeledPointSet((Point(3, 5),))
-    proj = project_to_complement(ps, X_AXIS)
-    assert proj.points[0] == Point(5)
-    on_flat = LabeledPointSet((Point(7, 0),))
-    base_img = project_to_complement(LabeledPointSet((X_AXIS.base,)), X_AXIS).points[0]
-    assert project_to_complement(on_flat, X_AXIS).points[0] == base_img
+    assert _project([Point(3, 5)], X_AXIS) == [Point(5)]
+    assert _project([Point(7, 0)], X_AXIS) == _project([X_AXIS.base], X_AXIS)
 
 
 def test_complement_gram_identity_3d():
@@ -58,8 +68,8 @@ def test_complement_gram_identity_3d():
         gram = [[b1.dot(b2) for b2 in basis] for b1 in basis]
         assert gram[0][1] == 0 and gram[1][0] == 0  # orthogonal basis
         p, q = rand_point(rng, 3), rand_point(rng, 3)
-        pc = project_to_complement(LabeledPointSet((p, q)), flat)
-        dc = pc.points[0] - pc.points[1]
+        pc, qc = _project([p, q], flat)
+        dc = pc - qc
         via_gram = sum(dc[i] * gram[i][j] * dc[j]
                        for i in range(2) for j in range(2))
         # direct: remove the flat-direction component from p - q
@@ -91,16 +101,15 @@ def _strs(points):
 def test_complement_basis_exact_values(flat, basis, projected):
     # frozen exact outputs: the unit vectors' Gram-Schmidt remainders, in order
     d = flat.dim
-    pts = LabeledPointSet((Point(*[1] * d), Point(*range(d)),
-                           Point(*[Fraction(1, k + 2) for k in range(d)])))
+    pts = [Point(*[1] * d), Point(*range(d)), Point(*[Fraction(1, k + 2) for k in range(d)])]
     assert _strs(complement_basis(flat)) == basis
-    assert _strs(project_to_complement(pts, flat).points) == projected
+    assert _strs(_project(pts, flat)) == projected
 
 
 def test_tuple_touches_flat_examples():
-    assert tuple_touches_flat([Point(0, 1), Point(0, -1)], X_AXIS) is True
-    assert tuple_touches_flat([Point(0, 1), Point(1, 2)], X_AXIS) is False
-    assert tuple_touches_flat([Point(0, 0), Point(1, 2)], X_AXIS) is True  # closed
+    assert _touches([Point(0, 1), Point(0, -1)], X_AXIS) is True
+    assert _touches([Point(0, 1), Point(1, 2)], X_AXIS) is False
+    assert _touches([Point(0, 0), Point(1, 2)], X_AXIS) is True  # closed
 
 
 def test_tuple_touches_flat_permutation_invariance():
@@ -108,8 +117,7 @@ def test_tuple_touches_flat_permutation_invariance():
     flat = AffineFlat(base=Point(0, 0, 0), directions=(Point(1, 1, 0),))
     for _ in range(30):
         tri = [rand_point(rng, 3) for _ in range(3)]
-        vals = {tuple_touches_flat(list(p), flat)
-                for p in itertools.permutations(tri)}
+        vals = {_touches(p, flat) for p in itertools.permutations(tri)}
         assert len(vals) == 1
 
 
@@ -122,7 +130,7 @@ def test_tuple_touches_equals_opposite_closed_sides_2d():
         a, b = rand_point(rng, 2), rand_point(rng, 2)
         sa = 2 * (a.x - flat.base.x) + 3 * (a.y - flat.base.y)
         sb = 2 * (b.x - flat.base.x) + 3 * (b.y - flat.base.y)
-        assert tuple_touches_flat([a, b], flat) == (sa * sb <= 0)
+        assert _touches([a, b], flat) == (sa * sb <= 0)
 
 
 def test_transversal_bound_values():
@@ -239,8 +247,8 @@ def test_find_transversal_line_trivial_pairs():
     p1 = LabeledPointSet((Point(2, 1), Point(2, 5)))
     flat, rep = find_transversal_line_2d(p0, p1)
     assert [r.fraction for r in rep.per_set] == [Fraction(1), Fraction(1)]
-    assert tuple_touches_flat(list(p0.points), flat)
-    assert tuple_touches_flat(list(p1.points), flat)
+    assert _touches(p0.points, flat)
+    assert _touches(p1.points, flat)
 
 
 def test_find_transversal_line_seeded_floors_and_oracle():
@@ -338,8 +346,8 @@ def test_verify_transversal_equals_per_triangle_reference_on_planar_images():
             pts.append(Point(x, rng.randrange(-3, 4), z))
         pts.append(Point(1, 5, 1))
         pset = LabeledPointSet(tuple(pts))
-        image = project_to_complement(pset, flat).points
-        target = project_to_complement(LabeledPointSet((flat.base,)), flat).points[0]
+        image = _project(pts, flat)
+        [target] = _project([flat.base], flat)
         expected = sum(1 for idx in itertools.combinations(range(len(pts)), 3)
                        if point_in_simplex(target, [image[i] for i in idx]).in_closed)
         assert verify_transversal(flat, [pset, pset]).per_set[0].count == expected
